@@ -24,7 +24,6 @@ benchmarks:
 # src/repro/perfgate.py).  .bench-raw.json is scratch output.
 bench-json:
 	$(PYTHON) -m pytest benchmarks/test_simulator_perf.py \
-		benchmarks/test_batch_dispatch.py \
 		benchmarks/test_fastforward.py \
 		benchmarks/test_fleet_scale.py \
 		benchmarks/test_remote_transport.py \

@@ -17,7 +17,7 @@ import time
 
 from repro.apps import NotepadApp
 from repro.core import IdleLoopInstrument
-from repro.sim.engine import set_fast_forward_default
+from repro.sim.engine import fast_forward_scope
 from repro.sim.timebase import ns_from_ms
 from repro.winsys import boot
 from repro.workload.mstest import MsTestDriver
@@ -34,8 +34,7 @@ _ABLATION_SIM_MS = 5_000.0
 
 def _idle_run(fast_forward, loop_ms=_ABLATION_LOOP_MS, sim_ms=_ABLATION_SIM_MS):
     """Boot nt40, trace an idle system, return (records, sim stats)."""
-    set_fast_forward_default(fast_forward)
-    try:
+    with fast_forward_scope(fast_forward):
         system = boot("nt40")
         instrument = IdleLoopInstrument(system, loop_ms=loop_ms)
         instrument.install()
@@ -45,8 +44,6 @@ def _idle_run(fast_forward, loop_ms=_ABLATION_LOOP_MS, sim_ms=_ABLATION_SIM_MS):
             system.sim.events_executed,
             system.kernel.fast_forward_batches,
         )
-    finally:
-        set_fast_forward_default(True)
 
 
 def test_idle_fastforward_ablation(benchmark):

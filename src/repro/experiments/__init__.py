@@ -8,7 +8,7 @@ with an on-disk result cache and a run manifest (see
 """
 
 from .common import ALL_OS, NT_OS, Check, ExperimentResult
-from .parallel import JobResult, execute_job, run_many
+from .parallel import JobOptions, JobResult, execute_job, run_many
 from .registry import EXPERIMENTS, TITLES, experiment_ids, run_experiment
 
 __all__ = [
@@ -16,6 +16,7 @@ __all__ = [
     "Check",
     "EXPERIMENTS",
     "ExperimentResult",
+    "JobOptions",
     "JobResult",
     "NT_OS",
     "TITLES",

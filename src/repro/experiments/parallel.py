@@ -25,8 +25,10 @@ module upholds:
   so far, so the caller can still write its manifest.
 
 :func:`execute_job` is the pool entry point; it is a module-level
-function taking picklable arguments (:class:`~repro.core.runcache.RunCache`
-pickles as a path + version string) as ``ProcessPoolExecutor`` requires.
+function taking picklable arguments — the job's id and seed plus one
+frozen :class:`JobOptions` (:class:`~repro.core.runcache.RunCache`
+pickles as a path + version string) — as ``ProcessPoolExecutor``
+requires.
 """
 
 from __future__ import annotations
@@ -40,16 +42,18 @@ import traceback
 from concurrent.futures import FIRST_COMPLETED, CancelledError, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures import wait as futures_wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..chaos.engine import HEDGE_ATTEMPT_BASE, ChaosCrash, chaos_harness
 from ..core.runcache import RunCache, code_version, variant_key
 from ..core.serialize import cache_entry_to_dict, experiment_to_dict
+from ..sim.engine import fast_forward_scope
 from ..verify.checkpoint import Checkpointer, checkpoint_path
 from .registry import EXPERIMENTS, run_experiment
 
 __all__ = [
+    "JobOptions",
     "JobResult",
     "SweepInterrupted",
     "execute_job",
@@ -86,6 +90,35 @@ class SweepInterrupted(KeyboardInterrupt):
     def __init__(self, results: List["JobResult"]) -> None:
         super().__init__("experiment sweep interrupted")
         self.results = results
+
+
+@dataclass(frozen=True)
+class JobOptions:
+    """Everything a job executor needs besides ``(id, seed)``.
+
+    One value per sweep, built by :func:`run_specs` and handed to every
+    job unchanged, except that each round stamps ``chaos`` with its
+    attempt number.  Frozen and picklable, so pool rounds submit it to
+    workers as is.
+    """
+
+    #: Result cache consulted and fed by the job (``None``: no caching).
+    cache: Optional[RunCache] = None
+    #: Re-execute even when a valid cache entry exists.
+    refresh: bool = False
+    #: Experiment keyword arguments; folded into the cache variant.
+    run_kwargs: Optional[dict] = None
+    #: Directory for crash-safe unit checkpoints (``None``: off).
+    checkpoint_dir: Optional[str] = None
+    #: Completed units per checkpoint write.
+    checkpoint_interval: int = 1
+    #: Observability request: ``{"trace", "metrics", "envelopes"}``.
+    obs: Optional[dict] = None
+    #: Idle fast-forward for kernels the job boots (``--no-fast-forward``).
+    fast_forward: bool = True
+    #: Harness-fault descriptor (:func:`repro.chaos.engine.chaos_payload`)
+    #: stamped with the round's attempt.
+    chaos: Optional[dict] = None
 
 
 @dataclass
@@ -195,101 +228,60 @@ def job_variant(experiment_id: str, run_kwargs: Optional[dict]) -> Tuple[dict, s
     return accepted, variant_key(parts)
 
 
-def execute_job(
-    experiment_id: str,
-    seed: int,
-    cache: Optional[RunCache] = None,
-    refresh: bool = False,
-    run_kwargs: Optional[dict] = None,
-    checkpoint_dir: Optional[str] = None,
-    checkpoint_interval: int = 1,
-    obs: Optional[dict] = None,
-    fast_forward: bool = True,
-    chaos: Optional[dict] = None,
-    batch: bool = True,
-) -> JobResult:
+def execute_job(experiment_id: str, seed: int, options: JobOptions) -> JobResult:
     """Run one job, consulting and feeding the cache.
 
-    ``chaos`` is the optional harness-fault descriptor
-    (:func:`repro.chaos.engine.chaos_payload`, stamped with this round's
-    attempt by the scheduler): the job executes inside
+    The job runs inside :func:`~repro.sim.engine.fast_forward_scope`
+    set from ``options.fast_forward``, so every kernel it boots takes
+    that setting and the caller's scope is restored on return.
+    Fast-forward is deliberately *not* part of the cache variant: the
+    fast path is bit-identical to the slow one (enforced by the golden
+    digests and ``tests/test_fastforward.py``), so either setting may
+    serve the other's cached payload.
+
+    ``options.chaos`` runs the job inside
     :func:`~repro.chaos.engine.chaos_harness`, which may crash or delay
     this worker or sabotage its artifact writes — deterministically per
-    ``(job, attempt)``.  Chaos is deliberately *not* part of the cache
-    variant: a healed chaotic run is byte-identical to a clean one, so
-    either may serve the other's entries.
+    ``(job, attempt)``.  Chaos is not part of the cache variant either:
+    a healed chaotic run is byte-identical to a clean one, so either may
+    serve the other's entries.
 
     Cache discipline: a valid entry for ``(id, seed, code_version,
-    variant)`` is served directly unless ``refresh`` forces
+    variant)`` is served directly unless ``options.refresh`` forces
     re-execution; a fresh run (re)writes its entry.  The variant digests
-    the job's run-time configuration (``run_kwargs``, with fault
-    scenarios expanded to plan fingerprints — see :func:`job_variant`),
-    so a healthy cached run is never served for a faulted request or
-    vice versa.  Any exception from the experiment is captured into
-    ``JobResult.error`` rather than propagated, so pool workers always
-    return a result.
+    the job's ``run_kwargs``, with fault scenarios expanded to plan
+    fingerprints (see :func:`job_variant`), so a healthy cached run is
+    never served for a faulted request or vice versa.  Any exception
+    from the experiment is captured into ``JobResult.error`` rather than
+    propagated, so pool workers always return a result.
 
-    With ``checkpoint_dir`` set, experiments that accept a
+    With ``options.checkpoint_dir`` set, experiments that accept a
     ``checkpoint`` keyword get a :class:`~repro.verify.checkpoint.Checkpointer`
     pinned to this job's exact identity: a killed run resumes from its
     last snapshot, and a completed run discards it.
 
-    ``obs`` (``{"trace": bool, "metrics": bool, "envelopes": dict}``)
-    opens an observability session around the execution and attaches
-    the job-local Chrome trace, metrics snapshot and stage-envelope
-    snapshot to the result.  ``envelopes`` is the
+    ``options.obs`` opens an observability session around the
+    execution and attaches the job-local Chrome trace, metrics snapshot
+    and stage-envelope snapshot to the result.  ``envelopes`` is the
     :class:`~repro.obs.envelope.EnvelopeConfig` dict form (sample rate,
     stage budgets).  An observed job bypasses cache *reads* — a cached
     hit would yield no telemetry — but still writes its entry, which
     determinism makes harmless.
-
-    ``fast_forward`` sets this process's idle fast-forward default
-    (``--no-fast-forward``).  It is deliberately *not* part of the cache
-    variant: the fast path is bit-identical to the slow one (enforced by
-    the golden digests and ``tests/test_fastforward.py``), so either
-    setting may serve the other's cached payload.
-
-    ``batch`` sets this process's batched side-calendar execution
-    default (``--no-batch``), with exactly the same cache discipline as
-    ``fast_forward``: batched and unbatched runs are bit-identical
-    (``tests/test_engine_batch.py``), so the flag is excluded from the
-    cache variant and either setting may serve the other's entries.
     """
-    with chaos_harness(chaos, f"{experiment_id}:{seed}"):
-        return _execute_job_inner(
-            experiment_id,
-            seed,
-            cache=cache,
-            refresh=refresh,
-            run_kwargs=run_kwargs,
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_interval=checkpoint_interval,
-            obs=obs,
-            fast_forward=fast_forward,
-            batch=batch,
-        )
+    with fast_forward_scope(options.fast_forward), chaos_harness(
+        options.chaos, f"{experiment_id}:{seed}"
+    ):
+        return _execute_job_inner(experiment_id, seed, options)
 
 
 def _execute_job_inner(
-    experiment_id: str,
-    seed: int,
-    cache: Optional[RunCache] = None,
-    refresh: bool = False,
-    run_kwargs: Optional[dict] = None,
-    checkpoint_dir: Optional[str] = None,
-    checkpoint_interval: int = 1,
-    obs: Optional[dict] = None,
-    fast_forward: bool = True,
-    batch: bool = True,
+    experiment_id: str, seed: int, options: JobOptions
 ) -> JobResult:
-    """:func:`execute_job` without the chaos harness (the real work)."""
-    from ..sim.engine import set_batch_default, set_fast_forward_default
-
-    set_fast_forward_default(fast_forward)
-    set_batch_default(batch)
+    """:func:`execute_job` without the scopes it enters (the real work)."""
+    cache = options.cache
     started = time.perf_counter()
-    kwargs, variant = job_variant(experiment_id, run_kwargs)
-    obs = obs or {}
+    kwargs, variant = job_variant(experiment_id, options.run_kwargs)
+    obs = options.obs or {}
     want_obs = bool(
         obs.get("trace") or obs.get("metrics") or obs.get("envelopes")
     )
@@ -300,7 +292,7 @@ def _execute_job_inner(
     def _evictions() -> int:
         return (cache.evictions - evictions_before) if cache is not None else 0
 
-    if cache is not None and not refresh and not want_obs:
+    if cache is not None and not options.refresh and not want_obs:
         entry = cache.load(experiment_id, seed, variant)
         if entry is not None:
             return JobResult(
@@ -314,18 +306,18 @@ def _execute_job_inner(
                 payload=entry["payload"],
             )
     checkpointer = None
-    if checkpoint_dir is not None and "checkpoint" in _experiment_params(
+    if options.checkpoint_dir is not None and "checkpoint" in _experiment_params(
         experiment_id
     ):
         checkpointer = Checkpointer(
-            checkpoint_path(checkpoint_dir, experiment_id, seed, variant),
+            checkpoint_path(options.checkpoint_dir, experiment_id, seed, variant),
             identity={
                 "experiment_id": experiment_id,
                 "seed": seed,
                 "code_version": code_version(),
                 "variant": variant,
             },
-            interval=checkpoint_interval,
+            interval=options.checkpoint_interval,
         )
         kwargs = dict(kwargs, checkpoint=checkpointer)
     session = None
@@ -426,26 +418,17 @@ def _hard_shutdown(pool: ProcessPoolExecutor) -> None:
             pass
 
 
-def _job_executor(job_options: Optional[dict]):
-    """The callable a round runs for each spec.
-
-    Defaults to :func:`execute_job` (the experiment registry); the
-    fleet layer substitutes :func:`repro.fleet.shards.execute_fleet_batch`
-    via the ``executor`` job option to reuse this module's scheduling,
-    watchdog, retry and interrupt machinery for session batches.  Must
-    be a module-level function (pool workers unpickle it by reference)
-    with :func:`execute_job`'s exact signature.
-    """
-    return (job_options or {}).get("executor") or execute_job
+#: A job executor: :func:`execute_job`, or a module-level substitute
+#: with its signature (pool workers unpickle it by reference).
+Executor = Callable[[str, int, JobOptions], JobResult]
 
 
 def _sequential_round(
     indexed_specs: List[Tuple[int, Tuple[str, int]]],
-    cache: Optional[RunCache],
-    refresh: bool,
+    executor: Executor,
+    options: JobOptions,
     timeout_s: Optional[float],
     resolve: Callable[[int, JobResult], None],
-    job_options: Optional[dict] = None,
 ) -> None:
     """Run a round in-process, with a SIGALRM watchdog when available.
 
@@ -463,12 +446,6 @@ def _sequential_round(
     def _on_alarm(signum, frame):
         raise _JobTimeout()
 
-    executor = _job_executor(job_options)
-    options = {
-        key: value
-        for key, value in (job_options or {}).items()
-        if key != "executor" and not (key == "chaos" and value is None)
-    }
     for index, (experiment_id, seed) in indexed_specs:
         previous_handler = None
         previous_timer = (0.0, 0.0)
@@ -479,13 +456,7 @@ def _sequential_round(
             armed_at = time.monotonic()
         started = time.perf_counter()
         try:
-            job = executor(
-                experiment_id,
-                seed,
-                cache=cache,
-                refresh=refresh,
-                **options,
-            )
+            job = executor(experiment_id, seed, options)
         except _JobTimeout:
             job = JobResult(
                 experiment_id=experiment_id,
@@ -533,11 +504,10 @@ def _sequential_round(
 def _pool_round(
     indexed_specs: List[Tuple[int, Tuple[str, int]]],
     jobs: int,
-    cache: Optional[RunCache],
-    refresh: bool,
+    executor: Executor,
+    options: JobOptions,
     timeout_s: Optional[float],
     resolve: Callable[[int, JobResult], None],
-    job_options: Optional[dict] = None,
 ) -> None:
     """Run a round on a fresh process pool, watchdogging each future.
 
@@ -551,33 +521,11 @@ def _pool_round(
     pool = ProcessPoolExecutor(max_workers=jobs)
     hung = False
     try:
-        options = job_options or {}
-        executor = _job_executor(job_options)
         futures = []
         submitted_at: List[float] = []
         for _index, (experiment_id, seed) in indexed_specs:
             submitted_at.append(time.perf_counter())
-            args = [
-                executor,
-                experiment_id,
-                seed,
-                cache,
-                refresh,
-                options.get("run_kwargs"),
-                options.get("checkpoint_dir"),
-                options.get("checkpoint_interval", 1),
-                options.get("obs"),
-                options.get("fast_forward", True),
-            ]
-            chaos = options.get("chaos")
-            batch = options.get("batch", True)
-            if chaos is not None or not batch:
-                # Appended only when non-default so substitute executors
-                # without the trailing parameters keep working.
-                args.append(chaos)
-            if not batch:
-                args.append(batch)
-            futures.append(pool.submit(*args))
+            futures.append(pool.submit(executor, experiment_id, seed, options))
         for (index, (experiment_id, seed)), future, submit_stamp in zip(
             indexed_specs, futures, submitted_at
         ):
@@ -647,11 +595,10 @@ def _percentile(values: Sequence[float], q: float) -> float:
 def _hedged_pool_round(
     indexed_specs: List[Tuple[int, Tuple[str, int]]],
     jobs: int,
-    cache: Optional[RunCache],
-    refresh: bool,
+    executor: Executor,
+    options: JobOptions,
     timeout_s: Optional[float],
     resolve: Callable[[int, JobResult], None],
-    job_options: Optional[dict],
     hedge: dict,
 ) -> None:
     """A pool round with straggler hedging: first result wins by index.
@@ -677,9 +624,15 @@ def _hedged_pool_round(
     factor = float(hedge.get("factor", 1.5))
     min_completed = max(1, int(hedge.get("min_completed", 3)))
     poll_s = float(hedge.get("poll_s", 0.05))
-    options = job_options or {}
-    executor = _job_executor(job_options)
-    base_chaos = options.get("chaos")
+    hedge_options = options
+    if options.chaos is not None:
+        hedge_options = replace(
+            options,
+            chaos=dict(
+                options.chaos,
+                attempt=HEDGE_ATTEMPT_BASE + int(options.chaos.get("attempt", 0)),
+            ),
+        )
 
     pool = ProcessPoolExecutor(max_workers=jobs)
     spec_by_index = {index: spec for index, spec in indexed_specs}
@@ -693,30 +646,12 @@ def _hedged_pool_round(
 
     def submit(index: int, is_hedge: bool) -> None:
         experiment_id, seed = spec_by_index[index]
-        chaos = base_chaos
-        if chaos is not None and is_hedge:
-            chaos = dict(
-                chaos,
-                attempt=HEDGE_ATTEMPT_BASE + int(chaos.get("attempt", 0)),
-            )
-        args = [
+        future = pool.submit(
             executor,
             experiment_id,
             seed,
-            cache,
-            refresh,
-            options.get("run_kwargs"),
-            options.get("checkpoint_dir"),
-            options.get("checkpoint_interval", 1),
-            options.get("obs"),
-            options.get("fast_forward", True),
-        ]
-        batch = options.get("batch", True)
-        if chaos is not None or not batch:
-            args.append(chaos)
-        if not batch:
-            args.append(batch)
-        future = pool.submit(*args)
+            hedge_options if is_hedge else options,
+        )
         meta[future] = (index, is_hedge, time.perf_counter())
         open_futures[index].add(future)
 
@@ -880,8 +815,7 @@ def run_specs(
     checkpoint_interval: int = 1,
     obs: Optional[dict] = None,
     fast_forward: bool = True,
-    batch: bool = True,
-    executor: Optional[Callable[..., JobResult]] = None,
+    executor: Optional[Executor] = None,
     chaos: Optional[dict] = None,
     hedge: Optional[dict] = None,
 ) -> List[JobResult]:
@@ -903,14 +837,14 @@ def run_specs(
     outstanding work; the exception carries the full results list with
     unfinished jobs marked ``failure_kind="interrupted"``.
 
-    ``run_kwargs`` are forwarded to each experiment that accepts them
-    (and folded into its cache variant); ``checkpoint_dir`` /
-    ``checkpoint_interval`` enable crash-safe unit checkpoints for
-    experiments that take a ``checkpoint`` keyword — all documented on
-    :func:`execute_job`.
+    ``cache``, ``refresh``, ``run_kwargs``, ``checkpoint_dir``,
+    ``checkpoint_interval``, ``obs`` and ``fast_forward`` become one
+    :class:`JobOptions` handed to every job; their effect is documented
+    on :func:`execute_job`.
 
     ``executor`` substitutes a different module-level job function with
-    :func:`execute_job`'s signature (default: :func:`execute_job`).
+    :func:`execute_job`'s ``(id, seed, options)`` signature (default:
+    :func:`execute_job`, looked up when the sweep starts).
     This is how the fleet layer (:mod:`repro.fleet.shards`) schedules
     session *batches* through the same work-stealing pool, watchdog,
     retry and Ctrl-C machinery as experiment sweeps.
@@ -926,15 +860,17 @@ def run_specs(
     :func:`_hedged_pool_round`); it is ignored when ``jobs == 1``.
     """
     specs = list(specs)
-    job_options = {
-        "run_kwargs": run_kwargs,
-        "checkpoint_dir": checkpoint_dir,
-        "checkpoint_interval": checkpoint_interval,
-        "obs": obs,
-        "fast_forward": fast_forward,
-        "batch": batch,
-        "executor": executor,
-    }
+    options = JobOptions(
+        cache=cache,
+        refresh=refresh,
+        run_kwargs=run_kwargs,
+        checkpoint_dir=checkpoint_dir,
+        checkpoint_interval=checkpoint_interval,
+        obs=obs,
+        fast_forward=fast_forward,
+    )
+    if executor is None:
+        executor = execute_job
     if jobs is None:
         jobs = os.cpu_count() or 1
     jobs = max(1, min(jobs, len(specs) or 1))
@@ -971,10 +907,10 @@ def run_specs(
                 )
                 flush()
 
-            round_options = job_options
+            round_options = options
             if chaos is not None:
-                round_options = dict(
-                    job_options,
+                round_options = replace(
+                    options,
                     chaos=dict(
                         chaos,
                         attempt=int(chaos.get("attempt_base", 0)) + attempt,
@@ -983,28 +919,26 @@ def run_specs(
             indexed = [(i, specs[i]) for i in pending]
             if jobs == 1:
                 _sequential_round(
-                    indexed, cache, refresh, timeout_s, resolve, round_options
+                    indexed, executor, round_options, timeout_s, resolve
                 )
             elif hedge is not None:
                 _hedged_pool_round(
                     indexed,
                     min(jobs, len(indexed)),
-                    cache,
-                    refresh,
+                    executor,
+                    round_options,
                     timeout_s,
                     resolve,
-                    round_options,
                     hedge,
                 )
             else:
                 _pool_round(
                     indexed,
                     min(jobs, len(indexed)),
-                    cache,
-                    refresh,
+                    executor,
+                    round_options,
                     timeout_s,
                     resolve,
-                    round_options,
                 )
     except KeyboardInterrupt:
         snapshot: List[JobResult] = []
@@ -1040,7 +974,6 @@ def run_many(
     checkpoint_interval: int = 1,
     obs: Optional[dict] = None,
     fast_forward: bool = True,
-    batch: bool = True,
     chaos: Optional[dict] = None,
     hedge: Optional[dict] = None,
 ) -> List[JobResult]:
@@ -1070,7 +1003,6 @@ def run_many(
         checkpoint_interval=checkpoint_interval,
         obs=obs,
         fast_forward=fast_forward,
-        batch=batch,
         chaos=chaos,
         hedge=hedge,
     )

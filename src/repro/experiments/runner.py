@@ -56,7 +56,7 @@ from ..obs import (
     prometheus_text,
     set_level,
 )
-from ..sim.engine import set_batch_default, set_fast_forward_default
+from ..sim.engine import fast_forward_scope
 from ..verify.invariants import check_payload
 from .parallel import JobResult, SweepInterrupted, run_specs
 from .registry import EXPERIMENTS, TITLES
@@ -504,15 +504,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         ),
     )
     parser.add_argument(
-        "--no-batch",
-        action="store_true",
-        help=(
-            "disable batched side-calendar execution in the engine core; "
-            "results are bit-identical either way (A/B verification and "
-            "wall-time comparison, see docs/performance.md)"
-        ),
-    )
-    parser.add_argument(
         "--checkpoint-dir",
         metavar="DIR",
         default=None,
@@ -578,10 +569,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
     set_level(args.log_level)
-    # Applies to in-process work (sequential sweeps, the strict-invariants
-    # probe matrix); pool workers get it via the job options below.
-    set_fast_forward_default(not args.no_fast_forward)
-    set_batch_default(not args.no_batch)
 
     if args.list:
         for experiment_id, title in TITLES.items():
@@ -817,7 +804,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             checkpoint_interval=args.checkpoint_interval,
             obs=obs_opts,
             fast_forward=not args.no_fast_forward,
-            batch=not args.no_batch,
         )
     except SweepInterrupted as exc:
         # Ctrl-C: outstanding jobs were cancelled; keep what finished
@@ -845,7 +831,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     probe_records: Optional[List[dict]] = None
     if args.strict_invariants and not interrupted:
-        probe_records = _strict_probe_matrix(scenario, min(seeds))
+        with fast_forward_scope(not args.no_fast_forward):
+            probe_records = _strict_probe_matrix(scenario, min(seeds))
         probe_failures = sum(
             len(record["summary"]["failed"]) for record in probe_records
         )

@@ -42,15 +42,19 @@ import re
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 from ..core.runcache import RunCache, code_version, variant_key
 from ..core.serialize import cache_entry_to_dict, experiment_to_dict
 from ..obs import MetricsRegistry
 from ..obs.logging import get_logger
+from ..sim.engine import fast_forward_default, fast_forward_scope
 from .population import PopulationConfig, SessionPopulation
 from .session import run_session
 from .sketch import DEFAULT_COMPRESSION, FleetAggregator
+
+if TYPE_CHECKING:
+    from ..experiments.parallel import JobOptions
 
 __all__ = [
     "FleetResult",
@@ -85,34 +89,24 @@ def _batch_variant(config: PopulationConfig, compression: int) -> str:
     )
 
 
-def execute_fleet_batch(
-    job_id: str,
-    seed: int,
-    cache: Optional[RunCache] = None,
-    refresh: bool = False,
-    run_kwargs: Optional[dict] = None,
-    checkpoint_dir: Optional[str] = None,
-    checkpoint_interval: int = 1,
-    obs: Optional[dict] = None,
-    fast_forward: bool = True,
-    chaos: Optional[dict] = None,
-    batch: bool = True,
-):
+def execute_fleet_batch(job_id: str, seed: int, options: JobOptions):
     """Pool entry point: run one session batch, streamingly aggregated.
 
     Signature-compatible with
     :func:`repro.experiments.parallel.execute_job` so the parallel
-    runner can schedule batches exactly like experiment jobs.
-    ``run_kwargs`` must carry ``{"population": <config dict>}`` (and
-    optionally ``"compression"``); ``seed`` must equal the population
-    seed — it is part of the cache key and asserted against the config.
+    runner can schedule batches exactly like experiment jobs, and, like
+    it, runs inside the fast-forward scope ``options.fast_forward``
+    sets.  ``options.run_kwargs`` must carry ``{"population": <config
+    dict>}`` (and optionally ``"compression"``); ``seed`` must equal the
+    population seed — it is part of the cache key and asserted against
+    the config.
 
     The returned ``JobResult.payload["data"]`` holds the batch's
     serialized :class:`~repro.fleet.sketch.FleetAggregator` — O(sketch)
     bytes however many events the batch's sessions produced; no
     per-event data survives the worker.
 
-    ``chaos`` enters this batch into a
+    ``options.chaos`` enters this batch into a
     :func:`~repro.chaos.engine.chaos_harness`: the worker may crash,
     hang, straggle or sabotage its artifact writes before/around the
     real work; ``poison`` chaos fails individual sessions inside the
@@ -124,48 +118,35 @@ def execute_fleet_batch(
     """
     from ..chaos.engine import chaos_harness
 
-    with chaos_harness(chaos, job_id) as active_chaos:
-        job = _fleet_batch_job(
-            job_id, seed, cache, refresh, run_kwargs, obs, fast_forward,
-            active_chaos, batch=batch,
-        )
+    with fast_forward_scope(options.fast_forward), chaos_harness(
+        options.chaos, job_id
+    ) as active_chaos:
+        job = _fleet_batch_job(job_id, seed, options, active_chaos)
     if active_chaos is not None:
         active_chaos.corrupt_result(job)
     return job
 
 
-def _fleet_batch_job(
-    job_id: str,
-    seed: int,
-    cache: Optional[RunCache],
-    refresh: bool,
-    run_kwargs: Optional[dict],
-    obs: Optional[dict],
-    fast_forward: bool,
-    active_chaos=None,
-    batch: bool = True,
-):
-    """:func:`execute_fleet_batch` inside the chaos harness."""
+def _fleet_batch_job(job_id: str, seed: int, options: JobOptions, active_chaos):
+    """:func:`execute_fleet_batch` inside its scopes."""
     from ..experiments.common import ExperimentResult
     from ..experiments.parallel import JobResult
-    from ..sim.engine import set_batch_default, set_fast_forward_default
 
-    set_fast_forward_default(fast_forward)
-    set_batch_default(batch)
+    cache = options.cache
+    run_kwargs = options.run_kwargs or {}
+    obs = options.obs
     started = time.perf_counter()
     try:
         start, stop = _parse_batch_id(job_id)
-        config = PopulationConfig.from_dict((run_kwargs or {})["population"])
-        compression = int(
-            (run_kwargs or {}).get("compression", DEFAULT_COMPRESSION)
-        )
+        config = PopulationConfig.from_dict(run_kwargs["population"])
+        compression = int(run_kwargs.get("compression", DEFAULT_COMPRESSION))
         if seed != config.seed:
             raise ValueError(
                 f"batch seed {seed} disagrees with population seed {config.seed}"
             )
         variant = _batch_variant(config, compression)
         want_obs = bool(obs and (obs.get("trace") or obs.get("metrics")))
-        if cache is not None and not refresh and not want_obs:
+        if cache is not None and not options.refresh and not want_obs:
             entry = cache.load(job_id, seed, variant)
             if entry is not None:
                 return JobResult(
@@ -662,23 +643,30 @@ def run_fleet(
 
     shard_count = shards if shards is not None else (_os.cpu_count() or 1)
     shard_count = max(1, min(shard_count, len(to_run) or 1))
-    started = time.perf_counter()
-    run_specs(
-        to_run,
-        jobs=shard_count,
+    # Keywords of every batch sweep below, main and recovery alike.  The
+    # batches inherit the caller's fast-forward scope, so a fleet inside
+    # an ``ext-fleet`` job runs its sessions with that job's setting.
+    sweep_kwargs = dict(
         cache=cache,
         refresh=refresh,
-        on_result=fold,
         timeout_s=timeout_s,
-        retries=retries,
-        backoff_s=backoff_s,
         run_kwargs={
             "population": config.to_dict(),
             "compression": compression,
         },
+        fast_forward=fast_forward_default(),
         executor=execute_fleet_batch,
+    )
+    started = time.perf_counter()
+    run_specs(
+        to_run,
+        jobs=shard_count,
+        on_result=fold,
+        retries=retries,
+        backoff_s=backoff_s,
         chaos=chaos_dict,
         hedge=hedge,
+        **sweep_kwargs,
     )
 
     # ------------------------------------------------------------------
@@ -726,16 +714,9 @@ def run_fleet(
             run_specs(
                 [(batch_job_id(start, stop), config.seed)],
                 jobs=1,
-                cache=cache,
-                refresh=refresh,
                 on_result=results.append,
-                timeout_s=timeout_s,
                 retries=0,
-                run_kwargs={
-                    "population": config.to_dict(),
-                    "compression": compression,
-                },
-                executor=execute_fleet_batch,
+                **sweep_kwargs,
                 chaos=(
                     dict(
                         chaos_dict,

@@ -16,9 +16,7 @@ reviewable metrics file and compare such files:
   derived from the ``events`` / ``sim_ns`` entries the benchmarks record
   in ``extra_info``;
 * ``idle_ff_speedup`` — the fast-forward ablation's measured speedup,
-  which additionally carries an absolute floor (see ``SPEEDUP_FLOOR``);
-* ``batch_speedup`` — the batched side-calendar dispatch speedup over
-  per-event execution, with its own floor (``BATCH_SPEEDUP_FLOOR``).
+  which additionally carries an absolute floor (see ``SPEEDUP_FLOOR``).
 
 ``check`` fails (exit 1) if any tracked metric of any baseline benchmark
 regresses by more than the tolerance (default 25%), if a baseline
@@ -42,7 +40,6 @@ from typing import Dict, List, Optional
 from .core.atomicio import atomic_write_text
 
 __all__ = [
-    "BATCH_SPEEDUP_FLOOR",
     "ENVELOPE_OFF_CEILING",
     "SPEEDUP_FLOOR",
     "TOLERANCE",
@@ -58,11 +55,6 @@ TOLERANCE = 0.25
 #: Absolute floor for the idle fast-forward ablation speedup, enforced
 #: regardless of what the baseline recorded.
 SPEEDUP_FLOOR = 5.0
-
-#: Absolute floor for the batched side-calendar dispatch speedup
-#: (``benchmarks/test_batch_dispatch.py``), enforced regardless of what
-#: the baseline recorded.
-BATCH_SPEEDUP_FLOOR = 1.3
 
 #: Absolute ceiling for the envelope-off overhead ratio (session open,
 #: stage envelopes disabled, vs. uninstrumented) — the <5% disabled-path
@@ -81,7 +73,6 @@ _DIRECTIONS: Dict[str, bool] = {
     "events_per_s": True,
     "sim_ns_per_wall_ms": True,
     "idle_ff_speedup": True,
-    "batch_speedup": True,
     "envelope_off_overhead": False,
 }
 
@@ -115,8 +106,6 @@ def collect_metrics(raw: dict) -> dict:
             entry["sim_ns_per_wall_ms"] = float(extra["sim_ns"]) / (median * 1e3)
         if "idle_ff_speedup" in extra:
             entry["idle_ff_speedup"] = float(extra["idle_ff_speedup"])
-        if "batch_speedup" in extra:
-            entry["batch_speedup"] = float(extra["batch_speedup"])
         if "envelope_off_overhead" in extra:
             entry["envelope_off_overhead"] = float(extra["envelope_off_overhead"])
         metrics[name] = entry
@@ -170,12 +159,6 @@ def compare_metrics(
             problems.append(
                 f"{name}: idle_ff_speedup {speedup:.2f}x below the "
                 f"absolute {SPEEDUP_FLOOR:.1f}x floor"
-            )
-        batch_speedup = cur_entry.get("batch_speedup")
-        if batch_speedup is not None and batch_speedup < BATCH_SPEEDUP_FLOOR:
-            problems.append(
-                f"{name}: batch_speedup {batch_speedup:.2f}x below the "
-                f"absolute {BATCH_SPEEDUP_FLOOR:.1f}x floor"
             )
         overhead = cur_entry.get("envelope_off_overhead")
         if overhead is not None and overhead > ENVELOPE_OFF_CEILING:

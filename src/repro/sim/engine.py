@@ -6,8 +6,8 @@ sequence number breaks ties in scheduling order, which — together with
 the integer time base and the seeded RNG streams — makes every simulation
 bit-reproducible.
 
-Three calendar representations share one ``(time, seq)`` key space (see
-``docs/performance.md`` for the measurements behind each):
+Two calendar entry shapes share one heap and one ``(time, seq)`` key
+space (see ``docs/performance.md`` for the measurements behind each):
 
 * **Generic events** (:meth:`Simulator.schedule`) are stored as
   ``(time, seq, ScheduledEvent)`` tuples on a binary heap.  Tuple keys
@@ -19,18 +19,9 @@ Three calendar representations share one ``(time, seq)`` key space (see
   the per-event handle + label with a small-int *handler id* resolved
   through a precompiled handler table — ``(time, seq, hid)`` or
   ``(time, seq, hid, payload)`` tuples on the same heap.  The periodic
-  clock re-arm, the kernel's zero-delay dispatch and ISR-return events
-  use these; they are never cancelled individually, so they need no
-  handle object.
-* **The structure-of-arrays side calendar**
-  (:meth:`Simulator.schedule_soa`) holds homogeneous periodic timer
-  populations as parallel ``array('q')`` time/seq columns plus a
-  handler-id list.  Scheduling appends three machine words; cancelling
-  adds the entry's ``seq`` to a set.  No per-entry Python object exists
-  at any point.  When the run loop finds k consecutive side-calendar
-  entries of one kind that must execute before any other event source
-  can interleave, it hands the whole run to the kind's registered
-  *batch handler* in a single call (see :meth:`register_handler`).
+  clock re-arm, the kernel's zero-delay dispatch, CPU segment
+  completions and ISR-return events use these; the few that must be
+  withdrawn are cancelled by ``seq`` (:meth:`Simulator.cancel_kind`).
 
 In front of the heap sits a one-entry **next-event slot**: a pending
 entry whose timestamp is strictly earlier than everything on the heap.
@@ -51,8 +42,7 @@ completion.  When cancelled entries come to dominate the heap — every
 clock tick that steals time from an in-flight segment leaves one behind
 — the calendar compacts itself in place; since live events are totally
 ordered by their unique ``(time, seq)`` key, rebuilding the heap cannot
-change the pop order.  The side calendar compacts the same way when
-cancelled timers dominate it.
+change the pop order.
 
 The engine also carries the state the idle fast-forward path (see
 :mod:`repro.winsys.kernel` and ``docs/performance.md``) needs to stay
@@ -65,18 +55,17 @@ by one would have.
 from __future__ import annotations
 
 import heapq
-from array import array
+from contextlib import contextmanager
+from contextvars import ContextVar
 from heapq import heappop as _heappop, heappush as _heappush
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Iterator, List, Optional
 
 __all__ = [
     "ScheduledEvent",
     "Simulator",
     "SimulationError",
-    "batch_default",
-    "set_batch_default",
     "fast_forward_default",
-    "set_fast_forward_default",
+    "fast_forward_scope",
 ]
 
 
@@ -84,50 +73,33 @@ class SimulationError(RuntimeError):
     """Raised for invalid engine operations (e.g. scheduling in the past)."""
 
 
-#: Process-global default for the idle fast-forward optimisation.  Booted
-#: kernels read it once; ``--no-fast-forward`` (and A/B tests) flip it.
-#: The output is bit-identical either way — the flag exists so that the
-#: equivalence is *checkable*, not because the results differ.
-_fast_forward_default = True
+#: Idle fast-forward setting of the current scope.  Booted kernels read
+#: it once; the job executors (and ``--no-fast-forward``) open a scope
+#: with :func:`fast_forward_scope`.  The output is bit-identical either
+#: way — the switch exists so that the equivalence is *checkable*, not
+#: because the results differ.
+_fast_forward: ContextVar[bool] = ContextVar("fast_forward", default=True)
 
 
 def fast_forward_default() -> bool:
-    """Whether newly booted kernels enable the idle fast-forward."""
-    return _fast_forward_default
+    """Whether kernels booted in the current scope enable the idle fast-forward."""
+    return _fast_forward.get()
 
 
-def set_fast_forward_default(enabled: bool) -> None:
-    """Set the process-global fast-forward default (see ``--no-fast-forward``)."""
-    global _fast_forward_default
-    _fast_forward_default = bool(enabled)
-
-
-#: Process-global default for batched side-calendar execution.  Like the
-#: fast-forward default, the result is bit-identical either way (proven
-#: by the differential tests); ``--no-batch`` exists to make the
-#: equivalence checkable and is excluded from result-cache keys.
-_batch_default = True
-
-
-def batch_default() -> bool:
-    """Whether newly created simulators execute side-calendar runs batched."""
-    return _batch_default
-
-
-def set_batch_default(enabled: bool) -> None:
-    """Set the process-global batch-execution default (see ``--no-batch``)."""
-    global _batch_default
-    _batch_default = bool(enabled)
+@contextmanager
+def fast_forward_scope(enabled: bool) -> Iterator[None]:
+    """Boot kernels with fast-forward ``enabled`` until the block exits,
+    then restore the enclosing scope's setting."""
+    token = _fast_forward.set(bool(enabled))
+    try:
+        yield
+    finally:
+        _fast_forward.reset(token)
 
 
 #: Compaction threshold: never compact tiny calendars (the rebuild would
 #: cost more than the skipped pops it saves).
 _COMPACT_MIN_QUEUE = 64
-
-#: Handler id 0 is reserved for out-of-order side-calendar entries that
-#: fell back to the heap (see ``schedule_soa``); its payload carries the
-#: original ``(hid, time, seq)`` so the call convention is preserved.
-_SOA_FALLBACK_HID = 0
 
 
 class ScheduledEvent:
@@ -156,8 +128,8 @@ class ScheduledEvent:
             self.cancelled = True
             sim = self._sim
             if sim is not None:
-                # Inlined _note_cancel: this runs once per preempt/steal,
-                # hot enough in calendar churn that the extra frame shows.
+                # Inlined bookkeeping: this runs once per cancellation,
+                # hot enough in calendar churn that an extra frame shows.
                 cancelled = sim._cancelled + 1
                 sim._cancelled = cancelled
                 n = len(sim._queue) + (sim._next is not None)
@@ -191,19 +163,9 @@ class Simulator:
         "_ff_allowed",
         "_cancelled",
         "_handler_fns",
-        "_handler_batch",
-        "_handler_window",
-        "_soa_times",
-        "_soa_seqs",
-        "_soa_hids",
-        "_soa_head",
-        "_soa_n",
         "_kind_cancelled",
-        "batch_enabled",
         "events_executed",
         "events_fast_forwarded",
-        "events_batched",
-        "batch_runs",
         "compactions",
         "calendar_high_water",
     )
@@ -229,40 +191,21 @@ class Simulator:
         #: Cancelled ScheduledEvent entries still on the calendar (lazy
         #: deletion; the slot entry counts here too).
         self._cancelled = 0
-        #: Handler tables: id -> callable / batch callable / batch window.
-        #: Slot 0 is the side-calendar heap-fallback trampoline.
-        self._handler_fns: List[Callable[..., None]] = [self._soa_fallback_exec]
-        self._handler_batch: List[Optional[Callable[..., None]]] = [None]
-        self._handler_window: List[Optional[int]] = [None]
-        #: Structure-of-arrays side calendar: parallel time/seq columns
-        #: plus handler ids.  Entries before ``_soa_head`` are consumed;
-        #: ``_soa_n`` counts pending entries (cancelled included).
-        self._soa_times: array = array("q")
-        self._soa_seqs: array = array("q")
-        self._soa_hids: List[int] = []
-        self._soa_head = 0
-        self._soa_n = 0
-        #: Seqs of cancelled kind/side-calendar entries (lazy deletion —
-        #: checked when the entry reaches the head).
+        #: Handler table: handler id -> callable.
+        self._handler_fns: List[Callable[..., None]] = []
+        #: Seqs of cancelled kind entries (lazy deletion — checked when
+        #: the entry reaches the head).
         self._kind_cancelled: set = set()
-        #: Batched side-calendar execution switch (see ``--no-batch``).
-        #: Flipping it cannot change any observable output, only whether
-        #: consecutive same-kind runs go through one batch-handler call.
-        self.batch_enabled = _batch_default
         #: Number of callbacks executed; useful for engine diagnostics.
         #: Fast-forwarded segments count here too, so the tally matches
         #: a run with the optimisation disabled.
         self.events_executed = 0
         #: Of ``events_executed``, how many were synthesized analytically.
         self.events_fast_forwarded = 0
-        #: Of ``events_executed``, how many ran inside a batch-handler call.
-        self.events_batched = 0
-        #: Number of multi-event batch-handler calls performed.
-        self.batch_runs = 0
         #: In-place calendar rebuilds triggered by cancelled-entry pile-up.
         self.compactions = 0
         #: Maximum calendar length observed (live + cancelled entries,
-        #: slot, heap, and side calendar combined).
+        #: slot and heap combined).
         self.calendar_high_water = 0
 
     @property
@@ -319,7 +262,7 @@ class Simulator:
             _heappush(queue, nxt)
         else:
             _heappush(queue, (time_ns, seq, event))
-        depth = len(queue) + self._soa_n + (self._next is not None)
+        depth = len(queue) + (self._next is not None)
         if depth > self.calendar_high_water:
             self.calendar_high_water = depth
         return event
@@ -361,7 +304,7 @@ class Simulator:
             _heappush(queue, nxt)
         else:
             _heappush(queue, (time_ns, seq, event))
-        depth = len(queue) + self._soa_n + (self._next is not None)
+        depth = len(queue) + (self._next is not None)
         if depth > self.calendar_high_water:
             self.calendar_high_water = depth
         return event
@@ -369,42 +312,16 @@ class Simulator:
     # ------------------------------------------------------------------
     # Kind scheduling (precompiled handler table, no per-event objects)
     # ------------------------------------------------------------------
-    def register_handler(
-        self,
-        fn: Callable[..., None],
-        batch: Optional[Callable[..., None]] = None,
-        batch_window_ns: Optional[int] = None,
-    ) -> int:
+    def register_handler(self, fn: Callable[..., None]) -> int:
         """Register ``fn`` in the handler table; returns its handler id.
 
         One handler id must stick to one scheduling entry point, which
-        fixes its call convention:
-
-        * :meth:`schedule_kind` / :meth:`schedule_kind_at` — ``fn()``;
-        * :meth:`schedule_call` — ``fn(payload)``;
-        * :meth:`schedule_soa` — ``fn(time_ns, seq)`` and, when ``batch``
-          is given, ``batch(times, seqs)`` with two equal-length
-          ``array('q')`` slices for a run of consecutive entries.
-
-        A batch handler must be observationally identical to calling
-        ``fn(t, s)`` for each entry in order.  In particular it must not
-        call :meth:`stop` (the engine raises if it does — single-event
-        execution would have stopped mid-run) and must not rely on
-        :attr:`now`, which during the call reads the *last* entry's time.
-        Scheduling from inside a batch handler is safe: anything it
-        schedules earlier than an already-consumed batch entry raises the
-        ordinary scheduling-in-the-past error, so a contract violation
-        cannot silently reorder events.  ``batch_window_ns`` bounds a
-        run to entries strictly within that distance of the first — set
-        it to the population's minimum re-arm period so a re-arm
-        scheduled by the batch handler can never land inside the window
-        the batch already consumed.
+        fixes its call convention: :meth:`schedule_kind` /
+        :meth:`schedule_kind_at` call ``fn()``; :meth:`schedule_call`
+        calls ``fn(payload)``.
         """
-        hid = len(self._handler_fns)
         self._handler_fns.append(fn)
-        self._handler_batch.append(batch)
-        self._handler_window.append(batch_window_ns)
-        return hid
+        return len(self._handler_fns) - 1
 
     def schedule_kind(self, delay_ns: int, hid: int) -> int:
         """Schedule handler ``hid`` (no-argument form) after ``delay_ns``.
@@ -430,7 +347,7 @@ class Simulator:
             _heappush(queue, nxt)
         else:
             _heappush(queue, (time_ns, seq, hid))
-        depth = len(queue) + self._soa_n + (self._next is not None)
+        depth = len(queue) + (self._next is not None)
         if depth > self.calendar_high_water:
             self.calendar_high_water = depth
         return seq
@@ -455,7 +372,7 @@ class Simulator:
             _heappush(queue, nxt)
         else:
             _heappush(queue, (time_ns, seq, hid))
-        depth = len(queue) + self._soa_n + (self._next is not None)
+        depth = len(queue) + (self._next is not None)
         if depth > self.calendar_high_water:
             self.calendar_high_water = depth
         return seq
@@ -483,13 +400,13 @@ class Simulator:
             _heappush(queue, nxt)
         else:
             _heappush(queue, (time_ns, seq, hid, payload))
-        depth = len(queue) + self._soa_n + (self._next is not None)
+        depth = len(queue) + (self._next is not None)
         if depth > self.calendar_high_water:
             self.calendar_high_water = depth
         return seq
 
     def cancel_kind(self, seq: int) -> None:
-        """Cancel a pending kind/side-calendar entry by its ``seq``.
+        """Cancel a pending kind entry by its ``seq``.
 
         Lazy like :meth:`ScheduledEvent.cancel`: the entry stays in place
         and is skipped when it reaches the head.  ``seq`` must identify a
@@ -497,214 +414,7 @@ class Simulator:
         leaves a stale marker behind and skews :meth:`pending_count`.
         Cancelling twice is harmless.
         """
-        kc = self._kind_cancelled
-        if seq in kc:
-            return
-        kc.add(seq)
-        n = self._soa_n
-        if n >= _COMPACT_MIN_QUEUE and len(kc) * 2 > n:
-            self._soa_compact()
-
-    # ------------------------------------------------------------------
-    # Structure-of-arrays side calendar
-    # ------------------------------------------------------------------
-    def schedule_soa(self, delay_ns: int, hid: int) -> int:
-        """Schedule handler ``hid`` on the side calendar after ``delay_ns``.
-
-        Appends to the parallel ``array('q')`` columns — no per-entry
-        object, ~3 machine words per pending timer.  The side calendar
-        must stay sorted, so an entry earlier than the current tail (a
-        non-monotone schedule, which homogeneous periodic populations
-        never produce) transparently falls back to a heap entry with the
-        same key and the same call convention.  Returns the entry's
-        ``seq``; cancel with :meth:`cancel_kind`.
-        """
-        if delay_ns < 0:
-            raise SimulationError(f"cannot schedule {delay_ns} ns in the past")
-        time_ns = self._now + delay_ns
-        seq = self._seq
-        self._seq = seq + 1
-        times = self._soa_times
-        if times and time_ns < times[-1]:
-            entry = (time_ns, seq, _SOA_FALLBACK_HID, (hid, time_ns, seq))
-            queue = self._queue
-            nxt = self._next
-            if nxt is None:
-                if queue and time_ns >= queue[0][0]:
-                    _heappush(queue, entry)
-                else:
-                    self._next = entry
-            elif time_ns < nxt[0]:
-                self._next = entry
-                _heappush(queue, nxt)
-            else:
-                _heappush(queue, entry)
-        else:
-            times.append(time_ns)
-            self._soa_seqs.append(seq)
-            self._soa_hids.append(hid)
-            self._soa_n += 1
-        depth = len(self._queue) + self._soa_n + (self._next is not None)
-        if depth > self.calendar_high_water:
-            self.calendar_high_water = depth
-        return seq
-
-    def _soa_fallback_exec(self, arg: Tuple[int, int, int]) -> None:
-        """Run one out-of-order side-calendar entry from the heap."""
-        hid, time_ns, seq = arg
-        self._handler_fns[hid](time_ns, seq)
-
-    def _soa_next(self) -> Optional[Tuple[int, int]]:
-        """(time, seq) of the next live side-calendar entry, or None.
-
-        Discards cancelled head entries (forgetting their seqs) and
-        recycles the arrays' storage once fully drained.
-        """
-        if not self._soa_n:
-            return None
-        times = self._soa_times
-        seqs = self._soa_seqs
-        head = self._soa_head
-        n = len(times)
-        kc = self._kind_cancelled
-        if kc:
-            while head < n and seqs[head] in kc:
-                kc.discard(seqs[head])
-                head += 1
-        if head >= n:
-            del times[:]
-            del seqs[:]
-            del self._soa_hids[:]
-            self._soa_head = 0
-            self._soa_n = 0
-            return None
-        self._soa_head = head
-        self._soa_n = n - head
-        return times[head], seqs[head]
-
-    def _soa_compact(self) -> None:
-        """Drop cancelled side-calendar entries, in place.
-
-        Mirrors :meth:`_compact` for the heap: triggered when cancelled
-        timers dominate the pending window, preserves relative order (the
-        columns are sorted by construction), counts toward
-        :attr:`compactions`.
-        """
-        kc = self._kind_cancelled
-        times = self._soa_times
-        seqs = self._soa_seqs
-        hids = self._soa_hids
-        head = self._soa_head
-        new_times = array("q")
-        new_seqs = array("q")
-        new_hids: List[int] = []
-        for i in range(head, len(times)):
-            seq = seqs[i]
-            if seq in kc:
-                kc.discard(seq)
-                continue
-            new_times.append(times[i])
-            new_seqs.append(seq)
-            new_hids.append(hids[i])
-        times[:] = new_times
-        seqs[:] = new_seqs
-        hids[:] = new_hids
-        self._soa_head = 0
-        self._soa_n = len(new_times)
-        self.compactions += 1
-
-    def _exec_soa_run(
-        self,
-        until_ns: Optional[int],
-        max_events: Optional[int],
-        executed: int,
-        batch_allowed: bool,
-    ) -> int:
-        """Execute the side calendar's head entry, batching when possible.
-
-        The caller guarantees the head entry is live, earliest across all
-        sources, and at or before the horizon.  Returns the number of
-        events executed (>= 1).  A batch gathers the maximal run of
-        consecutive same-kind live entries that must execute before any
-        heap event, horizon, window bound or ``max_events`` budget could
-        interleave — so batched and single-event execution perform the
-        identical callback sequence.
-        """
-        head = self._soa_head
-        times = self._soa_times
-        seqs = self._soa_seqs
-        hids = self._soa_hids
-        hid = hids[head]
-        t0 = times[head]
-        batch_fn = self._handler_batch[hid]
-        if batch_fn is None or not batch_allowed:
-            self._soa_head = head + 1
-            self._soa_n -= 1
-            self._now = t0
-            self.events_executed += 1
-            self._handler_fns[hid](t0, seqs[head])
-            return 1
-        n = len(times)
-        end = head + 1
-        # The earliest heap-side entry bounds the batch; the slot (when
-        # occupied) is by invariant earlier than the whole heap.
-        nxt = self._next
-        if nxt is not None:
-            qtime = nxt[0]
-            qseq = nxt[1]
-        else:
-            queue = self._queue
-            if queue:
-                qhead = queue[0]
-                qtime = qhead[0]
-                qseq = qhead[1]
-            else:
-                qtime = None
-                qseq = 0
-        window_end = None
-        window = self._handler_window[hid]
-        if window is not None:
-            window_end = t0 + window
-        cap = None
-        if max_events is not None:
-            cap = head + (max_events - executed)
-        kc = self._kind_cancelled
-        while end < n:
-            if cap is not None and end >= cap:
-                break
-            if hids[end] != hid:
-                break
-            t = times[end]
-            if until_ns is not None and t > until_ns:
-                break
-            if qtime is not None and (t > qtime or (t == qtime and seqs[end] > qseq)):
-                break
-            if window_end is not None and t >= window_end:
-                break
-            if kc and seqs[end] in kc:
-                break
-            end += 1
-        count = end - head
-        self._soa_head = end
-        self._soa_n -= count
-        if count == 1:
-            self._now = t0
-            self.events_executed += 1
-            self._handler_fns[hid](t0, seqs[head])
-            return 1
-        self._now = times[end - 1]
-        self.events_executed += count
-        self.events_batched += count
-        self.batch_runs += 1
-        # Array slices (copies) rather than memoryviews: a live buffer
-        # export would make the handler's own re-arm appends illegal.
-        batch_fn(times[head:end], seqs[head:end])
-        if self._stop_requested:
-            raise SimulationError(
-                "batch handler called stop(); batched and single-event "
-                "execution would diverge mid-run"
-            )
-        return count
+        self._kind_cancelled.add(seq)
 
     def stop(self) -> None:
         """Request that the current :meth:`run` call return promptly."""
@@ -715,15 +425,8 @@ class Simulator:
         self._discard_cancelled()
         nxt = self._next
         if nxt is not None:
-            queue_time = nxt[0]
-        else:
-            queue_time = self._queue[0][0] if self._queue else None
-        soa = self._soa_next() if self._soa_n else None
-        if soa is None:
-            return queue_time
-        if queue_time is None or soa[0] < queue_time:
-            return soa[0]
-        return queue_time
+            return nxt[0]
+        return self._queue[0][0] if self._queue else None
 
     def _discard_cancelled(self) -> None:
         """Drop dead entries (cancelled handles, cancelled kind seqs) from
@@ -753,17 +456,6 @@ class Simulator:
                 kc.discard(head[1])
             else:
                 break
-
-    def _note_cancel(self) -> None:
-        """Bookkeeping on event cancellation; compacts when dominated.
-
-        Kept for compatibility — :meth:`ScheduledEvent.cancel` inlines
-        this logic on the hot path.
-        """
-        self._cancelled += 1
-        n = len(self._queue) + (self._next is not None)
-        if n >= _COMPACT_MIN_QUEUE and self._cancelled * 2 > n:
-            self._compact()
 
     def _compact(self) -> None:
         """Drop cancelled entries and rebuild the heap, in place.
@@ -819,17 +511,17 @@ class Simulator:
     # ------------------------------------------------------------------
     def calendar_depth(self) -> int:
         """Current calendar length, cancelled entries included
-        (slot + heap + side calendar)."""
-        return len(self._queue) + self._soa_n + (self._next is not None)
+        (slot + heap)."""
+        return len(self._queue) + (self._next is not None)
 
     @property
     def calendar_cancelled(self) -> int:
-        """Cancelled entries still pending lazy discard (all sources)."""
+        """Cancelled entries still pending lazy discard (handles and kinds)."""
         return self._cancelled + len(self._kind_cancelled)
 
     def cancelled_fraction(self) -> float:
         """Fraction of calendar entries that are cancelled (0.0 if empty)."""
-        n = len(self._queue) + self._soa_n + (self._next is not None)
+        n = len(self._queue) + (self._next is not None)
         if not n:
             return 0.0
         return (self._cancelled + len(self._kind_cancelled)) / n
@@ -838,7 +530,6 @@ class Simulator:
         """Number of live (non-cancelled) events on the calendar — O(1)."""
         return (
             len(self._queue)
-            + self._soa_n
             + (self._next is not None)
             - self._cancelled
             - len(self._kind_cancelled)
@@ -867,9 +558,6 @@ class Simulator:
             next_time = nxt[0]
         else:
             next_time = self._queue[0][0] if self._queue else None
-        soa = self._soa_next() if self._soa_n else None
-        if soa is not None and (next_time is None or soa[0] < next_time):
-            next_time = soa[0]
         budget = None
         if next_time is not None:
             # An event at or before now + step (e.g. an isr-return at the
@@ -913,48 +601,10 @@ class Simulator:
                 f"fast-forward to {target} ns crosses pending event at "
                 f"{self._queue[0][0]} ns"
             )
-        if self._soa_n and target >= self._soa_times[self._soa_head]:
-            raise SimulationError(
-                f"fast-forward to {target} ns crosses pending side-calendar "
-                f"entry at {self._soa_times[self._soa_head]} ns"
-            )
         self._now = target
         self._seq += events
         self.events_executed += events
         self.events_fast_forwarded += events
-
-    def step(self) -> bool:
-        """Execute the next pending event.  Returns False if none remain."""
-        self._discard_cancelled()
-        soa = self._soa_next() if self._soa_n else None
-        nxt = self._next
-        queue = self._queue
-        if nxt is not None:
-            heap_key = (nxt[0], nxt[1])
-        elif queue:
-            heap_key = (queue[0][0], queue[0][1])
-        else:
-            heap_key = None
-        if soa is not None and (heap_key is None or soa < heap_key):
-            self._exec_soa_run(None, None, 0, batch_allowed=False)
-            return True
-        if heap_key is None:
-            return False
-        if nxt is not None:
-            self._next = None
-            entry = nxt
-        else:
-            entry = _heappop(queue)
-        payload = entry[2]
-        self._now = entry[0]
-        self.events_executed += 1
-        if payload.__class__ is ScheduledEvent:
-            payload.callback()
-        elif len(entry) == 3:
-            self._handler_fns[payload]()
-        else:
-            self._handler_fns[payload](entry[3])
-        return True
 
     def run(
         self,
@@ -974,10 +624,6 @@ class Simulator:
         * :meth:`stop` was called from inside a callback.
 
         Returns the simulated time at which the run stopped.
-
-        Side-calendar runs execute batched when :attr:`batch_enabled` and
-        no ``until`` predicate is active (a predicate must be evaluated
-        between every two events, which is exactly what a batch elides).
         """
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")
@@ -987,8 +633,7 @@ class Simulator:
         self._ff_allowed = max_events is None
         executed = 0
         heap_done = 0  # deferred events_executed increments, flushed below
-        batch_allowed = self.batch_enabled and until is None
-        # The hot loop: local bindings, no step()/peek indirection.  The
+        # The hot loop: local bindings, no per-event peek indirection.  The
         # queue list is aliased locally — compaction mutates it in place.
         # Heap entries compare on their leading (time, seq) ints at C
         # speed; the payload is reached only after the pop.  The slot
@@ -1005,30 +650,6 @@ class Simulator:
                 if max_events is not None and executed >= max_events:
                     break
                 head = self._next
-                if self._soa_n:
-                    soa = self._soa_next()
-                    if soa is not None:
-                        # The earliest heap-side candidate is the slot if
-                        # occupied (invariant: slot < heap), else the head.
-                        if head is not None:
-                            if head[0] < soa[0] or (
-                                head[0] == soa[0] and head[1] < soa[1]
-                            ):
-                                soa = None
-                        elif queue:
-                            qhead = queue[0]
-                            if qhead[0] < soa[0] or (
-                                qhead[0] == soa[0] and qhead[1] < soa[1]
-                            ):
-                                soa = None
-                        if soa is not None:
-                            if until_ns is not None and soa[0] > until_ns:
-                                self._now = until_ns
-                                break
-                            executed += self._exec_soa_run(
-                                until_ns, max_events, executed, batch_allowed
-                            )
-                            continue
                 if head is not None:
                     time = head[0]
                     if until_ns is not None and time > until_ns:
@@ -1070,15 +691,14 @@ class Simulator:
                 and self._now < until_ns
                 and self._next is None
                 and not queue
-                and not self._soa_n
             ):
                 # Nothing left to do before the horizon; advance the clock.
                 self._now = until_ns
         finally:
-            # Heap-path executions are counted in a local and flushed once:
-            # every reader of events_executed observes it between runs (or
-            # via fast_forward / the side-calendar path, which add to the
-            # attribute directly — integer adds commute with this flush).
+            # Executions are counted in a local and flushed once: every
+            # reader of events_executed observes it between runs (or via
+            # fast_forward, which adds to the attribute directly — integer
+            # adds commute with this flush).
             self.events_executed += heap_done
             self._running = False
             self._horizon = None

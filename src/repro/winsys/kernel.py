@@ -147,8 +147,9 @@ class Kernel:
         self._pending_mouse_down: Optional[MouseEvent] = None
         self._booted = False
         #: Idle fast-forward switch (see :meth:`_try_fast_forward`).  The
-        #: result is bit-identical either way; the process-global default
-        #: is flipped by ``--no-fast-forward`` for A/B comparison.
+        #: result is bit-identical either way; the default comes from the
+        #: enclosing :func:`~repro.sim.engine.fast_forward_scope`, which
+        #: ``--no-fast-forward`` turns off for A/B comparison.
         self.fast_forward = fast_forward_default()
         # Diagnostics.
         self.context_switches = 0

@@ -96,8 +96,8 @@ class MsTestDriver:
         deadline = self.system.now + ns_from_ms(max_seconds * 1000.0)
         # The final _step calls sim.stop() (armed below) when the script
         # ends, so the run needs no per-event ``until`` predicate — the
-        # engine stops at exactly the same event, and without a
-        # predicate it may execute side-calendar runs batched.
+        # engine stops at exactly the same event without evaluating one
+        # between every two events.
         if not self.finished:
             self._stop_on_finish = True
             try:

@@ -237,3 +237,123 @@ class TestCompaction:
         sim.run(until_ns=5000 * 10 + 1)
         assert count[0] == 5000
         assert sim.calendar_depth() < 200  # not ~5000 dead entries
+
+
+class TestKindConventions:
+    """``register_handler`` fixes one entry point per handler id:
+    ``schedule_kind``/``schedule_kind_at`` call ``fn()`` and
+    ``schedule_call`` calls ``fn(payload)``."""
+
+    def test_schedule_kind_calls_with_no_args(self, sim):
+        seen = []
+        hid = sim.register_handler(lambda: seen.append(sim.now))
+        sim.schedule_kind(10, hid)
+        sim.run()
+        assert seen == [10]
+
+    def test_schedule_kind_at_absolute(self, sim):
+        seen = []
+        hid = sim.register_handler(lambda: seen.append(sim.now))
+        sim.schedule_kind_at(25, hid)
+        sim.run()
+        assert seen == [25]
+
+    def test_schedule_call_carries_payload(self, sim):
+        seen = []
+        hid = sim.register_handler(seen.append)
+        sim.schedule_call(5, hid, "payload")
+        sim.run()
+        assert seen == ["payload"]
+
+    def test_schedule_call_none_payload_still_delivered(self, sim):
+        # None is a legitimate payload (4-tuple entry), not "no argument".
+        seen = []
+        hid = sim.register_handler(lambda p: seen.append(p))
+        sim.schedule_call(5, hid, None)
+        sim.run()
+        assert seen == [None]
+
+    def test_kind_events_interleave_with_handles_in_time_seq_order(self, sim):
+        order = []
+        hid = sim.register_handler(lambda: order.append("kind"))
+        sim.schedule(10, lambda: order.append("handle-a"))
+        sim.schedule_kind(10, hid)
+        sim.schedule(10, lambda: order.append("handle-b"))
+        sim.run()
+        assert order == ["handle-a", "kind", "handle-b"]
+
+    def test_negative_delays_rejected(self, sim):
+        hid = sim.register_handler(lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_kind(-1, hid)
+        with pytest.raises(SimulationError):
+            sim.schedule_call(-1, hid, None)
+
+    def test_cancel_kind_suppresses_delivery(self, sim):
+        seen = []
+        hid = sim.register_handler(lambda: seen.append("fired"))
+        seq = sim.schedule_kind(10, hid)
+        sim.cancel_kind(seq)
+        sim.run()
+        assert seen == []
+
+    def test_cancel_kind_twice_harmless(self, sim):
+        hid = sim.register_handler(lambda: None)
+        seq = sim.schedule_kind(10, hid)
+        sim.cancel_kind(seq)
+        sim.cancel_kind(seq)
+        assert sim.calendar_cancelled == 1
+        sim.run()
+        assert sim.pending_count() == 0
+
+
+class TestAccounting:
+    """``pending_count`` / ``calendar_depth`` / ``calendar_cancelled``
+    stay exact through schedule -> cancel -> discard -> compact
+    sequences that cross the slot, handles and kind entries."""
+
+    def test_pending_count_counts_all_three_sources(self, sim):
+        hid = sim.register_handler(lambda: None)
+        sim.schedule(10, lambda: None)  # slot
+        sim.schedule(20, lambda: None)  # heap handle
+        sim.schedule_kind(30, hid)  # heap kind entry
+        assert sim.pending_count() == 3
+        assert sim.calendar_depth() == 3
+        assert sim.calendar_high_water == 3
+
+    def test_cancel_moves_live_to_cancelled_not_depth(self, sim):
+        hid = sim.register_handler(lambda: None)
+        seqs = [sim.schedule_kind(10 * i, hid) for i in range(1, 6)]
+        sim.cancel_kind(seqs[1])
+        sim.cancel_kind(seqs[3])
+        assert sim.calendar_depth() == 5
+        assert sim.pending_count() == 3
+        assert sim.calendar_cancelled == 2
+
+    def test_cancelled_head_discarded_without_skew(self, sim):
+        hid = sim.register_handler(lambda: None)
+        seq = sim.schedule_kind(10, hid)
+        sim.schedule_kind(20, hid)
+        sim.cancel_kind(seq)
+        assert sim.peek_next_time() == 20
+        assert sim.pending_count() == 1
+        assert sim.calendar_cancelled == 0  # discarding forgot the seq
+        sim.run()
+        assert sim.pending_count() == 0
+
+    def test_heap_compaction_sweeps_cancelled_kind_entries(self):
+        sim = Simulator()
+        hid = sim.register_handler(lambda: None)
+        seqs = [sim.schedule_kind(10 * (i + 1), hid) for i in range(100)]
+        for seq in seqs[:60]:
+            sim.cancel_kind(seq)
+        # Kind cancellations are tracked in a seq set; heap compaction is
+        # triggered through the handle path, so force one via cancel().
+        handles = [sim.schedule(2000 + i, lambda: None) for i in range(20)]
+        for handle in handles:
+            handle.cancel()
+        sim._compact()
+        assert sim.calendar_cancelled == 0
+        assert sim.pending_count() == 40
+        sim.run()
+        assert sim.events_executed == 40

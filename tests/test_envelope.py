@@ -33,7 +33,7 @@ from repro.obs import (
     observed,
     validate_chrome_trace,
 )
-from repro.sim.engine import set_fast_forward_default
+from repro.sim.engine import fast_forward_scope
 from repro.sim.timebase import ns_from_ms
 from repro.verify.golden import GOLDEN_SET, payload_digest
 from repro.winsys import boot
@@ -114,13 +114,10 @@ def _envelope_bytes(**kwargs):
 
 
 def test_envelopes_byte_identical_with_fast_forward_on_and_off():
-    try:
-        set_fast_forward_default(True)
+    with fast_forward_scope(True):
         fast = _envelope_bytes()
-        set_fast_forward_default(False)
+    with fast_forward_scope(False):
         slow = _envelope_bytes()
-    finally:
-        set_fast_forward_default(True)
     assert fast == slow
 
 

@@ -15,25 +15,33 @@ from repro.sim.engine import (
     SimulationError,
     Simulator,
     fast_forward_default,
-    set_fast_forward_default,
+    fast_forward_scope,
 )
 from repro.sim.timebase import ns_from_ms
 from repro.winsys import boot
+from repro.winsys.kernel import Kernel
 
 PERSONALITIES = ("nt351", "nt40", "win95")
 
 
-@pytest.fixture(autouse=True)
-def _restore_fast_forward_default():
-    saved = fast_forward_default()
-    yield
-    set_fast_forward_default(saved)
+@pytest.fixture
+def booted(monkeypatch):
+    """The fast-forward setting of every kernel booted during the test."""
+    settings = []
+    init = Kernel.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        settings.append(self.fast_forward)
+
+    monkeypatch.setattr(Kernel, "__init__", spy)
+    return settings
 
 
 def _idle_state(os_name, fast_forward, loop_ms=1.0, sim_ms=500.0):
     """Boot, trace an idle system, return every observable we compare."""
-    set_fast_forward_default(fast_forward)
-    system = boot(os_name)
+    with fast_forward_scope(fast_forward):
+        system = boot(os_name)
     instrument = IdleLoopInstrument(system, loop_ms=loop_ms)
     instrument.install()
     system.run_for(ns_from_ms(sim_ms))
@@ -81,10 +89,10 @@ class TestIdleEquivalence:
         reports = {}
         readings = {}
         for fast_forward in (True, False):
-            set_fast_forward_default(fast_forward)
-            system = boot("nt40")
-            probe = InterruptCostProbe(system, loop_us=50.0)
-            report = probe.measure(duration_ms=200.0)
+            with fast_forward_scope(fast_forward):
+                system = boot("nt40")
+                probe = InterruptCostProbe(system, loop_us=50.0)
+                report = probe.measure(duration_ms=200.0)
             reports[fast_forward] = report
             readings[fast_forward] = list(probe._interrupt_readings)
         assert readings[True] == readings[False]
@@ -103,8 +111,8 @@ class TestPayloadEquivalence:
 
         blobs = {}
         for fast_forward in (True, False):
-            set_fast_forward_default(fast_forward)
-            payload = experiment_to_dict(run_experiment("fig1", seed=0))
+            with fast_forward_scope(fast_forward):
+                payload = experiment_to_dict(run_experiment("fig1", seed=0))
             blobs[fast_forward] = canonical_json(payload)
         assert blobs[True] == blobs[False]
 
@@ -118,8 +126,8 @@ class TestPayloadEquivalence:
         checker = InvariantChecker()
         summaries = {}
         for fast_forward in (True, False):
-            set_fast_forward_default(fast_forward)
-            reports = checker.check(gather_probe_evidence(os_name, seed=0))
+            with fast_forward_scope(fast_forward):
+                reports = checker.check(gather_probe_evidence(os_name, seed=0))
             summaries[fast_forward] = summarize_reports(reports)
         assert summaries[True] == summaries[False]
         assert summaries[True]["failed"] == []
@@ -129,8 +137,9 @@ class TestPayloadEquivalence:
         the slow path must reproduce them byte for byte."""
         from repro.verify.golden import check_golden
 
-        set_fast_forward_default(False)
-        for entry in check_golden():
+        with fast_forward_scope(False):
+            entries = check_golden()
+        for entry in entries:
             assert entry["status"] == "matched", entry
 
 
@@ -235,7 +244,7 @@ class TestObservability:
 
 
 class TestRunnerFlag:
-    def test_no_fast_forward_flag_runs_clean(self, tmp_path):
+    def test_no_fast_forward_flag_runs_clean(self, tmp_path, booted):
         from repro.experiments.runner import main
 
         rc = main(
@@ -249,4 +258,56 @@ class TestRunnerFlag:
             ]
         )
         assert rc == 0
-        assert fast_forward_default() is False  # flag reached the global
+        assert booted and not any(booted)  # the flag reached every kernel
+
+
+class TestScope:
+    """The setting travels by scope, never leaking between jobs."""
+
+    def test_scope_restores_the_enclosing_setting(self):
+        assert fast_forward_default() is True
+        with fast_forward_scope(False):
+            assert fast_forward_default() is False
+            with fast_forward_scope(True):
+                assert fast_forward_default() is True
+            assert fast_forward_default() is False
+        assert fast_forward_default() is True
+
+    def test_fleet_inherits_the_enclosing_scope(self, booted):
+        """A fleet run inside a fast-forward-off scope boots every
+        session kernel with fast-forward off and leaves the scope as it
+        found it."""
+        from repro.fleet.population import PopulationConfig
+        from repro.fleet.shards import run_fleet
+
+        config = PopulationConfig(seed=0, size=4, profile_mix={"editor": 1})
+        with fast_forward_scope(False):
+            run_fleet(config, shards=1, cache=None)
+            assert fast_forward_default() is False
+        assert len(booted) == config.size
+        assert not any(booted)
+
+    def test_sequential_sweeps_keep_their_own_setting(self, booted):
+        """Two back-to-back in-process sweeps with the toggle flipped
+        between them: each boots its kernels with its own setting,
+        neither disturbs the caller's, and the payloads equal runs made
+        in isolation."""
+        from repro.core.serialize import experiment_to_dict
+        from repro.experiments.parallel import run_specs
+        from repro.experiments.registry import run_experiment
+        from repro.verify.golden import canonical_json
+
+        specs = [("fig1", 0), ("fig4", 0)]
+        for fast_forward in (False, True):
+            del booted[:]
+            jobs = run_specs(specs, jobs=1, fast_forward=fast_forward)
+            assert fast_forward_default() is True
+            assert booted and all(ff is fast_forward for ff in booted)
+            with fast_forward_scope(fast_forward):
+                isolated = [
+                    experiment_to_dict(run_experiment(eid, seed=seed))
+                    for eid, seed in specs
+                ]
+            assert [canonical_json(job.payload) for job in jobs] == [
+                canonical_json(payload) for payload in isolated
+            ]

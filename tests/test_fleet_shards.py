@@ -8,7 +8,7 @@ shard count, or work-stealing submission order.
 import pytest
 
 from repro.core.runcache import RunCache
-from repro.experiments.parallel import JobResult, run_specs
+from repro.experiments.parallel import JobOptions, JobResult, run_specs
 from repro.fleet.population import PopulationConfig, SessionPopulation
 from repro.fleet.session import run_session
 from repro.fleet.shards import (
@@ -119,8 +119,8 @@ def test_checkpoint_keys_namespaced_by_population(tmp_path):
 def test_batch_executor_seed_mismatch_is_an_error_result():
     job = execute_fleet_batch(
         "fleet:0-2",
-        seed=CONFIG.seed + 1,
-        run_kwargs={"population": CONFIG.to_dict()},
+        CONFIG.seed + 1,
+        JobOptions(run_kwargs={"population": CONFIG.to_dict()}),
     )
     assert job.failure_kind == "error"
     assert "population seed" in job.error
@@ -128,14 +128,14 @@ def test_batch_executor_seed_mismatch_is_an_error_result():
 
 def test_batch_executor_bad_id_is_an_error_result():
     job = execute_fleet_batch(
-        "fig7", seed=0, run_kwargs={"population": CONFIG.to_dict()}
+        "fig7", 0, JobOptions(run_kwargs={"population": CONFIG.to_dict()})
     )
     assert job.failure_kind == "error"
 
 
 def test_batch_executor_produces_mergeable_aggregate():
     job = execute_fleet_batch(
-        "fleet:0-3", seed=0, run_kwargs={"population": CONFIG.to_dict()}
+        "fleet:0-3", 0, JobOptions(run_kwargs={"population": CONFIG.to_dict()})
     )
     assert job.error is None and not job.cache_hit
     data = job.payload["data"]
@@ -161,11 +161,11 @@ def test_provenance_and_utilization_shape():
     assert "repro_fleet_shard_utilization" in fleet.metrics["gauges"]
 
 
-def _echo_executor(experiment_id, seed, cache=None, refresh=False, **options):
+def _echo_executor(experiment_id, seed, options):
     return JobResult(
         experiment_id=experiment_id,
         seed=seed,
-        rendered=f"echo:{experiment_id}:{options.get('run_kwargs')}",
+        rendered=f"echo:{experiment_id}:{options.run_kwargs}",
     )
 
 

@@ -1,12 +1,13 @@
-"""Differential hypothesis tests: batched engine vs a pure-heapq oracle.
+"""Differential hypothesis tests: the engine vs a pure-heapq oracle.
 
 The oracle executes every scheduled entry one at a time off a plain
-``heapq`` keyed ``(time, seq)`` — no slot, no side calendar, no
-compaction, no batching.  Randomised schedule / cancel / reschedule
-workloads must produce identical ``(time, seq, callback-order)``
-histories on the real engine with batching **on** and **off**, and both
-must match the oracle.  This is the checkable form of the tentpole's
-contract: batching is a pure execution-strategy change.
+``heapq`` keyed ``(time, seq)`` — no slot, no kind table, no
+compaction.  Randomised schedule / cancel / reschedule workloads over
+closure handles (``schedule`` / ``ScheduledEvent.cancel``) and kind
+entries (``schedule_call`` / ``cancel_kind``) must produce the
+oracle's ``(time, seq, callback-order)`` history on the real engine:
+the next-event slot, the kind table and lazy deletion are pure
+execution-strategy choices.
 """
 
 import heapq
@@ -48,14 +49,12 @@ class _HeapqOracle:
 
 
 # One workload program: a list of operations interpreted in order.
-#   ("soa", delay)      — side-calendar schedule (periodic-timer shape)
-#   ("kind", delay)     — plain kind event
-#   ("handle", delay)   — closure-handle event
+#   ("kind", delay)     — kind entry (schedule_call)
+#   ("handle", delay)   — closure-handle event (schedule)
 #   ("cancel", k)       — cancel the k-th still-live scheduled entry
-#   ("resched", k, d)   — cancel the k-th live entry, schedule a new soa
+#   ("resched", k, d)   — cancel the k-th live entry, schedule a new kind
 _OPS = st.lists(
     st.one_of(
-        st.tuples(st.just("soa"), st.integers(0, 500)),
         st.tuples(st.just("kind"), st.integers(0, 500)),
         st.tuples(st.just("handle"), st.integers(0, 500)),
         st.tuples(st.just("cancel"), st.integers(0, 30)),
@@ -66,37 +65,29 @@ _OPS = st.lists(
 )
 
 
-def _run_engine(ops, batch_enabled):
+def _run_engine(ops):
     sim = Simulator()
-    sim.batch_enabled = batch_enabled
     history = []
-    soa_hid = sim.register_handler(
-        lambda t, s: history.append(("soa", t, s)),
-        batch=lambda ts, ss: history.extend(("soa", t, s) for t, s in zip(ts, ss)),
-    )
-    # Kind entries are scheduled through schedule_call with a one-slot
-    # box as payload so the handler can report its own seq at fire time.
+    # Kind entries carry a one-slot box as payload so the handler can
+    # report its own seq at fire time.
     kind_hid = sim.register_handler(
         lambda box: history.append(("kind", sim.now, box[0]))
     )
-    live = []  # (seq, canceller) in schedule order
+    live = []  # (seq or handle, canceller) in schedule order
+
+    def schedule_kind(delay):
+        box = [None]
+        box[0] = sim.schedule_call(delay, kind_hid, box)
+        live.append((box[0], sim.cancel_kind))
 
     def do_cancel(k):
         if live:
-            seq, canceller = live.pop(k % len(live))
-            canceller(seq)
-            return True
-        return False
+            target, canceller = live.pop(k % len(live))
+            canceller(target)
 
     for op in ops:
-        if op[0] == "soa":
-            seq = sim.schedule_soa(op[1], soa_hid)
-            live.append((seq, sim.cancel_kind))
-        elif op[0] == "kind":
-            box = [None]
-            seq = sim.schedule_call(op[1], kind_hid, box)
-            box[0] = seq
-            live.append((seq, sim.cancel_kind))
+        if op[0] == "kind":
+            schedule_kind(op[1])
         elif op[0] == "handle":
             handle = sim.schedule(
                 op[1], lambda: history.append(("handle", sim.now))
@@ -106,42 +97,34 @@ def _run_engine(ops, batch_enabled):
             do_cancel(op[1])
         else:  # resched: cancel one, schedule a replacement
             do_cancel(op[1])
-            seq = sim.schedule_soa(op[2], soa_hid)
-            live.append((seq, sim.cancel_kind))
+            schedule_kind(op[2])
     sim.run()
-    return history, sim.events_executed, sim.now
+    return history, sim.now
 
 
 def _run_oracle(ops):
     oracle = _HeapqOracle()
     live = []
-    cancelled_kind_seqs = set()
 
     def do_cancel(k):
         if live:
-            seq = live.pop(k % len(live))
-            oracle.cancel(seq)
-            cancelled_kind_seqs.add(seq)
+            oracle.cancel(live.pop(k % len(live)))
 
     for op in ops:
-        if op[0] == "soa":
-            live.append(oracle.schedule(op[1], "soa"))
-        elif op[0] == "kind":
-            live.append(oracle.schedule(op[1], "kind"))
-        elif op[0] == "handle":
-            live.append(oracle.schedule(op[1], "handle"))
+        if op[0] in ("kind", "handle"):
+            live.append(oracle.schedule(op[1], op[0]))
         elif op[0] == "cancel":
             do_cancel(op[1])
         else:
             do_cancel(op[1])
-            live.append(oracle.schedule(op[2], "soa"))
+            live.append(oracle.schedule(op[2], "kind"))
     oracle.run()
     return oracle.history, oracle.now
 
 
 def _normalise(history):
     # Handle events carry no seq on the engine side; compare (tag, time)
-    # there and (tag, time, seq) for kind/soa entries.
+    # there and (tag, time, seq) for kind entries.
     return [
         (entry[0], entry[1]) if entry[0] == "handle" else entry
         for entry in history
@@ -150,20 +133,14 @@ def _normalise(history):
 
 @given(ops=_OPS)
 @settings(max_examples=200, deadline=None)
-def test_batched_engine_matches_heapq_oracle(ops):
-    batched, batched_n, batched_now = _run_engine(ops, batch_enabled=True)
-    single, single_n, single_now = _run_engine(ops, batch_enabled=False)
-    # Batch on/off: identical histories, counters and final clock.
-    assert batched == single
-    assert batched_n == single_n
-    assert batched_now == single_now
-
+def test_engine_matches_heapq_oracle(ops):
+    history, now = _run_engine(ops)
     oracle_history, oracle_now = _run_oracle(ops)
-    assert _normalise(batched) == _normalise(oracle_history)
+    assert _normalise(history) == _normalise(oracle_history)
     # The engine parks the clock where the last event ran; so does the
     # oracle (both leave now untouched when nothing fired).
     if oracle_history:
-        assert batched_now == oracle_now
+        assert now == oracle_now
 
 
 @given(
@@ -175,56 +152,42 @@ def test_batched_engine_matches_heapq_oracle(ops):
 def test_periodic_populations_match_oracle_under_horizon(
     periods, population, horizon
 ):
-    """Self-re-arming timer populations — the SoA calendar's target shape —
-    stay identical to the oracle across run horizons."""
+    """Self-re-arming timer populations — the clock tick's shape — stay
+    identical to the oracle across run horizons."""
 
-    def engine_history(batch_enabled):
+    def engine_history():
         sim = Simulator()
-        sim.batch_enabled = batch_enabled
         history = []
-        hids = []
-        for index, period in enumerate(periods):
 
-            def fire(t, s, index=index, period=period):
-                history.append((index, t, s))
-                if t + period <= horizon:
-                    sim.schedule_soa(t + period - sim.now, hids[index])
+        def arm(index, delay):
+            box = [index, None]
+            box[1] = sim.schedule_call(delay, hid, box)
 
-            def fire_batch(ts, ss, index=index, period=period):
-                for t, s in zip(ts, ss):
-                    fire(t, s, index, period)
+        def fire(box):
+            index, seq = box
+            history.append((index, sim.now, seq))
+            if sim.now + periods[index] <= horizon:
+                arm(index, periods[index])
 
-            hids.append(
-                sim.register_handler(
-                    fire, batch=fire_batch, batch_window_ns=period
-                )
-            )
+        hid = sim.register_handler(fire)
         for index, period in enumerate(periods):
             for _ in range(population):
-                sim.schedule_soa(period, hids[index])
+                arm(index, period)
         sim.run(until_ns=horizon)
         return history
 
     def oracle_history():
         oracle = _HeapqOracle()
         results = []
-
-        def run():
-            while oracle.heap and oracle.heap[0][0] <= horizon:
-                time_ns, seq, tag = heapq.heappop(oracle.heap)
-                oracle.now = time_ns
-                index, period = tag
-                results.append((index, time_ns, seq))
-                if time_ns + period <= horizon:
-                    oracle.schedule(period, tag)
-
         for index, period in enumerate(periods):
             for _ in range(population):
-                oracle.schedule(period, (index, period))
-        run()
+                oracle.schedule(period, index)
+        while oracle.heap and oracle.heap[0][0] <= horizon:
+            time_ns, seq, index = heapq.heappop(oracle.heap)
+            oracle.now = time_ns
+            results.append((index, time_ns, seq))
+            if time_ns + periods[index] <= horizon:
+                oracle.schedule(periods[index], index)
         return results
 
-    batched = engine_history(True)
-    single = engine_history(False)
-    reference = oracle_history()
-    assert batched == single == reference
+    assert engine_history() == oracle_history()

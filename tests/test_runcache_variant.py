@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.runcache import RunCache, variant_key
-from repro.experiments.parallel import execute_job, job_variant
+from repro.experiments.parallel import JobOptions, execute_job, job_variant
 from repro.faults import get_scenario
 
 
@@ -55,8 +55,10 @@ def test_load_rejects_entry_with_wrong_variant(tmp_path):
     job = execute_job(
         "ext-faults",
         11,
-        cache=cache,
-        run_kwargs={"scenario": "smoke", "chars": 6, "os_names": ("nt40",)},
+        JobOptions(
+            cache=cache,
+            run_kwargs={"scenario": "smoke", "chars": 6, "os_names": ("nt40",)},
+        ),
     )
     assert job.error is None
     _, variant = job_variant(
@@ -76,30 +78,30 @@ def test_cached_healthy_run_never_serves_a_faulted_request(tmp_path):
     cache = RunCache(tmp_path)
     base_kwargs = {"chars": 6, "os_names": ("nt40",)}
 
-    healthy = execute_job("ext-faults", 9, cache=cache, run_kwargs=base_kwargs)
+    healthy = execute_job(
+        "ext-faults", 9, JobOptions(cache=cache, run_kwargs=base_kwargs)
+    )
     assert healthy.error is None and not healthy.cache_hit
 
     # A faulted request must MISS the healthy entry and run fresh...
     faulted = execute_job(
         "ext-faults",
         9,
-        cache=cache,
-        run_kwargs=dict(base_kwargs, scenario="smoke"),
+        JobOptions(cache=cache, run_kwargs=dict(base_kwargs, scenario="smoke")),
     )
     assert faulted.error is None and not faulted.cache_hit
     assert faulted.payload != healthy.payload
 
     # ...and vice versa: each now hits only its own slot.
     healthy_again = execute_job(
-        "ext-faults", 9, cache=cache, run_kwargs=base_kwargs
+        "ext-faults", 9, JobOptions(cache=cache, run_kwargs=base_kwargs)
     )
     assert healthy_again.cache_hit
     assert healthy_again.payload == healthy.payload
     faulted_again = execute_job(
         "ext-faults",
         9,
-        cache=cache,
-        run_kwargs=dict(base_kwargs, scenario="smoke"),
+        JobOptions(cache=cache, run_kwargs=dict(base_kwargs, scenario="smoke")),
     )
     assert faulted_again.cache_hit
     assert faulted_again.payload == faulted.payload
@@ -107,8 +109,19 @@ def test_cached_healthy_run_never_serves_a_faulted_request(tmp_path):
 
 def test_default_configuration_uses_the_unsuffixed_slot(tmp_path):
     cache = RunCache(tmp_path)
-    job = execute_job("fig4", 0, cache=cache)
+    job = execute_job("fig4", 0, JobOptions(cache=cache))
     assert job.error is None
     assert cache.entry_path("fig4", 0).exists()
-    hit = execute_job("fig4", 0, cache=cache)
+    hit = execute_job("fig4", 0, JobOptions(cache=cache))
     assert hit.cache_hit
+
+
+def test_fast_forward_setting_stays_out_of_the_cache_key(tmp_path):
+    """The fast path is bit-identical to the slow one, so an entry
+    cached with fast-forward on serves a run with it off."""
+    cache = RunCache(tmp_path)
+    fast = execute_job("fig4", 0, JobOptions(cache=cache, fast_forward=True))
+    assert fast.error is None and not fast.cache_hit
+    slow = execute_job("fig4", 0, JobOptions(cache=cache, fast_forward=False))
+    assert slow.cache_hit
+    assert slow.payload == fast.payload

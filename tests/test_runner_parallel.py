@@ -11,6 +11,7 @@ import pytest
 from repro.core.runcache import RunCache, code_version, default_cache_dir
 from repro.core.serialize import load_json, manifest_from_dict
 from repro.experiments import parallel
+from repro.experiments.parallel import JobOptions
 from repro.experiments.runner import main
 
 CHEAP_IDS = ["fig1", "fig4", "ablation-merge"]
@@ -80,32 +81,34 @@ def test_cache_hit_on_second_run_and_refresh(tmp_path):
 
 def test_execute_job_cache_roundtrip(tmp_path):
     cache = RunCache(tmp_path / "cache", version="testver")
-    miss = parallel.execute_job("ablation-merge", 0, cache=cache)
+    miss = parallel.execute_job("ablation-merge", 0, JobOptions(cache=cache))
     assert not miss.cache_hit and miss.error is None
     assert miss.payload["kind"] == "experiment-result"
     assert cache.entry_path("ablation-merge", 0).exists()
 
-    hit = parallel.execute_job("ablation-merge", 0, cache=cache)
+    hit = parallel.execute_job("ablation-merge", 0, JobOptions(cache=cache))
     assert hit.cache_hit
     assert hit.payload == miss.payload
     assert hit.rendered == miss.rendered
     assert hit.checks == miss.checks
 
-    refreshed = parallel.execute_job("ablation-merge", 0, cache=cache, refresh=True)
+    refreshed = parallel.execute_job(
+        "ablation-merge", 0, JobOptions(cache=cache, refresh=True)
+    )
     assert not refreshed.cache_hit and refreshed.payload == miss.payload
 
 
 def test_corrupt_cache_entry_is_a_miss(tmp_path):
     cache = RunCache(tmp_path / "cache", version="testver")
-    parallel.execute_job("ablation-merge", 0, cache=cache)
+    parallel.execute_job("ablation-merge", 0, JobOptions(cache=cache))
     cache.entry_path("ablation-merge", 0).write_text("{ not json")
-    job = parallel.execute_job("ablation-merge", 0, cache=cache)
+    job = parallel.execute_job("ablation-merge", 0, JobOptions(cache=cache))
     assert not job.cache_hit and job.error is None
 
 
 def test_corrupt_cache_entry_evicted_and_rewritten(tmp_path):
     cache = RunCache(tmp_path / "cache", version="testver")
-    parallel.execute_job("ablation-merge", 0, cache=cache)
+    parallel.execute_job("ablation-merge", 0, JobOptions(cache=cache))
     path = cache.entry_path("ablation-merge", 0)
 
     # A truncated entry (killed writer, disk full) is evicted on read
@@ -114,10 +117,12 @@ def test_corrupt_cache_entry_evicted_and_rewritten(tmp_path):
     assert cache.load("ablation-merge", 0) is None
     assert not path.exists()
     # ...and the next execute_job transparently rewrites it.
-    job = parallel.execute_job("ablation-merge", 0, cache=cache)
+    job = parallel.execute_job("ablation-merge", 0, JobOptions(cache=cache))
     assert not job.cache_hit and job.error is None
     assert path.exists()
-    assert parallel.execute_job("ablation-merge", 0, cache=cache).cache_hit
+    assert parallel.execute_job(
+        "ablation-merge", 0, JobOptions(cache=cache)
+    ).cache_hit
 
     # An entry whose content contradicts its path (here: claiming to be
     # a different experiment) is corruption, not staleness: also evicted.
@@ -135,8 +140,12 @@ def test_missing_cache_entry_is_a_plain_miss_without_eviction(tmp_path):
 
 def test_different_code_version_is_a_miss(tmp_path):
     root = tmp_path / "cache"
-    parallel.execute_job("ablation-merge", 0, cache=RunCache(root, version="v1"))
-    job = parallel.execute_job("ablation-merge", 0, cache=RunCache(root, version="v2"))
+    parallel.execute_job(
+        "ablation-merge", 0, JobOptions(cache=RunCache(root, version="v1"))
+    )
+    job = parallel.execute_job(
+        "ablation-merge", 0, JobOptions(cache=RunCache(root, version="v2"))
+    )
     assert not job.cache_hit
 
 

@@ -134,7 +134,7 @@ def test_checkpoint_path_encodes_identity(tmp_path):
 _RUN_SNIPPET = """
 import json, os, signal, sys
 from repro.core.serialize import save_json
-from repro.experiments.parallel import execute_job
+from repro.experiments.parallel import JobOptions, execute_job
 from repro.verify.checkpoint import Checkpointer
 
 mode, ckdir, out = sys.argv[1], sys.argv[2], sys.argv[3]
@@ -152,8 +152,7 @@ if mode == "kill":
 
 job = execute_job(
     "ext-faults", 5,
-    run_kwargs={"chars": 8, "scenario": "smoke"},
-    checkpoint_dir=ckdir,
+    JobOptions(run_kwargs={"chars": 8, "scenario": "smoke"}, checkpoint_dir=ckdir),
 )
 assert job.error is None, job.error
 save_json(job.payload, out)

@@ -27,11 +27,11 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-def _quick_executor(experiment_id, seed, cache=None, refresh=False, **kwargs):
+def _quick_executor(experiment_id, seed, options):
     return JobResult(experiment_id=experiment_id, seed=seed, rendered="ok")
 
 
-def _napping_executor(experiment_id, seed, cache=None, refresh=False, **kwargs):
+def _napping_executor(experiment_id, seed, options):
     time.sleep(0.25)
     return JobResult(experiment_id=experiment_id, seed=seed, rendered="ok")
 
@@ -41,7 +41,7 @@ def _napping_executor(experiment_id, seed, cache=None, refresh=False, **kwargs):
 _WRITE_DIR = None
 
 
-def _slow_write_executor(experiment_id, seed, cache=None, refresh=False, **kwargs):
+def _slow_write_executor(experiment_id, seed, options):
     """Stall inside :func:`atomic_write_text`'s fsync — the watchdog's
     ``_JobTimeout`` unwinds through the write's cleanup path."""
     target = Path(_WRITE_DIR) / "entry.json"
