@@ -51,11 +51,11 @@ profile-hotpath:
 experiments:
 	$(PYTHON) -m repro.experiments --save out/
 
-# CI gate: two cheap experiments through the parallel path with an
-# isolated cache, then validate the run manifest.
+# CI gate: two cheap experiments through the pool path, with the
+# watchdog armed and an isolated cache, then validate the run manifest.
 experiments-smoke:
 	rm -rf $(SMOKE_OUT) $(SMOKE_CACHE)
-	$(PYTHON) -m repro.experiments fig1 fig4 --jobs 2 \
+	$(PYTHON) -m repro.experiments fig1 fig4 --jobs 2 --timeout 300 \
 		--save $(SMOKE_OUT) --cache-dir $(SMOKE_CACHE) --checks-only
 	$(PYTHON) -c "\
 	from repro.core.serialize import load_json, manifest_from_dict; \
@@ -228,8 +228,8 @@ fleet-smoke:
 	@echo "fleet smoke ok"
 	rm -rf $(SMOKE_OUT) $(SMOKE_CACHE)
 
-# CI gate for the chaos-hardening layer: a healable chaos schedule must
-# heal to the byte-identical fleet digest of the chaos-free run; an
+# CI gate for the chaos-hardening layer: a hedged run and a healable
+# chaos schedule must both match the chaos-free run's fleet digest; an
 # unhealable (poison) schedule must account every lost session exactly
 # (expected == completed + quarantined + skipped) with the digest
 # stamped partial; and --strict-complete must turn the partial run into
@@ -242,6 +242,8 @@ chaos-smoke:
 	from repro.fleet.shards import run_fleet; \
 	config = PopulationConfig(seed=7, size=24, chars_range=(4, 6)); \
 	clean = run_fleet(config, shards=2, batch_size=6); \
+	hedged = run_fleet(config, shards=2, batch_size=6, hedge=True); \
+	assert hedged.digest == clean.digest, (hedged.digest, clean.digest); \
 	healed = run_fleet(config, shards=2, batch_size=6, retries=2, \
 	                   backoff_s=0.0, chaos='flaky-crash', chaos_seed=3); \
 	assert healed.digest == clean.digest, (healed.digest, clean.digest); \
@@ -291,11 +293,11 @@ golden-check:
 golden-update:
 	$(PYTHON) -m repro.verify.golden --update
 
-# The default local verification flow: unit tests, the
-# measurement-integrity gate, the observability gates, the fleet and
-# docs gates, then the perf-regression gate.
-verify: test verify-integrity obs-smoke obs-overhead envelope-smoke \
-	fleet-smoke chaos-smoke remote-smoke docs-check perf-gate
+# The default local verification flow: unit tests, the runner's pool
+# path, the measurement-integrity gate, the observability gates, the
+# fleet and docs gates, then the perf-regression gate.
+verify: test experiments-smoke verify-integrity obs-smoke obs-overhead \
+	envelope-smoke fleet-smoke chaos-smoke remote-smoke docs-check perf-gate
 
 clean:
 	rm -rf $(SMOKE_OUT) $(SMOKE_CACHE) out/ .pytest_cache

@@ -8,7 +8,7 @@ returning byte-identical archival payloads.
 import time
 
 from repro.core.runcache import RunCache
-from repro.experiments.parallel import run_many
+from repro.experiments.parallel import run_specs
 
 SWEEP_IDS = [
     "fig1",
@@ -19,21 +19,22 @@ SWEEP_IDS = [
     "sec25",
     "ablation-merge",
 ]
+SWEEP_SPECS = [(experiment_id, 0) for experiment_id in SWEEP_IDS]
 
 
 def test_warm_cache_sweep(benchmark, tmp_path_factory):
     cache = RunCache(tmp_path_factory.mktemp("runcache"), version="bench")
 
     started = time.perf_counter()
-    cold = run_many(SWEEP_IDS, [0], jobs=1, cache=cache)
+    cold = run_specs(SWEEP_SPECS, jobs=1, cache=cache)
     cold_s = time.perf_counter() - started
     assert all(job.error is None and not job.cache_hit for job in cold)
 
-    warm = benchmark(lambda: run_many(SWEEP_IDS, [0], jobs=1, cache=cache))
+    warm = benchmark(lambda: run_specs(SWEEP_SPECS, jobs=1, cache=cache))
     assert all(job.cache_hit for job in warm)
 
     started = time.perf_counter()
-    timed = run_many(SWEEP_IDS, [0], jobs=1, cache=cache)
+    timed = run_specs(SWEEP_SPECS, jobs=1, cache=cache)
     warm_s = time.perf_counter() - started
 
     # Byte-identity of what --save would write, cold vs warm.

@@ -8,7 +8,7 @@ with an on-disk result cache and a run manifest (see
 """
 
 from .common import ALL_OS, NT_OS, Check, ExperimentResult
-from .parallel import JobOptions, JobResult, execute_job, run_many
+from .parallel import JobOptions, JobResult, execute_job, run_specs
 from .registry import EXPERIMENTS, TITLES, experiment_ids, run_experiment
 
 __all__ = [
@@ -23,5 +23,5 @@ __all__ = [
     "execute_job",
     "experiment_ids",
     "run_experiment",
-    "run_many",
+    "run_specs",
 ]

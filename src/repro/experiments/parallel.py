@@ -7,7 +7,7 @@ changing any result — determinism is per-job (see
 :mod:`repro.experiments.registry`), not per-process.  The contract this
 module upholds:
 
-* **Byte identity.**  For fixed seeds, ``run_many(jobs=N)`` produces
+* **Byte identity.**  For fixed seeds, ``run_specs(jobs=N)`` produces
   per-job payloads byte-identical to the sequential ``jobs=1`` path —
   parallelism and caching are pure scheduling, never semantics.
 * **Deterministic ordering.**  Results are always delivered in
@@ -18,11 +18,11 @@ module upholds:
   classification, so one bad experiment neither kills the sweep nor
   hides from the exit code.
 * **No lost sweeps.**  A per-job wall-clock ``timeout_s`` watchdog
-  bounds hangs (``future.result(timeout)`` under a pool, a ``SIGALRM``
-  timer sequentially); transient pool failures are retried with
-  exponential backoff on a fresh pool; Ctrl-C cancels outstanding work
-  and raises :class:`SweepInterrupted` carrying every result completed
-  so far, so the caller can still write its manifest.
+  bounds hangs (timed from the job's hand-off to an idle worker under a
+  pool, a ``SIGALRM`` timer sequentially); transient pool failures are
+  retried with exponential backoff on a fresh pool; Ctrl-C cancels
+  outstanding work and raises :class:`SweepInterrupted` carrying every
+  result completed so far, so the caller can still write its manifest.
 
 :func:`execute_job` is the pool entry point; it is a module-level
 function taking picklable arguments — the job's id and seed plus one
@@ -39,8 +39,8 @@ import signal
 import threading
 import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, CancelledError, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -58,7 +58,6 @@ __all__ = [
     "SweepInterrupted",
     "execute_job",
     "job_variant",
-    "run_many",
     "run_specs",
 ]
 
@@ -66,7 +65,8 @@ __all__ = [
 #: ``"error"`` — the experiment itself raised (deterministic; never
 #: retried), ``"timeout"`` — the watchdog expired while the job ran
 #: (treated as deterministic; not retried), ``"pool"`` — the worker or
-#: pool failed before the job could report (transient; retried),
+#: pool failed before the job could report, or the job never got a
+#: worker because every one was held by a hung job (transient; retried),
 #: ``"corrupt"`` — the job reported, but its payload failed integrity
 #: verification (the fleet fold's digest check; healed by quarantine
 #: re-runs, not round retries), ``"interrupted"`` — the sweep was
@@ -154,8 +154,9 @@ class JobResult:
     #: than the primary submission (first result wins by index, so this
     #: is pure scheduling provenance — payloads are identical).
     hedge_won: bool = False
-    #: Wall-clock seconds between pool submission and worker pickup
-    #: (0 for sequential runs); the manifest's queue-time breakdown.
+    #: Wall-clock seconds from the start of the job's pool round (for a
+    #: hedge duplicate: its own submission) to worker pickup (0 for
+    #: sequential runs); the manifest's queue-time breakdown.
     queue_s: float = 0.0
     #: ``time.perf_counter()`` at worker pickup (system-wide monotonic
     #: clock, so the submitting process can subtract its submit stamp).
@@ -404,8 +405,9 @@ def _hard_shutdown(pool: ProcessPoolExecutor) -> None:
     forever behind a worker stuck in a hung experiment, so after a
     watchdog expiry or Ctrl-C the workers are terminated outright.
     """
-    pool.shutdown(wait=False, cancel_futures=True)
+    # Snapshot the workers first: shutdown() drops the pool's table.
     processes = dict(getattr(pool, "_processes", None) or {})
+    pool.shutdown(wait=False, cancel_futures=True)
     for process in processes.values():
         try:
             process.terminate()
@@ -501,88 +503,6 @@ def _sequential_round(
         resolve(index, job)
 
 
-def _pool_round(
-    indexed_specs: List[Tuple[int, Tuple[str, int]]],
-    jobs: int,
-    executor: Executor,
-    options: JobOptions,
-    timeout_s: Optional[float],
-    resolve: Callable[[int, JobResult], None],
-) -> None:
-    """Run a round on a fresh process pool, watchdogging each future.
-
-    Futures are awaited in submission order; each gets at least
-    ``timeout_s`` of wall clock since submission before being declared
-    dead.  A timed-out future that *cancels* never started (its worker
-    was occupied — a pool-level stall, retryable); one that refuses
-    cancellation is genuinely running, is classified ``"timeout"``, and
-    its worker is terminated with the pool at round end.
-    """
-    pool = ProcessPoolExecutor(max_workers=jobs)
-    hung = False
-    try:
-        futures = []
-        submitted_at: List[float] = []
-        for _index, (experiment_id, seed) in indexed_specs:
-            submitted_at.append(time.perf_counter())
-            futures.append(pool.submit(executor, experiment_id, seed, options))
-        for (index, (experiment_id, seed)), future, submit_stamp in zip(
-            indexed_specs, futures, submitted_at
-        ):
-            try:
-                if timeout_s is None:
-                    job = future.result()
-                else:
-                    job = future.result(timeout_s)
-                if job.started_monotonic:
-                    # perf_counter is system-wide monotonic, so the
-                    # worker's pickup stamp is comparable to ours.
-                    job.queue_s = max(0.0, job.started_monotonic - submit_stamp)
-            except FutureTimeoutError:
-                if future.cancel():
-                    job = JobResult(
-                        experiment_id=experiment_id,
-                        seed=seed,
-                        error=(
-                            f"pool stall: {experiment_id} (seed {seed}) never "
-                            f"started within {timeout_s:.1f}s (workers occupied)"
-                        ),
-                        failure_kind="pool",
-                    )
-                else:
-                    hung = True
-                    job = JobResult(
-                        experiment_id=experiment_id,
-                        seed=seed,
-                        wall_s=float(timeout_s),
-                        error=(
-                            f"watchdog: {experiment_id} (seed {seed}) exceeded "
-                            f"{timeout_s:.1f}s in a worker; worker terminated"
-                        ),
-                        failure_kind="timeout",
-                    )
-            except KeyboardInterrupt:
-                raise
-            except Exception:
-                # The worker process died (OOM, BrokenProcessPool, an
-                # unpicklable result) before execute_job could report —
-                # surface that as a per-job failure, not a lost sweep.
-                job = JobResult(
-                    experiment_id=experiment_id,
-                    seed=seed,
-                    error=traceback.format_exc(),
-                    failure_kind="pool",
-                )
-            resolve(index, job)
-    except BaseException:
-        _hard_shutdown(pool)
-        raise
-    if hung:
-        _hard_shutdown(pool)
-    else:
-        pool.shutdown(wait=True)
-
-
 def _percentile(values: Sequence[float], q: float) -> float:
     """Nearest-rank percentile (no interpolation; robust for small n)."""
     ordered = sorted(values)
@@ -592,40 +512,57 @@ def _percentile(values: Sequence[float], q: float) -> float:
     return ordered[min(position, len(ordered) - 1)]
 
 
-def _hedged_pool_round(
+#: Straggler hedging (``hedge=True``): once this many jobs of a round
+#: have completed, a job out longer than ``HEDGE_FACTOR`` x their p95
+#: wall time gets one speculative duplicate.
+HEDGE_MIN_COMPLETED = 3
+HEDGE_FACTOR = 1.5
+#: How often the pool round wakes to run its watchdog and hedging.
+POLL_S = 0.05
+
+
+def _pool_round(
     indexed_specs: List[Tuple[int, Tuple[str, int]]],
     jobs: int,
     executor: Executor,
     options: JobOptions,
     timeout_s: Optional[float],
     resolve: Callable[[int, JobResult], None],
-    hedge: dict,
+    hedge: bool,
 ) -> None:
-    """A pool round with straggler hedging: first result wins by index.
+    """Run a round on a fresh pool of ``jobs`` workers.
 
-    Once ``min_completed`` jobs have finished, any job still
-    outstanding after ``factor`` x p95 of the completed wall times gets
-    one speculative duplicate submitted (at most one hedge per job).
-    Whichever submission reports first is the job's result; the loser
-    is cancelled, or terminated with the pool at round end if already
-    running.  Because jobs are deterministic, primary and hedge
-    payloads are identical — hedging can change wall-clock and
-    scheduling provenance (``hedge_won``), never results or digests.
-    Under chaos, hedge duplicates draw from the
-    :data:`~repro.chaos.engine.HEDGE_ATTEMPT_BASE` attempt channel, so
-    a fault windowed to early attempts provably cannot fire on the
-    hedge sent to heal it.
+    At most ``jobs`` submissions are live (submitted, future not done),
+    and the next pending spec goes out, in ``indexed_specs`` order, only
+    when a slot frees.  Every submission therefore starts on an idle
+    worker, so the watchdog, timed from submission, measures time spent
+    in a worker and never time spent queued.  After ``timeout_s`` a
+    submission that still cancels never started (a ``"pool"`` stall,
+    retryable); one that refuses is a ``"timeout"`` and keeps its slot,
+    because its worker is busy, until the worker is terminated with the
+    pool at round end.  A spec whose ``submit()`` raises, or which is
+    still pending when every slot holds a hung submission, is a
+    ``"pool"`` failure too, retried on a fresh pool.
 
-    A job fails only when *all* its submissions are exhausted; the
-    per-future watchdog classifications (``"pool"`` for a never-started
-    submission, ``"timeout"`` for a hung one) are the same as the plain
-    pool round's.
+    With ``hedge``, once :data:`HEDGE_MIN_COMPLETED` jobs have finished,
+    a job out longer than :data:`HEDGE_FACTOR` x p95 of the completed
+    wall times gets one speculative duplicate, sent only when no spec
+    is pending and a slot is free.  Whichever submission reports first
+    is the job's result; the loser is cancelled, or terminated with the
+    pool at round end if already running.  Because jobs are
+    deterministic, primary and hedge payloads are identical — hedging
+    can change wall-clock and scheduling provenance (``hedge_won``),
+    never results or digests.  Under chaos, hedge duplicates draw from
+    the :data:`~repro.chaos.engine.HEDGE_ATTEMPT_BASE` attempt channel,
+    so a fault windowed to early attempts provably cannot fire on the
+    hedge sent to heal it.  A job fails only when *all* its submissions
+    are exhausted.
+
+    ``queue_s`` is worker pickup minus the round's start for a primary,
+    and minus the duplicate's own submission for a hedge.
     """
-    factor = float(hedge.get("factor", 1.5))
-    min_completed = max(1, int(hedge.get("min_completed", 3)))
-    poll_s = float(hedge.get("poll_s", 0.05))
     hedge_options = options
-    if options.chaos is not None:
+    if hedge and options.chaos is not None:
         hedge_options = replace(
             options,
             chaos=dict(
@@ -635,14 +572,24 @@ def _hedged_pool_round(
         )
 
     pool = ProcessPoolExecutor(max_workers=jobs)
-    spec_by_index = {index: spec for index, spec in indexed_specs}
-    meta: dict = {}  # future -> (index, is_hedge, submit_stamp)
-    open_futures: dict = {index: set() for index, _ in indexed_specs}
-    provisional: dict = {}  # index -> failure JobResult awaiting siblings
-    hedge_counts: dict = {index: 0 for index, _ in indexed_specs}
-    unresolved = {index for index, _ in indexed_specs}
+    round_started = time.perf_counter()
+    spec_by_index = dict(indexed_specs)
+    pending = deque(spec_by_index)
+    live: dict = {}  # future -> (index, is_hedge, submit_stamp) until done
+    open_futures: dict = {index: set() for index in spec_by_index}
+    hung: set = set()  # live futures the watchdog gave up on
+    hedged: set = set()
+    unresolved = set(spec_by_index)
     completed_elapsed: List[float] = []
-    hung = False
+
+    def pool_failure(index: int, error: str) -> JobResult:
+        experiment_id, seed = spec_by_index[index]
+        return JobResult(
+            experiment_id=experiment_id,
+            seed=seed,
+            error=error,
+            failure_kind="pool",
+        )
 
     def submit(index: int, is_hedge: bool) -> None:
         experiment_id, seed = spec_by_index[index]
@@ -652,148 +599,126 @@ def _hedged_pool_round(
             seed,
             hedge_options if is_hedge else options,
         )
-        meta[future] = (index, is_hedge, time.perf_counter())
+        live[future] = (index, is_hedge, time.perf_counter())
         open_futures[index].add(future)
 
     def settle(index: int, job: JobResult) -> None:
-        job.hedges = hedge_counts[index]
+        job.hedges = int(index in hedged)
         resolve(index, job)
         unresolved.discard(index)
-        provisional.pop(index, None)
-        for loser in list(open_futures[index]):
+        for loser in open_futures[index]:
             loser.cancel()  # refused = running; terminated at round end
+        open_futures[index] = set()
 
     def fail(index: int, failure: JobResult) -> None:
-        if open_futures[index]:
-            provisional[index] = failure  # a sibling may still win
-        else:
+        if not open_futures[index]:  # else a sibling may still win
             settle(index, failure)
 
     try:
-        for index, (experiment_id, seed) in indexed_specs:
-            try:
-                submit(index, False)
-            except Exception:
-                fail(
-                    index,
-                    JobResult(
-                        experiment_id=experiment_id,
-                        seed=seed,
-                        error=traceback.format_exc(),
-                        failure_kind="pool",
-                    ),
-                )
         while unresolved:
-            outstanding = {
-                future
-                for index in unresolved
-                for future in open_futures[index]
-                if not future.done()
-            }
-            if not outstanding:
-                for index in sorted(unresolved):
-                    experiment_id, seed = spec_by_index[index]
-                    failure = provisional.get(index) or JobResult(
-                        experiment_id=experiment_id,
-                        seed=seed,
-                        error="hedged round: every submission was lost",
-                        failure_kind="pool",
-                    )
-                    settle(index, failure)
-                break
-            done, _ = futures_wait(
-                outstanding, timeout=poll_s, return_when=FIRST_COMPLETED
-            )
-            now = time.perf_counter()
-            for future in done:
-                index, is_hedge, stamp = meta[future]
-                open_futures[index].discard(future)
-                if index not in unresolved:
-                    continue
-                experiment_id, seed = spec_by_index[index]
+            while pending and len(live) < jobs:
+                index = pending.popleft()
                 try:
-                    job = future.result(0)
-                except (KeyboardInterrupt, SystemExit):
-                    raise
-                except (Exception, CancelledError):
+                    submit(index, False)
+                except Exception:
+                    fail(index, pool_failure(index, traceback.format_exc()))
+            if pending and len(hung) >= jobs:
+                for index in pending:
+                    experiment_id, seed = spec_by_index[index]
                     fail(
                         index,
-                        JobResult(
-                            experiment_id=experiment_id,
-                            seed=seed,
-                            error=traceback.format_exc(),
-                            failure_kind="pool",
+                        pool_failure(
+                            index,
+                            f"pool stall: {experiment_id} (seed {seed}) never "
+                            f"got a worker (all {jobs} held by hung jobs)",
                         ),
                     )
-                    continue
-                if job.started_monotonic:
-                    job.queue_s = max(0.0, job.started_monotonic - stamp)
-                job.hedge_won = is_hedge
-                completed_elapsed.append(now - stamp)
-                settle(index, job)
-            if timeout_s is not None:
-                for index in sorted(unresolved):
-                    experiment_id, seed = spec_by_index[index]
-                    for future in list(open_futures[index]):
-                        _i, _h, stamp = meta[future]
-                        if future.done() or now - stamp <= timeout_s:
-                            continue
-                        open_futures[index].discard(future)
-                        if future.cancel():
-                            failure = JobResult(
-                                experiment_id=experiment_id,
-                                seed=seed,
-                                error=(
-                                    f"pool stall: {experiment_id} "
-                                    f"(seed {seed}) never started within "
-                                    f"{timeout_s:.1f}s (workers occupied)"
-                                ),
-                                failure_kind="pool",
-                            )
-                        else:
-                            hung = True
-                            failure = JobResult(
-                                experiment_id=experiment_id,
-                                seed=seed,
-                                wall_s=float(timeout_s),
-                                error=(
-                                    f"watchdog: {experiment_id} "
-                                    f"(seed {seed}) exceeded "
-                                    f"{timeout_s:.1f}s in a worker; "
-                                    f"worker terminated"
-                                ),
-                                failure_kind="timeout",
-                            )
-                        fail(index, failure)
-            if len(completed_elapsed) >= min_completed:
+                pending.clear()
+            if (
+                hedge
+                and not pending
+                and len(completed_elapsed) >= HEDGE_MIN_COMPLETED
+            ):
                 threshold = max(
-                    factor * _percentile(completed_elapsed, 0.95), 1e-3
+                    HEDGE_FACTOR * _percentile(completed_elapsed, 0.95), 1e-3
                 )
+                now = time.perf_counter()
                 for index in sorted(unresolved):
-                    if hedge_counts[index] or not open_futures[index]:
+                    if len(live) >= jobs:
+                        break
+                    if index in hedged or not open_futures[index]:
                         continue
-                    oldest = min(
-                        meta[future][2] for future in open_futures[index]
-                    )
+                    oldest = min(live[f][2] for f in open_futures[index])
                     if now - oldest <= threshold:
                         continue
+                    hedged.add(index)
                     try:
                         submit(index, True)
-                        hedge_counts[index] += 1
                     except Exception:
                         # Pool broken mid-round; outstanding futures
                         # will surface it, stop hedging into the wreck.
-                        hedge_counts[index] += 1
+                        pass
+            if not unresolved:
+                break
+            done, _ = futures_wait(
+                live, timeout=POLL_S, return_when=FIRST_COMPLETED
+            )
+            now = time.perf_counter()
+            for future in done:
+                index, is_hedge, stamp = live.pop(future)
+                hung.discard(future)
+                if future not in open_futures[index]:
+                    continue  # a settled job's loser, or timed out: slot freed
+                open_futures[index].discard(future)
+                try:
+                    job = future.result(0)
+                except Exception:
+                    # The worker process died (OOM, BrokenProcessPool, an
+                    # unpicklable result) before the job could report.
+                    fail(index, pool_failure(index, traceback.format_exc()))
+                    continue
+                if job.started_monotonic:
+                    # perf_counter is system-wide monotonic, so the
+                    # worker's pickup stamp is comparable to ours.
+                    queued_from = stamp if is_hedge else round_started
+                    job.queue_s = max(0.0, job.started_monotonic - queued_from)
+                job.hedge_won = is_hedge
+                completed_elapsed.append(now - stamp)
+                settle(index, job)
+            if timeout_s is None:
+                continue
+            for future, (index, _, stamp) in list(live.items()):
+                if future not in open_futures[index]:
+                    continue  # already timed out, or a settled job's loser
+                if now - stamp <= timeout_s:
+                    continue
+                open_futures[index].discard(future)
+                experiment_id, seed = spec_by_index[index]
+                if future.cancel():
+                    failure = pool_failure(
+                        index,
+                        f"pool stall: {experiment_id} (seed {seed}) never "
+                        f"started within {timeout_s:.1f}s (workers occupied)",
+                    )
+                else:
+                    hung.add(future)
+                    failure = JobResult(
+                        experiment_id=experiment_id,
+                        seed=seed,
+                        wall_s=float(timeout_s),
+                        error=(
+                            f"watchdog: {experiment_id} (seed {seed}) "
+                            f"exceeded {timeout_s:.1f}s in a worker; "
+                            f"worker terminated"
+                        ),
+                        failure_kind="timeout",
+                    )
+                fail(index, failure)
     except BaseException:
         _hard_shutdown(pool)
         raise
-    leftovers = [
-        future
-        for futures_set in open_futures.values()
-        for future in futures_set
-        if not future.done() and not future.cancel()
-    ]
-    if hung or leftovers:
+    running = [f for f in live if not f.done() and not f.cancel()]
+    if running:
         _hard_shutdown(pool)
     else:
         pool.shutdown(wait=True)
@@ -817,13 +742,15 @@ def run_specs(
     fast_forward: bool = True,
     executor: Optional[Executor] = None,
     chaos: Optional[dict] = None,
-    hedge: Optional[dict] = None,
+    hedge: bool = False,
 ) -> List[JobResult]:
     """Execute an explicit ``(experiment_id, seed)`` job list.
 
-    This is :func:`run_many` without the cross-product construction —
-    what ``--resume`` needs, since the jobs left over from a partial
-    sweep are rarely a full ``ids × seeds`` rectangle.
+    ``jobs`` is the worker count (default ``os.cpu_count()``, clamped
+    to the number of jobs; ``1`` runs everything sequentially in this
+    process).  A sweep over ``ids × seeds`` passes the id-major list
+    ``[(id, seed) for id in ids for seed in seeds]``; ``--resume``
+    passes whatever jobs a partial sweep left over.
 
     ``timeout_s`` is the per-job wall-clock watchdog; ``retries`` is
     how many extra rounds transient (``failure_kind == "pool"``)
@@ -853,11 +780,10 @@ def run_specs(
     (:func:`repro.chaos.engine.chaos_payload`); each round stamps it
     with its attempt number (plus the payload's ``attempt_base``) so
     workers draw their fault schedule from the right ``(job, attempt)``
-    stream.  ``hedge`` (``{"factor": float, "min_completed": int}``)
-    enables straggler hedging on pool rounds: jobs outstanding past
-    ``factor`` x p95 of completed wall times get one speculative
-    duplicate, first result winning by index (see
-    :func:`_hedged_pool_round`); it is ignored when ``jobs == 1``.
+    stream.  ``hedge`` enables straggler hedging on pool rounds: a job
+    outstanding past 1.5 x p95 of completed wall times gets one
+    speculative duplicate on a free worker, first result winning by
+    index (see :func:`_pool_round`); it is ignored when ``jobs == 1``.
     """
     specs = list(specs)
     options = JobOptions(
@@ -921,16 +847,6 @@ def run_specs(
                 _sequential_round(
                     indexed, executor, round_options, timeout_s, resolve
                 )
-            elif hedge is not None:
-                _hedged_pool_round(
-                    indexed,
-                    min(jobs, len(indexed)),
-                    executor,
-                    round_options,
-                    timeout_s,
-                    resolve,
-                    hedge,
-                )
             else:
                 _pool_round(
                     indexed,
@@ -939,6 +855,7 @@ def run_specs(
                     round_options,
                     timeout_s,
                     resolve,
+                    hedge,
                 )
     except KeyboardInterrupt:
         snapshot: List[JobResult] = []
@@ -956,53 +873,3 @@ def run_specs(
 
     return list(results)
 
-
-def run_many(
-    ids: Sequence[str],
-    seeds: Sequence[int],
-    *,
-    jobs: Optional[int] = None,
-    cache: Optional[RunCache] = None,
-    refresh: bool = False,
-    on_result: Optional[Callable[[JobResult], None]] = None,
-    timeout_s: Optional[float] = None,
-    retries: int = 0,
-    backoff_s: float = 1.0,
-    sleep: Callable[[float], None] = time.sleep,
-    run_kwargs: Optional[dict] = None,
-    checkpoint_dir: Optional[str] = None,
-    checkpoint_interval: int = 1,
-    obs: Optional[dict] = None,
-    fast_forward: bool = True,
-    chaos: Optional[dict] = None,
-    hedge: Optional[dict] = None,
-) -> List[JobResult]:
-    """Execute the ``ids × seeds`` sweep and return ordered results.
-
-    ``jobs`` is the worker count (default ``os.cpu_count()``, clamped
-    to the number of jobs; ``1`` runs everything sequentially in this
-    process).  ``on_result`` is invoked once per job in submission
-    order — under a pool, as soon as each next-in-order job finishes —
-    which is how the CLI streams reports while later jobs still run.
-    Hardening knobs (``timeout_s``/``retries``/``backoff_s``) are
-    documented on :func:`run_specs`, which this wraps.
-    """
-    specs = [(experiment_id, seed) for experiment_id in ids for seed in seeds]
-    return run_specs(
-        specs,
-        jobs=jobs,
-        cache=cache,
-        refresh=refresh,
-        on_result=on_result,
-        timeout_s=timeout_s,
-        retries=retries,
-        backoff_s=backoff_s,
-        sleep=sleep,
-        run_kwargs=run_kwargs,
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_interval=checkpoint_interval,
-        obs=obs,
-        fast_forward=fast_forward,
-        chaos=chaos,
-        hedge=hedge,
-    )

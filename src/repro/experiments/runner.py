@@ -471,9 +471,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--hedge",
         action="store_true",
         help=(
-            "enable straggler hedging in fleet sweeps: once enough batches "
-            "have finished to know p95 wall time, re-issue the slowest "
-            "outstanding batch and take whichever copy finishes first"
+            "enable straggler hedging in fleet sweeps: once three batches "
+            "have finished, re-issue a batch outstanding past 1.5x their "
+            "p95 wall time on a free worker and take whichever copy "
+            "finishes first"
         ),
     )
     parser.add_argument(

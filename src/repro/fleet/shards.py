@@ -42,7 +42,7 @@ import re
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from ..core.runcache import RunCache, code_version, variant_key
 from ..core.serialize import cache_entry_to_dict, experiment_to_dict
@@ -106,6 +106,10 @@ def execute_fleet_batch(job_id: str, seed: int, options: JobOptions):
     bytes however many events the batch's sessions produced; no
     per-event data survives the worker.
 
+    Fleet batches do not read ``options.obs``: each session gets its
+    stage envelopes from :func:`~repro.fleet.session.run_session`'s own
+    observability handling.
+
     ``options.chaos`` enters this batch into a
     :func:`~repro.chaos.engine.chaos_harness`: the worker may crash,
     hang, straggle or sabotage its artifact writes before/around the
@@ -134,7 +138,6 @@ def _fleet_batch_job(job_id: str, seed: int, options: JobOptions, active_chaos):
 
     cache = options.cache
     run_kwargs = options.run_kwargs or {}
-    obs = options.obs
     started = time.perf_counter()
     try:
         start, stop = _parse_batch_id(job_id)
@@ -145,8 +148,7 @@ def _fleet_batch_job(job_id: str, seed: int, options: JobOptions, active_chaos):
                 f"batch seed {seed} disagrees with population seed {config.seed}"
             )
         variant = _batch_variant(config, compression)
-        want_obs = bool(obs and (obs.get("trace") or obs.get("metrics")))
-        if cache is not None and not options.refresh and not want_obs:
+        if cache is not None and not options.refresh:
             entry = cache.load(job_id, seed, variant)
             if entry is not None:
                 return JobResult(
@@ -160,26 +162,15 @@ def _fleet_batch_job(job_id: str, seed: int, options: JobOptions, active_chaos):
                     payload=entry["payload"],
                 )
 
-        session = None
-        if want_obs:
-            from ..obs import runtime as obs_runtime
-
-            session = obs_runtime.start_session(
-                trace=bool(obs.get("trace")), metrics=bool(obs.get("metrics"))
-            )
-        try:
-            population = SessionPopulation(config)
-            aggregator = FleetAggregator(compression)
-            faults = 0
-            for index in range(start, stop):
-                if active_chaos is not None:
-                    active_chaos.check_poison(index)
-                result = run_session(population.spec(index))
-                aggregator.add_session(result)
-                faults += result.faults_injected
-        finally:
-            if session is not None:
-                obs_runtime.stop_session()
+        population = SessionPopulation(config)
+        aggregator = FleetAggregator(compression)
+        faults = 0
+        for index in range(start, stop):
+            if active_chaos is not None:
+                active_chaos.check_poison(index)
+            result = run_session(population.spec(index))
+            aggregator.add_session(result)
+            faults += result.faults_injected
         wall = time.perf_counter() - started
 
         result = ExperimentResult(
@@ -192,14 +183,6 @@ def _fleet_batch_job(job_id: str, seed: int, options: JobOptions, active_chaos):
             "sessions": stop - start,
             "faults_injected": faults,
         }
-        trace_dict = None
-        metrics_snapshot = None
-        if session is not None:
-            if session.tracer is not None:
-                from ..obs.perfetto import chrome_trace
-
-                trace_dict = chrome_trace(session.tracer, label=job_id)
-            metrics_snapshot = session.metrics_snapshot()
         if cache is not None:
             cache.store(
                 cache_entry_to_dict(
@@ -219,8 +202,6 @@ def _fleet_batch_job(job_id: str, seed: int, options: JobOptions, active_chaos):
             rendered=result.render(),
             checks=[],
             payload=experiment_to_dict(result),
-            trace=trace_dict,
-            metrics=metrics_snapshot,
         )
     except Exception:
         log.warning(f"fleet batch {job_id} raised; returning error result")
@@ -494,10 +475,9 @@ def run_fleet(
     backoff_s: float = 1.0,
     checkpoint=None,
     batch_order: Optional[Sequence[int]] = None,
-    on_batch: Optional[Callable[[dict], None]] = None,
     chaos=None,
     chaos_seed: int = 0,
-    hedge=None,
+    hedge: bool = False,
     quarantine: bool = True,
     breaker_threshold: int = 3,
 ) -> FleetResult:
@@ -521,8 +501,9 @@ def run_fleet(
     :class:`~repro.chaos.plan.ChaosPlan` or a scenario name from
     :func:`repro.chaos.scenarios.get_chaos_scenario`) plus
     ``chaos_seed`` inject deterministic harness faults into batch
-    workers.  ``hedge`` (``True`` for defaults, or a ``{"factor",
-    "min_completed"}`` dict) enables straggler hedging on pool rounds.
+    workers.  ``hedge`` enables straggler hedging on pool rounds: a
+    batch out past 1.5 x p95 of completed batch wall times gets one
+    duplicate on a free worker, and the first result wins.
     ``quarantine`` (on by default) drives the recovery stage: every
     batch still failed after retries is re-run once and, if it fails
     deterministically, bisected down to session granularity — transient
@@ -560,10 +541,6 @@ def run_fleet(
         if isinstance(chaos, ChaosPlan)
         else None
     )
-    if hedge is True:
-        hedge = {"factor": 1.5, "min_completed": 3}
-    elif not hedge:
-        hedge = None
 
     aggregator = FleetAggregator(compression)
     batch_stats: List[dict] = []
@@ -633,8 +610,6 @@ def run_fleet(
             "source": "cache" if job.cache_hit else "run",
         }
         batch_stats.append(stat)
-        if on_batch is not None:
-            on_batch(stat)
         # Streaming: the merged sketch owns the state now.
         job.payload = None
         job.rendered = ""
@@ -701,8 +676,6 @@ def run_fleet(
                 "source": "recovery",
             }
             batch_stats.append(stat)
-            if on_batch is not None:
-                on_batch(stat)
 
         def _rerun(start: int, stop: int, depth: int):
             """Re-run ``[start, stop)`` once, in-process, on the

@@ -219,7 +219,7 @@ def test_hedging_beats_straggler_and_preserves_digest(clean):
         batch_size=5,
         chaos=ChaosPlan.from_dict(plan.to_dict()),
         chaos_seed=seed,
-        hedge={"factor": 2.0, "min_completed": 2, "poll_s": 0.02},
+        hedge=True,
     )
     elapsed = time.perf_counter() - started
     _assert_healed(fleet, clean)

@@ -7,13 +7,18 @@ structured failure record, transient pool losses are retried with
 exponential backoff, Ctrl-C still writes a manifest, and ``--resume``
 re-runs exactly the jobs the previous sweep did not finish.
 
-Real-hang tests need the fork start method (the monkeypatched registry
-must reach pool workers) and are skipped elsewhere; everything else
-uses in-process fakes and runs anywhere.
+Real-hang tests through the CLI need the fork start method (the
+monkeypatched registry must reach pool workers) and are skipped
+elsewhere; the pool-round tests pass a module-level executor instead,
+and everything else uses in-process fakes.
 """
 
 import multiprocessing
+import os
 import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
@@ -99,23 +104,11 @@ def test_retries_must_be_nonnegative(capsys):
 # ----------------------------------------------------------------------
 # Retry with exponential backoff (transient pool failures only)
 # ----------------------------------------------------------------------
-class _FakeFuture:
-    def __init__(self, fn, args, fail):
-        self._fn, self._args, self._fail = fn, args, fail
-
-    def result(self, timeout=None):
-        if self._fail:
-            raise RuntimeError("worker lost (simulated)")
-        return self._fn(*self._args)
-
-    def cancel(self):
-        return False
-
-
 class _FlakyPool:
     """Every future of the first ``fail_rounds`` pools raises; later
     pools run the job in-process.  Class-level counter because
-    run_specs constructs a fresh pool per round."""
+    run_specs constructs a fresh pool per round.  ``submit`` returns a
+    real, already-resolved ``Future``, as ``futures.wait`` requires."""
 
     rounds = 0
     fail_rounds = 1
@@ -125,7 +118,12 @@ class _FlakyPool:
         self._fail = type(self).rounds <= type(self).fail_rounds
 
     def submit(self, fn, *args):
-        return _FakeFuture(fn, args, self._fail)
+        future = Future()
+        if self._fail:
+            future.set_exception(RuntimeError("worker lost (simulated)"))
+        else:
+            future.set_result(fn(*args))
+        return future
 
     def shutdown(self, wait=True, cancel_futures=False):
         pass
@@ -141,8 +139,8 @@ def flaky_pool(monkeypatch):
 def test_transient_pool_failure_retried_and_succeeds(flaky_pool):
     flaky_pool.fail_rounds = 1
     naps = []
-    results = parallel.run_many(
-        ["ablation-merge"], [0, 1], jobs=2, cache=None,
+    results = parallel.run_specs(
+        [("ablation-merge", 0), ("ablation-merge", 1)], jobs=2, cache=None,
         retries=2, backoff_s=0.5, sleep=naps.append,
     )
     assert [job.error for job in results] == [None, None]
@@ -153,8 +151,8 @@ def test_transient_pool_failure_retried_and_succeeds(flaky_pool):
 def test_backoff_doubles_per_round(flaky_pool):
     flaky_pool.fail_rounds = 99  # never recovers
     naps = []
-    results = parallel.run_many(
-        ["ablation-merge"], [0, 1], jobs=2, cache=None,
+    results = parallel.run_specs(
+        [("ablation-merge", 0), ("ablation-merge", 1)], jobs=2, cache=None,
         retries=2, backoff_s=1.0, sleep=naps.append,
     )
     for job in results:
@@ -167,8 +165,9 @@ def test_backoff_doubles_per_round(flaky_pool):
 def test_no_retries_by_default(flaky_pool):
     flaky_pool.fail_rounds = 1
     naps = []
-    results = parallel.run_many(
-        ["ablation-merge"], [0, 1], jobs=2, cache=None, sleep=naps.append
+    results = parallel.run_specs(
+        [("ablation-merge", 0), ("ablation-merge", 1)], jobs=2, cache=None,
+        sleep=naps.append,
     )
     for job in results:
         assert job.failure_kind == "pool"
@@ -179,8 +178,8 @@ def test_no_retries_by_default(flaky_pool):
 def test_deterministic_experiment_error_not_retried(monkeypatch):
     monkeypatch.setitem(registry.EXPERIMENTS, "fig1", _crash)
     naps = []
-    (job,) = parallel.run_many(
-        ["fig1"], [0], jobs=1, cache=None,
+    (job,) = parallel.run_specs(
+        [("fig1", 0)], jobs=1, cache=None,
         retries=3, backoff_s=1.0, sleep=naps.append,
     )
     assert job.failure_kind == "error"
@@ -191,13 +190,98 @@ def test_deterministic_experiment_error_not_retried(monkeypatch):
 def test_streaming_order_preserved_across_retries(flaky_pool):
     flaky_pool.fail_rounds = 1
     order = []
-    parallel.run_many(
-        ["fig4", "fig1"], [0], jobs=2, cache=None,
+    parallel.run_specs(
+        [("fig4", 0), ("fig1", 0)], jobs=2, cache=None,
         retries=1, backoff_s=0.0, sleep=lambda s: None,
         on_result=lambda job: order.append((job.experiment_id, job.error is None)),
     )
     # Both failed round 1, both retried; delivery stays submission-order.
     assert order == [("fig4", True), ("fig1", True)]
+
+
+# ----------------------------------------------------------------------
+# The pool round: at most one live submission per worker
+# ----------------------------------------------------------------------
+#: Sleep per id prefix for :func:`_napping_executor` (default 50 ms).
+_NAPS = {"hang": 60.0, "nap": 0.4}
+
+
+def _napping_executor(experiment_id, seed, options):
+    """Nap per :data:`_NAPS`; ``run_kwargs["pid_dir"]`` records the
+    worker's pid under the job id first."""
+    started = time.perf_counter()
+    if options.run_kwargs:
+        pid_file = Path(options.run_kwargs["pid_dir"]) / experiment_id
+        pid_file.write_text(str(os.getpid()))
+    time.sleep(_NAPS.get(experiment_id.split("-")[0], 0.05))
+    return parallel.JobResult(
+        experiment_id=experiment_id,
+        seed=seed,
+        rendered="ok",
+        started_monotonic=started,
+    )
+
+
+def test_queue_time_never_counts_against_the_watchdog():
+    """Eight 0.4 s jobs on two workers under a 1 s watchdog all finish:
+    each job is timed from its hand-off to an idle worker, and
+    ``queue_s`` is the wait before that hand-off."""
+    results = parallel.run_specs(
+        [(f"nap-{i}", 0) for i in range(8)],
+        jobs=2, timeout_s=1.0, hedge=True, executor=_napping_executor,
+    )
+    assert [job.failure_kind for job in results] == [None] * 8
+    expected = [0.0, 0.0, 0.4, 0.4, 0.8, 0.8, 1.2, 1.2]
+    for job, queued in zip(results, expected):
+        assert abs(job.queue_s - queued) < 0.2, (job.experiment_id, job.queue_s)
+
+
+def test_job_behind_hung_workers_is_retried():
+    """Two hung jobs hold both workers: the short job queued behind
+    them is a retryable pool failure, not a timeout, and runs on the
+    retry round's fresh pool."""
+    started = time.monotonic()
+    hang_a, hang_b, short = parallel.run_specs(
+        [("hang-a", 0), ("hang-b", 0), ("short", 0)],
+        jobs=2, timeout_s=0.5, retries=1, backoff_s=0.0,
+        sleep=lambda seconds: None, executor=_napping_executor,
+    )
+    assert time.monotonic() - started < 30
+    assert hang_a.attempt_history == ["timeout"]
+    assert hang_b.attempt_history == ["timeout"]
+    assert short.attempt_history == ["pool", "ok"]
+    assert short.error is None
+
+
+def test_hung_worker_is_terminated_at_round_end(tmp_path):
+    hung, short = parallel.run_specs(
+        [("hang-a", 0), ("short", 0)],
+        jobs=2, timeout_s=0.5, run_kwargs={"pid_dir": str(tmp_path)},
+        executor=_napping_executor,
+    )
+    assert hung.failure_kind == "timeout" and short.error is None
+    with pytest.raises(ProcessLookupError):
+        os.kill(int((tmp_path / "hang-a").read_text()), 0)
+
+
+class _BrokenPool:
+    """A pool that is already broken: every ``submit`` raises."""
+
+    def __init__(self, max_workers=None):
+        pass
+
+    def submit(self, fn, *args):
+        raise BrokenProcessPool("pool broke before the job was sent")
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+def test_failed_submit_is_a_pool_failure(monkeypatch):
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", _BrokenPool)
+    results = parallel.run_specs([("fig1", 0), ("fig4", 0)], jobs=2, cache=None)
+    assert [job.failure_kind for job in results] == ["pool", "pool"]
+    assert all("BrokenProcessPool" in job.error for job in results)
 
 
 # ----------------------------------------------------------------------
@@ -234,8 +318,8 @@ def test_sweep_interrupted_carries_snapshot():
     registry.EXPERIMENTS["fig4"] = _interrupt
     try:
         with pytest.raises(parallel.SweepInterrupted) as excinfo:
-            parallel.run_many(["fig1", "fig4", "ablation-merge"], [0],
-                              jobs=1, cache=None)
+            parallel.run_specs([("fig1", 0), ("fig4", 0), ("ablation-merge", 0)],
+                               jobs=1, cache=None)
     finally:
         registry.EXPERIMENTS["fig4"] = real
     snapshot = excinfo.value.results

@@ -5,6 +5,7 @@ under 0.2 s each) so the sweep matrix stays fast.
 """
 
 import multiprocessing
+from concurrent.futures import Future
 
 import pytest
 
@@ -43,9 +44,8 @@ def test_parallel_matches_sequential_bytes(tmp_path):
 
 def test_results_ordered_id_major(tmp_path):
     order = []
-    parallel.run_many(
-        ["fig4", "fig1"],
-        [0, 1],
+    parallel.run_specs(
+        [("fig4", 0), ("fig4", 1), ("fig1", 0), ("fig1", 1)],
         jobs=4,
         cache=None,
         on_result=lambda job: order.append((job.experiment_id, job.seed)),
@@ -237,25 +237,20 @@ def test_failing_experiment_surfaces_from_pool(tmp_path, monkeypatch, capsys):
 
 def test_broken_worker_becomes_job_error(monkeypatch):
     # Simulate the pool losing a worker entirely (the future raises).
-    class DoomedFuture:
-        def result(self, timeout=None):
-            raise RuntimeError("process pool died")
-
-        def cancel(self):
-            return True
-
     class DoomedPool:
         def __init__(self, max_workers=None):
             pass
 
         def submit(self, fn, *args):
-            return DoomedFuture()
+            future = Future()
+            future.set_exception(RuntimeError("process pool died"))
+            return future
 
         def shutdown(self, wait=True, cancel_futures=False):
             pass
 
     monkeypatch.setattr(parallel, "ProcessPoolExecutor", DoomedPool)
-    results = parallel.run_many(["fig1", "fig4"], [0], jobs=2, cache=None)
+    results = parallel.run_specs([("fig1", 0), ("fig4", 0)], jobs=2, cache=None)
     assert len(results) == 2
     for job in results:
         assert "process pool died" in job.error
