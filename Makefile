@@ -205,7 +205,9 @@ envelope-smoke:
 
 # CI gate for the fleet layer: a reduced ext-fleet sweep end to end
 # through the runner — the manifest must carry the merged-sketch
-# provenance, the stats subcommand must render the fleet block, and the
+# provenance, a run observed with sampled stage envelopes must record
+# the same fleet digest (fleet sessions ignore the caller's session),
+# the stats subcommand must render the fleet block, and the
 # fleet-report verb must produce the capacity plan.
 fleet-smoke:
 	rm -rf $(SMOKE_OUT) $(SMOKE_CACHE)
@@ -221,6 +223,14 @@ fleet-smoke:
 	assert fleet['merge'] == 'commutative-bucket-add', fleet; \
 	print('fleet manifest ok: %d sessions, digest %s' % \
 	      (fleet['sessions'], fleet['merged_digest']))"
+	$(PYTHON) -m repro.experiments ext-fleet --jobs 1 --stage-sample-rate 0.5 \
+		--save $(SMOKE_OUT)/sampled --cache-dir $(SMOKE_CACHE) --checks-only
+	$(PYTHON) -c "\
+	from repro.core.serialize import load_json; \
+	digest = lambda d: load_json(d + '/manifest.json')['experiments'][0]['fleet']['merged_digest']; \
+	plain, sampled = digest('$(SMOKE_OUT)'), digest('$(SMOKE_OUT)/sampled'); \
+	assert sampled == plain, 'sampled run changed the fleet digest: %s != %s' % (sampled, plain); \
+	print('sampled fleet digest ok: %s' % sampled)"
 	$(PYTHON) -m repro.experiments stats $(SMOKE_OUT)/manifest.json \
 		| grep -q "merged wait-time sketches"
 	$(PYTHON) -m repro.experiments fleet-report $(SMOKE_OUT) \

@@ -92,9 +92,10 @@ def run(seed: int = 0, chars: int = 60) -> ExperimentResult:
     stats = {}
     agreement = {}
     for os_name in ALL_OS:
-        # A private envelope-only session: no trace, no metrics, just
+        # A private envelope-only scope: no trace, no metrics, just
         # the per-event stage stamping (payloads are byte-identical
-        # either way — observability is determinism-neutral).
+        # either way — observability is determinism-neutral).  Its exit
+        # hands an observed job's session back.
         with observed(trace=False, metrics=False) as obs_session:
             session = MeasurementSession(os_name, NotepadApp, seed=seed)
             run_result = session.run(script, queuesync=False, max_seconds=300)

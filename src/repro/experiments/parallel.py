@@ -42,12 +42,14 @@ import traceback
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..chaos.engine import HEDGE_ATTEMPT_BASE, ChaosCrash, chaos_harness
 from ..core.runcache import RunCache, code_version, variant_key
 from ..core.serialize import cache_entry_to_dict, experiment_to_dict
+from ..obs import chrome_trace, get_logger, observed
 from ..sim.engine import fast_forward_scope
 from ..verify.checkpoint import Checkpointer, checkpoint_path
 from .registry import EXPERIMENTS, run_experiment
@@ -261,13 +263,17 @@ def execute_job(experiment_id: str, seed: int, options: JobOptions) -> JobResult
     pinned to this job's exact identity: a killed run resumes from its
     last snapshot, and a completed run discards it.
 
-    ``options.obs`` opens an observability session around the
-    execution and attaches the job-local Chrome trace, metrics snapshot
-    and stage-envelope snapshot to the result.  ``envelopes`` is the
-    :class:`~repro.obs.envelope.EnvelopeConfig` dict form (sample rate,
-    stage budgets).  An observed job bypasses cache *reads* — a cached
-    hit would yield no telemetry — but still writes its entry, which
-    determinism makes harmless.
+    ``options.obs`` runs the experiment inside an
+    :func:`~repro.obs.runtime.observed` scope, which restores the
+    caller's session on return, and attaches the job-local Chrome
+    trace, metrics snapshot and stage-envelope snapshot to the result.
+    ``envelopes`` is the :class:`~repro.obs.envelope.EnvelopeConfig`
+    dict form (sample rate, stage budgets).  Fleet sessions open their
+    own scopes, so a fleet experiment's payload is the same with or
+    without ``options.obs``, and its sessions add nothing to the job's
+    trace, metrics or stage snapshot.  An observed job bypasses
+    cache *reads* — a cached hit would yield no telemetry — but still
+    writes its entry, which determinism makes harmless.
     """
     with fast_forward_scope(options.fast_forward), chaos_harness(
         options.chaos, f"{experiment_id}:{seed}"
@@ -321,46 +327,40 @@ def _execute_job_inner(
             interval=options.checkpoint_interval,
         )
         kwargs = dict(kwargs, checkpoint=checkpointer)
-    session = None
-    if want_obs:
-        from ..obs import runtime as obs_runtime
-
-        session = obs_runtime.start_session(
+    scope = (
+        observed(
             trace=bool(obs.get("trace")),
             metrics=bool(obs.get("metrics")),
             envelopes=obs.get("envelopes"),
         )
-    try:
-        result = run_experiment(experiment_id, seed=seed, **kwargs)
-    except Exception:
-        if checkpointer is not None:
-            checkpointer.flush()  # keep partial progress for --resume
-        from ..obs.logging import get_logger
-
-        get_logger("repro.worker").warning(
-            f"job {experiment_id} (seed {seed}) raised; returning error result"
-        )
-        return JobResult(
-            experiment_id=experiment_id,
-            seed=seed,
-            wall_s=time.perf_counter() - started,
-            started_monotonic=started,
-            error=traceback.format_exc(),
-            failure_kind="error",
-            checkpoint_writes=checkpointer.writes if checkpointer else 0,
-            cache_evictions=_evictions(),
-        )
-    finally:
-        if session is not None:
-            obs_runtime.stop_session()
+        if want_obs
+        else nullcontext()
+    )
+    with scope as session:
+        try:
+            result = run_experiment(experiment_id, seed=seed, **kwargs)
+        except Exception:
+            if checkpointer is not None:
+                checkpointer.flush()  # keep partial progress for --resume
+            get_logger("repro.worker").warning(
+                f"job {experiment_id} (seed {seed}) raised; returning error result"
+            )
+            return JobResult(
+                experiment_id=experiment_id,
+                seed=seed,
+                wall_s=time.perf_counter() - started,
+                started_monotonic=started,
+                error=traceback.format_exc(),
+                failure_kind="error",
+                checkpoint_writes=checkpointer.writes if checkpointer else 0,
+                cache_evictions=_evictions(),
+            )
     wall = time.perf_counter() - started
     trace_dict = None
     metrics_snapshot = None
     stages_snapshot = None
     if session is not None:
         if session.tracer is not None:
-            from ..obs.perfetto import chrome_trace
-
             trace_dict = chrome_trace(
                 session.tracer, label=f"{experiment_id}/seed{seed}"
             )

@@ -53,6 +53,7 @@ from ..obs import (
     get_logger,
     merge_chrome_traces,
     merge_snapshots,
+    merge_stage_snapshots,
     prometheus_text,
     set_level,
 )
@@ -547,8 +548,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         help=(
             "fraction of input events to carry full stage envelopes for "
             "(0..1; default 1 when observability is on).  Sampling draws "
-            "from a dedicated forked RNG stream, so payloads, traces and "
-            "golden digests are byte-identical at every rate"
+            "from a dedicated forked RNG stream, so payloads and digests "
+            "(golden and fleet) are byte-identical at every rate; only a "
+            "trace's stage tracks follow the sample"
         ),
     )
     parser.add_argument(
@@ -868,28 +870,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
     # Stage-envelope roll-up: per-job attribution sketches merge
     # commutatively, so the sweep-wide breakdown is job-order free.
-    stage_snapshots = [job.stages for job in results if job.stages]
-    merged_stages: Optional[dict] = None
-    stage_alerts: List[dict] = []
-    if stage_snapshots:
-        from ..obs import StageAttribution
-
-        attribution = StageAttribution()
-        alerts_suppressed = 0
-        for snapshot in stage_snapshots:
-            attribution.merge(
-                StageAttribution.from_dict(snapshot["attribution"])
-            )
-            stage_alerts.extend(snapshot.get("alerts") or [])
-            alerts_suppressed += int(snapshot.get("alerts_suppressed") or 0)
-        merged_stages = attribution.to_dict()
-        merged_stages["alerts_suppressed"] = alerts_suppressed
-        if stage_alerts:
-            log.warning(
-                f"{len(stage_alerts)} stage budget alert(s) "
-                f"(+{alerts_suppressed} suppressed); see the manifest's "
-                f"obs.stage_alerts or `repro-experiments stats`"
-            )
+    merged_stages = merge_stage_snapshots(
+        [job.stages for job in results if job.stages]
+    )
+    if merged_stages is not None and merged_stages["alerts"]:
+        log.warning(
+            f"{len(merged_stages['alerts'])} stage budget alert(s) "
+            f"(+{merged_stages['alerts_suppressed']} suppressed); see the "
+            f"manifest's obs.stage_alerts or `repro-experiments stats`"
+        )
     if args.metrics_out:
         metrics_path = Path(args.metrics_out)
         if metrics_path.suffix == ".prom":
@@ -929,8 +918,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             "metrics": merged_metrics,
         }
         if merged_stages is not None:
-            manifest["obs"]["stages"] = merged_stages
-            manifest["obs"]["stage_alerts"] = stage_alerts
+            manifest["obs"]["stages"] = dict(
+                merged_stages["attribution"],
+                alerts_suppressed=merged_stages["alerts_suppressed"],
+            )
+            manifest["obs"]["stage_alerts"] = merged_stages["alerts"]
         save_json(manifest, save_dir / "manifest.json")
 
     errors = sum(1 for entry in entries if entry.get("error") is not None)

@@ -22,7 +22,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from ..apps.base import InteractiveApp
 from ..core import EventExtractor, IdleLoopInstrument, MessageApiMonitor
 from ..faults import FaultInjector, get_scenario
-from ..obs import runtime as obs_runtime
+from ..obs.runtime import observed
 from ..sim.timebase import ns_from_ms
 from ..winsys import boot
 from ..winsys.syscalls import SyncWrite, Syscall
@@ -196,22 +196,19 @@ def run_session(spec: SessionSpec) -> SessionResult:
     with equal specs return equal results — the property batch caching
     and the shard-permutation determinism test rely on.
 
-    Every session runs under an observability session (a private
-    trace-less, metric-less one when the caller hasn't opened any) so
-    stage envelopes are always recorded: the per-stage sketches in
-    :attr:`SessionResult.envelopes` are what the fleet aggregate's
-    bottleneck attribution is built from.
+    Every session runs in its own trace-less, metric-less
+    :func:`~repro.obs.runtime.observed` scope with default envelopes,
+    so stage envelopes are always recorded in full: the per-stage
+    sketches in :attr:`SessionResult.envelopes` are what the fleet
+    aggregate's bottleneck attribution is built from.  The scope hides
+    any session the caller has open, so the caller's sample rate or
+    budgets never change the result, and the session adds nothing to
+    the caller's trace, metrics or stage roll-up.
     """
-    owns_obs = not obs_runtime.active()
-    if owns_obs:
-        obs_runtime.start_session(trace=False, metrics=False)
-    try:
+    with observed(trace=False, metrics=False):
         if APP_PROFILES[spec.profile].get("remote"):
             return _run_remote_session(spec, APP_PROFILES[spec.profile])
         return _run_local_session(spec)
-    finally:
-        if owns_obs:
-            obs_runtime.stop_session()
 
 
 def _run_local_session(spec: SessionSpec) -> SessionResult:

@@ -106,9 +106,10 @@ def execute_fleet_batch(job_id: str, seed: int, options: JobOptions):
     bytes however many events the batch's sessions produced; no
     per-event data survives the worker.
 
-    Fleet batches do not read ``options.obs``: each session gets its
-    stage envelopes from :func:`~repro.fleet.session.run_session`'s own
-    observability handling.
+    Fleet batches do not read ``options.obs``: each session records
+    its stage envelopes in the private scope
+    :func:`~repro.fleet.session.run_session` opens, which hides any
+    session open in this process.
 
     ``options.chaos`` enters this batch into a
     :func:`~repro.chaos.engine.chaos_harness`: the worker may crash,

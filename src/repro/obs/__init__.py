@@ -22,10 +22,13 @@ unified observability layer for both sides of the house:
 
 Observability is *always compiled in but pay-for-use*: every
 instrumentation hook sits behind either an ``is None`` guard or a no-op
-null sink, and nothing activates unless a session is started via
-:mod:`~repro.obs.runtime` (the runner's ``--trace-out`` /
-``--metrics-out`` flags, or :func:`~repro.obs.runtime.observed` in
-tests).  The disabled path is benchmarked (<5% overhead) by
+null sink, and nothing activates outside an
+:func:`~repro.obs.runtime.observed` scope (opened per job by the
+runner's ``--trace-out`` / ``--metrics-out`` / stage flags, per session
+by the fleet, or directly in tests).  Scopes nest and restore the
+enclosing session on exit, so an owner that opens its own scope — every
+fleet session does — never feeds the caller's trace, metrics or stage
+roll-up.  The disabled path is benchmarked (<5% overhead) by
 ``benchmarks/test_obs_overhead.py``.
 
 Tracing and metrics never perturb simulation semantics: they read the
@@ -34,7 +37,11 @@ payloads and golden digests are byte-identical with observability on
 or off (``tests/test_obs_determinism.py`` pins this).
 """
 
-from .attribution import StageAttribution, dominant_stage_of
+from .attribution import (
+    StageAttribution,
+    dominant_stage_of,
+    merge_stage_snapshots,
+)
 from .envelope import STAGES, EnvelopeConfig, EnvelopeRecorder, StageEnvelope
 from .logging import LEVELS, StructuredLogger, get_logger, set_level
 from .metrics import (
@@ -44,7 +51,7 @@ from .metrics import (
     prometheus_text,
 )
 from .perfetto import chrome_trace, merge_chrome_traces, validate_chrome_trace
-from .runtime import ObsSession, active, observed, start_session, stop_session
+from .runtime import ObsSession, observed
 from .tracer import NULL_TRACER, NullTracer, TraceEvent, Tracer
 
 __all__ = [
@@ -62,16 +69,14 @@ __all__ = [
     "StructuredLogger",
     "TraceEvent",
     "Tracer",
-    "active",
     "dominant_stage_of",
     "chrome_trace",
     "get_logger",
     "merge_chrome_traces",
     "merge_snapshots",
+    "merge_stage_snapshots",
     "observed",
     "prometheus_text",
     "set_level",
-    "start_session",
-    "stop_session",
     "validate_chrome_trace",
 ]

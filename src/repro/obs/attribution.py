@@ -16,6 +16,10 @@ remote scenario the same question-answering surface:
   land on byte-identical digests (the same contract as
   :class:`~repro.fleet.sketch.FleetAggregator`).
 
+:func:`merge_stage_snapshots` is the one roll-up of whole envelope
+snapshots (attribution plus alerts and counters): a session merges its
+recorders' snapshots with it, and the runner merges its jobs'.
+
 The sketch class is imported lazily: ``repro.obs`` is imported by
 ``repro.winsys`` which ``repro.fleet`` imports transitively, so a
 module-level import here would close an import cycle.
@@ -29,7 +33,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from .envelope import STAGES, StageEnvelope
 
-__all__ = ["StageAttribution", "dominant_stage_of"]
+__all__ = ["StageAttribution", "dominant_stage_of", "merge_stage_snapshots"]
 
 
 def _sketch_cls():
@@ -223,3 +227,25 @@ class StageAttribution:
 def dominant_stage_of(data: Mapping, quantile: float = 0.95) -> Optional[str]:
     """Dominant stage straight from a serialized attribution payload."""
     return StageAttribution.from_dict(data).dominant_stage(quantile=quantile)
+
+
+def merge_stage_snapshots(snapshots: List[Mapping]) -> Optional[dict]:
+    """Merge :meth:`~repro.obs.envelope.EnvelopeRecorder.snapshot`-shaped
+    dicts into one of the same shape (None when given none).
+
+    Attributions merge commutatively, alerts concatenate in the given
+    order, the counters sum, and ``sample_rate`` is kept — every
+    snapshot of one session or sweep shares one envelope config.
+    """
+    if not snapshots:
+        return None
+    attribution = StageAttribution()
+    alerts: List[dict] = []
+    for snapshot in snapshots:
+        attribution.merge(StageAttribution.from_dict(snapshot["attribution"]))
+        alerts.extend(snapshot["alerts"])
+    merged = {"attribution": attribution.to_dict(), "alerts": alerts}
+    for counter in ("alerts_suppressed", "started", "completed", "sampled_out"):
+        merged[counter] = sum(snapshot[counter] for snapshot in snapshots)
+    merged["sample_rate"] = snapshots[0]["sample_rate"]
+    return merged

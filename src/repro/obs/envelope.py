@@ -176,9 +176,11 @@ class StageEnvelope:
 class EnvelopeConfig:
     """Runtime configuration for envelope collection.
 
-    Dict round-trips (:meth:`to_dict` / :meth:`coerce`) exist because
-    the config crosses process boundaries inside the runner's plain
-    picklable ``obs`` options dict.
+    Every boot in an :func:`~repro.obs.runtime.observed` scope records
+    with that scope's config; fleet sessions open their own scope with
+    the defaults, so a caller's config never reaches fleet results.
+    :meth:`coerce` accepts the dict form the runner ships to workers
+    inside its plain picklable ``obs`` options dict.
     """
 
     enabled: bool = True
@@ -189,13 +191,6 @@ class EnvelopeConfig:
     #: stage -> budget (ms); a completed envelope exceeding a budget
     #: emits a threshold-alert record (bounded) and bumps a counter.
     budgets_ms: Dict[str, float] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "enabled": self.enabled,
-            "sample_rate": self.sample_rate,
-            "budgets_ms": dict(self.budgets_ms),
-        }
 
     @classmethod
     def coerce(cls, value) -> "EnvelopeConfig":

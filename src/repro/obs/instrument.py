@@ -1,7 +1,7 @@
 """Attaching the observability session to one booted system.
 
-:func:`instrument_system` is called by :func:`repro.winsys.boot` when an
-observability session is active; it builds one
+:func:`instrument_system` is called by :func:`repro.winsys.boot` inside
+an :func:`~repro.obs.runtime.observed` scope; it builds one
 :class:`SystemInstrumentation` and hands it to the kernel
 (``kernel.obs``), the interrupt controller, the I/O manager, the hook
 manager and every created thread's message queue.  Nothing here imports

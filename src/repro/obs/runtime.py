@@ -1,35 +1,37 @@
-"""Process-global observability session.
+"""Scoped observability session.
 
 The simulator never imports the runner and the runner never reaches
-into a booted system, so the two sides meet here: the runner (or a
-test) opens an :class:`ObsSession`, and :func:`repro.winsys.boot`
-checks :func:`active` at boot time to decide whether to attach
-instrumentation.  No session → nothing attaches → the disabled path is
-a handful of ``is None`` checks (see ``benchmarks/test_obs_overhead.py``).
+into a booted system, so the two sides meet here: an owner (a job, a
+fleet session, a test) opens an :class:`ObsSession` with
+:func:`observed`, and :func:`repro.winsys.boot` reads :func:`current`
+at boot time to decide whether to attach instrumentation.  No session
+→ nothing attaches → the disabled path is a handful of ``is None``
+checks (see ``benchmarks/test_obs_overhead.py``).
 
-The session is process-global on purpose: experiments execute inside
-worker processes where the only channel to the simulator is ambient
-state, and the worker owns exactly one job at a time, so a global is
-both safe and the cheapest possible lookup.
+The session is a scoped value, like the idle fast-forward setting
+(:func:`repro.sim.engine.fast_forward_scope`): :func:`observed` sets it
+for the block and restores the enclosing scope's session on exit.
+Scopes nest because owners nest — an observed job runs a fleet whose
+every session opens its own private scope — and the inner owner must
+neither read nor feed the outer one's trace, metrics or stage roll-up.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Iterator, Optional
 
+from .attribution import merge_stage_snapshots
 from .envelope import EnvelopeConfig
 from .metrics import MetricsRegistry
-from .tracer import DEFAULT_CAPACITY, Tracer
+from .tracer import Tracer
 
 __all__ = [
     "ObsSession",
-    "active",
     "current",
     "observed",
     "record_trace_loss",
-    "start_session",
-    "stop_session",
 ]
 
 
@@ -40,12 +42,9 @@ class ObsSession:
         self,
         trace: bool = True,
         metrics: bool = True,
-        capacity: int = DEFAULT_CAPACITY,
         envelopes=None,
     ) -> None:
-        self.trace_enabled = trace
-        self.metrics_enabled = metrics
-        self.tracer: Optional[Tracer] = Tracer(capacity=capacity) if trace else None
+        self.tracer: Optional[Tracer] = Tracer() if trace else None
         self.registry: Optional[MetricsRegistry] = (
             MetricsRegistry() if metrics else None
         )
@@ -75,39 +74,11 @@ class ObsSession:
     def envelope_recorders(self) -> list:
         return list(self._envelope_recorders)
 
-    def stage_attribution(self):
-        """Every recorder's attribution, merged (commutatively)."""
-        from .attribution import StageAttribution
-
-        merged = StageAttribution()
-        for recorder in self._envelope_recorders:
-            merged.merge(recorder.attribution)
-        return merged
-
-    def stage_alerts(self) -> list:
-        """Budget-threshold alerts across every recorder, in order."""
-        alerts: list = []
-        for recorder in self._envelope_recorders:
-            alerts.extend(recorder.alerts)
-        return alerts
-
     def stage_snapshot(self) -> Optional[dict]:
         """The manifest-ready envelope summary (None if nothing ran)."""
-        if not self._envelope_recorders:
-            return None
-        return {
-            "attribution": self.stage_attribution().to_dict(),
-            "alerts": self.stage_alerts(),
-            "alerts_suppressed": sum(
-                r.alerts_suppressed for r in self._envelope_recorders
-            ),
-            "started": sum(r.started for r in self._envelope_recorders),
-            "completed": sum(r.finished for r in self._envelope_recorders),
-            "sampled_out": sum(
-                r.sampled_out for r in self._envelope_recorders
-            ),
-            "sample_rate": self.envelope_config.sample_rate,
-        }
+        return merge_stage_snapshots(
+            [recorder.snapshot() for recorder in self._envelope_recorders]
+        )
 
     def metrics_snapshot(self) -> Optional[dict]:
         if self.registry is None:
@@ -124,53 +95,32 @@ class ObsSession:
         record_trace_loss(self.tracer, scope="tracer", registry=self.registry)
 
 
-_session: Optional[ObsSession] = None
-
-
-def start_session(
-    trace: bool = True,
-    metrics: bool = True,
-    capacity: int = DEFAULT_CAPACITY,
-    envelopes=None,
-) -> ObsSession:
-    """Open the process-global session (replacing any existing one)."""
-    global _session
-    _session = ObsSession(
-        trace=trace, metrics=metrics, capacity=capacity, envelopes=envelopes
-    )
-    return _session
-
-
-def stop_session() -> Optional[ObsSession]:
-    """Close and return the process-global session (None if none open)."""
-    global _session
-    session, _session = _session, None
-    return session
+#: Session of the current scope; :func:`repro.winsys.boot` instruments
+#: what it boots for it.  Only :func:`observed` sets it.
+_session: ContextVar[Optional[ObsSession]] = ContextVar(
+    "obs_session", default=None
+)
 
 
 def current() -> Optional[ObsSession]:
-    return _session
-
-
-def active() -> bool:
-    return _session is not None
+    """The current scope's session (None outside every :func:`observed`)."""
+    return _session.get()
 
 
 @contextmanager
 def observed(
     trace: bool = True,
     metrics: bool = True,
-    capacity: int = DEFAULT_CAPACITY,
     envelopes=None,
 ) -> Iterator[ObsSession]:
-    """``with observed() as session:`` — session scoped to the block."""
-    session = start_session(
-        trace=trace, metrics=metrics, capacity=capacity, envelopes=envelopes
-    )
+    """``with observed() as session:`` — a fresh session for the block,
+    then the enclosing scope's session (or none) again."""
+    session = ObsSession(trace=trace, metrics=metrics, envelopes=envelopes)
+    token = _session.set(session)
     try:
         yield session
     finally:
-        stop_session()
+        _session.reset(token)
 
 
 def record_trace_loss(buffer, scope: str, registry=None) -> None:
@@ -181,7 +131,7 @@ def record_trace_loss(buffer, scope: str, registry=None) -> None:
     no explicit registry → no-op.
     """
     if registry is None:
-        session = _session
+        session = current()
         if session is None or session.registry is None:
             return
         registry = session.registry

@@ -66,10 +66,12 @@ SYSTEM_FACTORIES = {
 def boot(os_name: str, seed: int = 0) -> WindowsSystem:
     """Boot one of the three measured systems by short name.
 
-    When an observability session is active (``repro.obs.runtime``),
-    the booted system comes back instrumented: one trace process per
-    boot, kernel/interrupt/I-O/message hooks attached.  Without a
-    session nothing attaches and the system runs the zero-cost path.
+    Inside an :func:`~repro.obs.runtime.observed` scope, the booted
+    system comes back instrumented for that scope's session: one trace
+    process per boot, kernel/interrupt/I-O/message hooks attached.  The
+    system keeps that session for life, even after the scope exits.
+    Outside every scope nothing attaches and the system runs the
+    zero-cost path.
     """
     try:
         factory = SYSTEM_FACTORIES[os_name]
