@@ -10,7 +10,7 @@ SMOKE_CACHE := .smoke-cache
 .PHONY: test benchmarks bench-json perf-gate perf-baseline profile-hotpath \
 	experiments experiments-smoke faults-smoke remote-smoke \
 	obs-smoke obs-overhead envelope-smoke fleet-smoke chaos-smoke \
-	chaos-stress docs-check verify-integrity golden-check \
+	chaos-stress docs-check verify-integrity exercised golden-check \
 	golden-update verify clean
 
 test:
@@ -295,6 +295,15 @@ docs-check:
 verify-integrity:
 	$(PYTHON) -m repro.verify.integrity
 
+# CI gate for dead code: run the whole production surface under a
+# function-level profile hook; every function in the simulator packages
+# must run or carry a reason in exercised-allowlist.txt (see
+# docs/architecture.md, "Exercised code").  Takes minutes, so the wall
+# time is printed.
+exercised:
+	@start=$$(date +%s); $(PYTHON) -m repro.exercised; status=$$?; \
+	echo "exercised: wall time $$(( $$(date +%s) - start )) s"; exit $$status
+
 # Golden-trace regression only (subset of verify-integrity, faster).
 golden-check:
 	$(PYTHON) -m repro.verify.golden
@@ -304,9 +313,10 @@ golden-update:
 	$(PYTHON) -m repro.verify.golden --update
 
 # The default local verification flow: unit tests, the runner's pool
-# path, the measurement-integrity gate, the observability gates, the
-# fleet and docs gates, then the perf-regression gate.
-verify: test experiments-smoke verify-integrity obs-smoke obs-overhead \
+# path, the measurement-integrity gate, the exercised-code gate, the
+# observability gates, the fleet and docs gates, then the
+# perf-regression gate.
+verify: test experiments-smoke verify-integrity exercised obs-smoke obs-overhead \
 	envelope-smoke fleet-smoke chaos-smoke remote-smoke docs-check perf-gate
 
 clean:

@@ -103,7 +103,7 @@ class InteractiveApp:
         yield from self.on_start()
         while not self._quit:
             if self.has_background_work():
-                message = yield PeekMessage(remove=True)
+                message = yield PeekMessage()
                 if message is None:
                     yield from self.run_background_step()
                     continue
@@ -113,10 +113,6 @@ class InteractiveApp:
                 yield from self._dispatch_message(message)
             else:
                 yield from self.dispatch(message)
-
-    def quit(self) -> None:
-        """Ask the pump to exit after the current message."""
-        self._quit = True
 
     # ------------------------------------------------------------------
     # Message dispatch

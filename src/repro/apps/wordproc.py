@@ -29,13 +29,12 @@ from collections import deque
 from typing import Deque, Iterator, Optional
 
 from ..sim.timebase import ns_from_ms, ns_from_sec
-from ..winsys.syscalls import AsyncWrite, Syscall
+from ..winsys.syscalls import Syscall
 from .base import InteractiveApp
 
 __all__ = ["WordApp"]
 
 _BG_TIMER_ID = 7
-_AUTOSAVE_TIMER_ID = 8
 
 
 class WordApp(InteractiveApp):
@@ -67,21 +66,12 @@ class WordApp(InteractiveApp):
     #: Characters per visual line before justification triggers.
     LINE_WIDTH = 65
 
-    #: Autosave: serialize the document and write it *asynchronously*
-    #: every period (Figure 2's canonical background I/O).  Off by
-    #: default to keep the paper's Section 5.4 workload exact.
-    AUTOSAVE_WRITE_BYTES = 32 * 1024
-    AUTOSAVE_PREP_BASE = 400_000
-
-    def __init__(self, system, autosave_period_s: Optional[float] = None) -> None:
+    def __init__(self, system) -> None:
         super().__init__(system)
         self._rng = system.machine.rngs.stream("app:word")
         self._pending: Deque[int] = deque()  # queued background units (cycles)
         self._last_input_ns = 0
         self._timer_active = False
-        self.autosave_period_s = autosave_period_s
-        self.autosaves = 0
-        self._doc_file = system.filesystem.ensure("word-document.doc", 256 * 1024)
         self._chars_in_line = 0
         self._chars_in_word = 0
         #: Remaining busy-poll budget after an event (Win95 quirk), ns.
@@ -194,16 +184,7 @@ class WordApp(InteractiveApp):
     # ------------------------------------------------------------------
     # Lazy background draining (timer on NT, busy-poll on Win95)
     # ------------------------------------------------------------------
-    def on_start(self) -> Iterator[Syscall]:
-        if self.autosave_period_s is not None:
-            yield self.set_timer(
-                _AUTOSAVE_TIMER_ID, ns_from_sec(self.autosave_period_s)
-            )
-
     def on_timer(self, timer_id: int) -> Iterator[Syscall]:
-        if timer_id == _AUTOSAVE_TIMER_ID:
-            yield from self._autosave()
-            return
         if timer_id != _BG_TIMER_ID:
             yield from super().on_timer(timer_id)
             return
@@ -218,15 +199,6 @@ class WordApp(InteractiveApp):
         if not self._pending and self._timer_active:
             yield self.kill_timer(_BG_TIMER_ID)
             self._timer_active = False
-
-    def _autosave(self) -> Iterator[Syscall]:
-        """Serialize briefly, then hand the write to the background."""
-        self.autosaves += 1
-        yield self.app_compute(self.AUTOSAVE_PREP_BASE, label="word-autosave-prep")
-        offset = (self.autosaves * self.AUTOSAVE_WRITE_BYTES) % (
-            self._doc_file.size_bytes - self.AUTOSAVE_WRITE_BYTES
-        )
-        yield AsyncWrite(self._doc_file, offset, self.AUTOSAVE_WRITE_BYTES)
 
     def has_background_work(self) -> bool:
         if self.personality.app_idle_detection_reliable:

@@ -80,7 +80,6 @@ from .serialize import (
     trace_to_dict,
 )
 from .session import MeasurementSession, SessionResult, label_events
-from .sysmon import SystemSnapshot, SystemStateSampler
 from .visualize import (
     bar_chart,
     cumulative_latency_plot,
@@ -122,8 +121,6 @@ __all__ = [
     "Span",
     "StateInput",
     "SyncIoProbe",
-    "SystemSnapshot",
-    "SystemStateSampler",
     "TextTable",
     "ThresholdBands",
     "Transition",

@@ -45,10 +45,6 @@ class BusyPeriod:
     busy_ns: int
     kind: str = "cpu"  # 'cpu' | 'io'
 
-    @property
-    def duration_ns(self) -> int:
-        return self.end_ns - self.start_ns
-
 
 @dataclass
 class Episode:

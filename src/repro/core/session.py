@@ -82,10 +82,6 @@ class SessionResult:
     def elapsed_s(self) -> float:
         return sec_from_ns(self.elapsed_ns)
 
-    @property
-    def marks(self) -> List[Tuple[str, int]]:
-        return self.driver.marks
-
 
 class MeasurementSession:
     """Boot → instrument → drive → extract, with per-run overrides."""

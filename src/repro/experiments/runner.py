@@ -581,6 +581,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.retries < 0:
         log.error(f"--retries must be >= 0, got {args.retries}")
         return 2
+    if args.backoff < 0:
+        log.error(f"--backoff must be >= 0, got {args.backoff}")
+        return 2
     if args.timeout is not None and args.timeout <= 0:
         log.error(f"--timeout must be positive, got {args.timeout}")
         return 2

@@ -323,10 +323,6 @@ class InputChannel:
             self._on_acked(ack.seq, transmissions)
 
     # ------------------------------------------------------------------
-    @property
-    def in_flight(self) -> int:
-        return len(self._pending)
-
     def counters(self) -> dict:
         return {
             "sent": self._next_seq - 1,

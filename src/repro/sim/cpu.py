@@ -80,11 +80,6 @@ class CPU:
         """True while a work segment is executing."""
         return self._work is not None
 
-    @property
-    def current_context(self) -> object:
-        """The context whose work is executing, or None when idle."""
-        return self._context
-
     def duration_ns(self, work: Work) -> int:
         """Wall duration of ``work`` at this CPU's clock rate."""
         return cycles_to_ns(work.cycles, self.hz)

@@ -90,10 +90,6 @@ class Disk:
         #: Extra nanoseconds added by service-time modifiers (diagnostics).
         self.injected_service_ns = 0
 
-    def set_interrupt_sink(self, raise_interrupt: Callable[[str, object], None]) -> None:
-        """Late-bind the interrupt controller (set when the machine boots)."""
-        self._raise_interrupt = raise_interrupt
-
     def add_service_time_modifier(
         self, modifier: Callable[[DiskRequest, int], int]
     ) -> None:
@@ -115,10 +111,6 @@ class Disk:
     @property
     def queue_depth(self) -> int:
         return len(self._queue) + (1 if self._active else 0)
-
-    @property
-    def busy(self) -> bool:
-        return self._active is not None
 
     def submit(self, request: DiskRequest) -> None:
         """Queue a request; service begins immediately if the disk is idle."""

@@ -39,9 +39,6 @@ class Keyboard:
         self._raise_interrupt = raise_interrupt
         self.events_raised = 0
 
-    def set_interrupt_sink(self, raise_interrupt: Callable[[str, object], None]) -> None:
-        self._raise_interrupt = raise_interrupt
-
     def key(self, key: str, down: bool = True) -> KeyEvent:
         """Deliver a key edge right now."""
         if self._raise_interrupt is None:

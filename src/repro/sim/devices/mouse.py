@@ -41,9 +41,6 @@ class Mouse:
         self.events_raised = 0
         self.position: Tuple[int, int] = (0, 0)
 
-    def set_interrupt_sink(self, raise_interrupt: Callable[[str, object], None]) -> None:
-        self._raise_interrupt = raise_interrupt
-
     def _raise(self, kind: str, button: str) -> MouseEvent:
         if self._raise_interrupt is None:
             raise RuntimeError("mouse not connected to an interrupt controller")

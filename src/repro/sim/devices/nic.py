@@ -43,9 +43,6 @@ class Nic:
         self.packets_received = 0
         self.bytes_received = 0
 
-    def set_interrupt_sink(self, raise_interrupt: Callable[[str, object], None]) -> None:
-        self._raise_interrupt = raise_interrupt
-
     def deliver(self, payload: object, size_bytes: int = 256) -> Packet:
         """A packet arrives from the wire right now."""
         if self._raise_interrupt is None:

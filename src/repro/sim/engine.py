@@ -36,13 +36,17 @@ depends on the pattern holding.
 Events are cancellable: :meth:`Simulator.schedule` returns a
 :class:`ScheduledEvent` handle whose :meth:`~ScheduledEvent.cancel`
 removes it logically (the heap entry is left in place and skipped on
-pop, the standard lazy-deletion technique).  Cancellation is what lets
-the CPU model preempt an in-flight work segment and re-schedule its
-completion.  When cancelled entries come to dominate the heap — every
-clock tick that steals time from an in-flight segment leaves one behind
-— the calendar compacts itself in place; since live events are totally
+pop, the standard lazy-deletion technique).  The remote transport's
+retransmission and frame timers are the production users.  The CPU
+model's preemptions and stolen-time re-schedules withdraw segment
+completions by kind cancellation instead (:meth:`Simulator.cancel_kind`
+from ``CPU.preempt`` and ``CPU.steal``), which never counts toward
+compaction.  When cancelled *handles* come to dominate the heap, the
+calendar compacts itself in place; since live events are totally
 ordered by their unique ``(time, seq)`` key, rebuilding the heap cannot
-change the pop order.
+change the pop order.  No experiment cancels enough handles to compact
+today: compaction is the bound that keeps a long run with many
+cancelled timers from growing the heap without limit.
 
 The engine also carries the state the idle fast-forward path (see
 :mod:`repro.winsys.kernel` and ``docs/performance.md``) needs to stay
@@ -107,21 +111,6 @@ class ScheduledEvent:
 
     __slots__ = ("time", "seq", "callback", "label", "cancelled", "_sim")
 
-    def __init__(
-        self,
-        time: int,
-        seq: int,
-        callback: Callable[[], None],
-        label: str,
-        sim: "Optional[Simulator]" = None,
-    ):
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.label = label
-        self.cancelled = False
-        self._sim = sim
-
     def cancel(self) -> None:
         """Logically remove the event; it will be skipped when popped."""
         if not self.cancelled:
@@ -135,9 +124,6 @@ class ScheduledEvent:
                 n = len(sim._queue) + (sim._next is not None)
                 if n >= _COMPACT_MIN_QUEUE and cancelled * 2 > n:
                     sim._compact()
-
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
@@ -235,9 +221,9 @@ class Simulator:
         if delay_ns < 0:
             raise SimulationError(f"cannot schedule {delay_ns} ns in the past")
         # Inlined schedule_at: this is the hottest allocation site in the
-        # engine, so it avoids the extra frame and the __init__ call (the
-        # object.__new__ + direct slot stores construct the same handle;
-        # the keyword-only defaults turn global lookups into local loads).
+        # engine, so it avoids the extra frame (object.__new__ plus
+        # direct slot stores build the handle; the keyword-only defaults
+        # turn global lookups into local loads).
         time_ns = self._now + delay_ns
         seq = self._seq
         self._seq = seq + 1
@@ -409,10 +395,12 @@ class Simulator:
         """Cancel a pending kind entry by its ``seq``.
 
         Lazy like :meth:`ScheduledEvent.cancel`: the entry stays in place
-        and is skipped when it reaches the head.  ``seq`` must identify a
-        pending kind-scheduled entry; cancelling one that already fired
-        leaves a stale marker behind and skews :meth:`pending_count`.
-        Cancelling twice is harmless.
+        and is skipped when it reaches the head.  Unlike a handle
+        cancellation it never triggers compaction (a compaction that
+        runs for other reasons sweeps these entries too).  ``seq`` must
+        identify a pending kind-scheduled entry; cancelling one that
+        already fired leaves a stale marker behind and skews
+        :meth:`pending_count`.  Cancelling twice is harmless.
         """
         self._kind_cancelled.add(seq)
 

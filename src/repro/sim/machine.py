@@ -66,11 +66,6 @@ class Machine:
         self.interrupts.register(Mouse.VECTOR, Work(500, label="mouse-isr"))
         self.interrupts.register(Nic.VECTOR, Work(700, label="nic-isr"))
 
-    @property
-    def now(self) -> int:
-        """Current simulated time in nanoseconds."""
-        return self.sim.now
-
     def power_on(self) -> None:
         """Start free-running hardware (the periodic clock)."""
         self.clock.start()
@@ -78,7 +73,3 @@ class Machine:
     def run_for(self, duration_ns: int) -> int:
         """Advance the machine by ``duration_ns``; returns the new time."""
         return self.sim.run(until_ns=self.sim.now + duration_ns)
-
-    def run_until(self, time_ns: int) -> int:
-        """Advance the machine to absolute time ``time_ns``."""
-        return self.sim.run(until_ns=time_ns)

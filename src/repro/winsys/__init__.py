@@ -1,9 +1,9 @@
 """Operating-system substrate: a simulated Windows family.
 
-One kernel mechanism (scheduler, message queues, GDI batching, sync and
-async I/O, buffer cache) with three *personalities* — NT 3.51, NT 4.0,
-Windows 95 — that encode exactly the architectural differences the
-paper attributes its measured results to.
+One kernel mechanism (scheduler, message queues, GDI batching,
+synchronous I/O, buffer cache) with three *personalities* — NT 3.51,
+NT 4.0, Windows 95 — that encode exactly the architectural differences
+the paper attributes its measured results to.
 """
 
 from . import nt351, nt40, win95
@@ -17,26 +17,17 @@ from .messages import WM, Message, MessageQueue
 from .personality import OSPersonality, annotate_proportional
 from .scheduler import Scheduler
 from .syscalls import (
-    AsyncRead,
-    AsyncWrite,
-    BusyWait,
     Compute,
-    ExitThread,
     GdiFlush,
     GdiOp,
     GetMessage,
     KillTimer,
     PeekMessage,
-    PostMessage,
     ReadCycleCounter,
     SetTimer,
-    Sleep,
-    SpawnThread,
     Syscall,
     SyncRead,
     SyncWrite,
-    UserCall,
-    YieldCpu,
 )
 from .system import WindowsSystem
 from .threads import (
@@ -92,13 +83,9 @@ def boot(os_name: str, seed: int = 0) -> WindowsSystem:
 
 __all__ = [
     "ApiCallRecord",
-    "AsyncRead",
-    "AsyncWrite",
     "BACKGROUND_PRIORITY",
     "BufferCache",
-    "BusyWait",
     "Compute",
-    "ExitThread",
     "FileSystem",
     "GdiBatch",
     "GdiFlush",
@@ -118,7 +105,6 @@ __all__ = [
     "OSPersonality",
     "PERSONALITIES",
     "PeekMessage",
-    "PostMessage",
     "ProgramImage",
     "ReadCycleCounter",
     "SYSTEM_FACTORIES",
@@ -126,16 +112,12 @@ __all__ = [
     "SetTimer",
     "SimFile",
     "SimThread",
-    "Sleep",
-    "SpawnThread",
     "Syscall",
     "SyncRead",
     "SyncWrite",
     "ThreadState",
-    "UserCall",
     "WM",
     "WindowsSystem",
-    "YieldCpu",
     "annotate_proportional",
     "boot",
     "load_image",

@@ -1,4 +1,4 @@
-"""I/O manager: synchronous and asynchronous file I/O over the disk.
+"""I/O manager: synchronous file I/O over the disk.
 
 Synchronous I/O is one of the three FSM inputs of Figure 2 ("status for
 outstanding synchronous I/O"), because a user waits through synchronous
@@ -36,7 +36,6 @@ class IoPlan:
 class _PendingOp:
     remaining: int
     on_done: Callable[[], None]
-    sync: bool
 
 
 class IoManager:
@@ -126,21 +125,19 @@ class IoManager:
     # ------------------------------------------------------------------
     # Submission and completion
     # ------------------------------------------------------------------
-    def submit(self, plan: IoPlan, on_done: Callable[[], None], sync: bool = True) -> None:
+    def submit(self, plan: IoPlan, on_done: Callable[[], None]) -> None:
         """Send a plan's disk requests; ``on_done`` fires when all complete.
 
-        A plan with no requests completes immediately (pure cache hit).
+        The operation counts in ``outstanding_sync`` until then.  A plan
+        with no requests completes immediately (pure cache hit).
         """
         if plan.all_cached:
             on_done()
             return
         op_id = self._next_op_id
         self._next_op_id += 1
-        self._pending[op_id] = _PendingOp(
-            remaining=len(plan.requests), on_done=on_done, sync=sync
-        )
-        if sync:
-            self._set_outstanding(self.outstanding_sync + 1)
+        self._pending[op_id] = _PendingOp(remaining=len(plan.requests), on_done=on_done)
+        self._set_outstanding(self.outstanding_sync + 1)
         for request in plan.requests:
             request.tag = op_id
             self.disk.submit(request)
@@ -155,8 +152,7 @@ class IoManager:
         op.remaining -= 1
         if op.remaining == 0:
             del self._pending[request.tag]
-            if op.sync:
-                self._set_outstanding(self.outstanding_sync - 1)
+            self._set_outstanding(self.outstanding_sync - 1)
             op.on_done()
 
     @property

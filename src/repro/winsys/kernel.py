@@ -40,39 +40,25 @@ from .messages import WM, Message
 from .personality import OSPersonality
 from .scheduler import Scheduler
 from .syscalls import (
-    AsyncRead,
-    AsyncWrite,
-    BusyWait,
     Compute,
-    ExitThread,
     GdiFlush,
     GdiOp,
     GetMessage,
     IdleCompute,
     KillTimer,
     PeekMessage,
-    PostMessage,
     ReadCycleCounter,
     SetTimer,
-    Sleep,
-    SpawnThread,
-    Syscall,
     SyncRead,
     SyncWrite,
-    UserCall,
-    YieldCpu,
 )
 from .threads import IDLE_PRIORITY, NORMAL_PRIORITY, SimThread, ThreadState
 
 __all__ = ["Kernel", "KernelPanic"]
 
-# Sentinels returned by the syscall perform step.
+# Sentinel a pending action returns when it left the thread blocked.
 _BLOCKED = object()
 _SPIN_CYCLES = 10**14  # open-ended busy-wait; cancelled, never completed
-
-
-def _noop() -> None:
-    """Shared do-nothing completion (avoids a lambda per async submit)."""
 
 
 class KernelPanic(RuntimeError):
@@ -167,31 +153,21 @@ class Kernel:
         self._dispatch_hid = self.sim.register_handler(self._dispatch)
         self._idle_bg_hid = self.sim.register_handler(self._idle_background_tick)
         # Precompiled syscall dispatch table: concrete syscall class →
-        # bound perform method.  Subclasses resolve through their MRO on
-        # first use (see _resolve_perform) and are cached here, so the
-        # steady state is one dict hit per syscall instead of an
-        # isinstance chain.
+        # bound perform method, so the steady state is one dict hit per
+        # syscall instead of an isinstance chain.  A class missing here
+        # is a KernelPanic.
         self._perform_table = {
             Compute: self._perform_compute,
             IdleCompute: self._perform_compute,
             GetMessage: self._perform_getmessage,
             PeekMessage: self._perform_peekmessage,
-            PostMessage: self._perform_postmessage,
             GdiOp: self._perform_gdiop,
             GdiFlush: self._perform_gdiflush,
-            UserCall: self._perform_usercall,
             SyncRead: self._perform_syncread,
             SyncWrite: self._perform_syncwrite,
-            AsyncRead: self._perform_asyncread,
-            AsyncWrite: self._perform_asyncwrite,
-            Sleep: self._perform_sleep,
             SetTimer: self._perform_settimer,
             KillTimer: self._perform_killtimer,
-            YieldCpu: self._perform_yield,
             ReadCycleCounter: self._perform_rdtsc,
-            SpawnThread: self._perform_spawn,
-            ExitThread: self._perform_exit,
-            BusyWait: self._perform_busywait,
         }
 
     # ------------------------------------------------------------------
@@ -381,46 +357,18 @@ class Kernel:
                 return
             perform = table.get(syscall.__class__)
             if perform is None:
-                perform = self._resolve_perform(syscall.__class__)
+                raise KernelPanic(f"unknown syscall class {syscall.__class__!r}")
             outcome = perform(thread, syscall)
-            kind = outcome[0]
-            if kind == "compute":
-                # ("compute", work, action, arg): run ``work`` on the
-                # CPU, then ``action(arg)`` (or ``action()`` when arg is
-                # None) from _work_done.
-                thread.pending_action = outcome[2]
-                thread.pending_action_arg = outcome[3]
-                self.cpu.start(outcome[1], thread, self._work_done)
-                return
-            if kind == "result":
+            if outcome[0] == "result":
                 send_value = outcome[1]
                 continue
-            if kind == "block":
-                if self.obs is not None:
-                    if thread.blocked:
-                        reason = thread.wait_reason or "block"
-                    elif thread.done:
-                        reason = "exit"
-                    else:
-                        reason = "yield"
-                    self.obs.run_end(thread, reason)
-                self.running = None
-                self._request_dispatch()
-                return
-            raise KernelPanic(f"unknown perform outcome {kind!r}")
-
-    def _resolve_perform(self, cls):
-        """Resolve a syscall subclass to its perform method via the MRO.
-
-        The result is cached in the dispatch table so each concrete
-        class pays the walk once.
-        """
-        for base in cls.__mro__[1:]:
-            perform = self._perform_table.get(base)
-            if perform is not None:
-                self._perform_table[cls] = perform
-                return perform
-        raise KernelPanic(f"unknown syscall class {cls!r}")
+            # ("compute", work, action, arg): run ``work`` on the CPU,
+            # then ``action(arg)`` (or ``action()`` when arg is None)
+            # from _work_done.
+            thread.pending_action = outcome[2]
+            thread.pending_action_arg = outcome[3]
+            self.cpu.start(outcome[1], thread, self._work_done)
+            return
 
     def _finish_thread(self, thread: SimThread) -> None:
         thread.state = ThreadState.DONE
@@ -428,11 +376,6 @@ class Kernel:
             self.obs.run_end(thread, "exit")
         self.running = None
         self._request_dispatch()
-
-    def _block(self, thread: SimThread, reason: str) -> Tuple[str]:
-        thread.state = ThreadState.BLOCKED
-        thread.wait_reason = reason
-        return ("block",)
 
     def _wake(self, thread: SimThread, resume_value: object = None) -> None:
         """Unblock a thread; preemption happens via the deferred dispatch."""
@@ -451,11 +394,11 @@ class Kernel:
     #
     #   ("compute", work, action, arg)  — run ``work`` on the CPU, then
     #       ``action(arg)`` (``action()`` when arg is None);
-    #   ("result", value)               — resume the generator with value;
-    #   ("block",)                      — thread left blocked/queued.
+    #   ("result", value)               — resume the generator with value.
     #
     # Actions are prebound methods with their argument carried in the
-    # outcome tuple, so the hot path allocates no closures.
+    # outcome tuple, so the hot path allocates no closures.  An action
+    # that leaves the thread blocked returns the _BLOCKED sentinel.
 
     def _perform_compute(self, thread: SimThread, syscall: Compute):
         if syscall.__class__ is IdleCompute and self.fast_forward:
@@ -512,20 +455,7 @@ class Kernel:
             flush = self.gdi_batch(thread).flush()
             if flush is not None:
                 cost = cost.plus(flush, label="peekmessage+flush")
-        if syscall.remove:
-            return ("compute", cost, self._peekmessage_remove_action, thread)
-        return ("compute", cost, self._peekmessage_peek_action, thread)
-
-    def _perform_postmessage(self, thread: SimThread, syscall: PostMessage):
-        return (
-            "compute",
-            self.personality.user_call_work,
-            self._post_action,
-            syscall,
-        )
-
-    def _post_action(self, syscall: PostMessage) -> None:
-        self.post_message(syscall.target, syscall.message)
+        return ("compute", cost, self._peekmessage_action, thread)
 
     def _perform_gdiop(self, thread: SimThread, syscall: GdiOp):
         flush_work = self.gdi_batch(thread).add(syscall)
@@ -541,13 +471,6 @@ class Kernel:
             return ("compute", flush_work, None, None)
         return ("result", None)
 
-    def _perform_usercall(self, thread: SimThread, syscall: UserCall):
-        personality = self.personality
-        cost = personality.user_call_work.plus(
-            personality.user_work(syscall.base.cycles, label=syscall.name)
-        )
-        return ("compute", cost, None, None)
-
     def _perform_syncread(self, thread: SimThread, syscall: SyncRead):
         plan = self.iomgr.plan_read(syscall.file, syscall.offset, syscall.length)
         return ("compute", plan.cpu_work, self._sync_io_action, (thread, plan))
@@ -555,39 +478,6 @@ class Kernel:
     def _perform_syncwrite(self, thread: SimThread, syscall: SyncWrite):
         plan = self.iomgr.plan_write(syscall.file, syscall.offset, syscall.length)
         return ("compute", plan.cpu_work, self._sync_io_action, (thread, plan))
-
-    def _perform_asyncread(self, thread: SimThread, syscall: AsyncRead):
-        plan = self.iomgr.plan_read(syscall.file, syscall.offset, syscall.length)
-        return ("compute", plan.cpu_work, self._submit_async_action, plan)
-
-    def _perform_asyncwrite(self, thread: SimThread, syscall: AsyncWrite):
-        plan = self.iomgr.plan_write(syscall.file, syscall.offset, syscall.length)
-        return ("compute", plan.cpu_work, self._submit_async_action, plan)
-
-    def _submit_async_action(self, plan) -> None:
-        self.iomgr.submit(plan, on_done=_noop, sync=False)
-
-    def _perform_sleep(self, thread: SimThread, syscall: Sleep):
-        now = self.sim.now
-        duration = max(0, syscall.duration_ns)
-        period = self.machine.spec.clock_period_ns
-        earliest = now + duration
-        wake_at = ((earliest + period - 1) // period) * period
-        if wake_at <= now:
-            wake_at = now + period
-        return (
-            "compute",
-            self.personality.syscall_work,
-            self._sleep_action,
-            (thread, wake_at),
-        )
-
-    def _sleep_action(self, thread_wake):
-        thread, wake_at = thread_wake
-        self.sim.schedule_at(
-            wake_at, lambda: self._wake(thread), label="sleep-wake"
-        )
-        return self._block_value(thread, "sleep")
 
     def _perform_settimer(self, thread: SimThread, syscall: SetTimer):
         period = max(syscall.period_ns, self.machine.spec.clock_period_ns)
@@ -622,37 +512,8 @@ class Kernel:
         self._timers.pop(key, None)
         return None
 
-    def _perform_yield(self, thread: SimThread, syscall: YieldCpu):
-        thread.resume_value = None
-        thread.quantum_ticks_used = 0  # voluntary yield restarts it
-        self.scheduler.make_ready(thread, front=False)
-        self.running = None
-        self._request_dispatch()
-        return ("block",)  # state stays READY (already queued)
-
     def _perform_rdtsc(self, thread: SimThread, syscall: ReadCycleCounter):
         return ("result", self.machine.perf.read_cycle_counter())
-
-    def _perform_spawn(self, thread: SimThread, syscall: SpawnThread):
-        child = self.create_thread(
-            syscall.name, syscall.coroutine, syscall.priority, process=thread.process
-        )
-        return ("result", child)
-
-    def _perform_exit(self, thread: SimThread, syscall: ExitThread):
-        self._finish_thread(thread)
-        return ("block",)
-
-    def _perform_busywait(self, thread: SimThread, syscall: BusyWait):
-        if not thread.queue.empty:
-            return ("result", None)  # input already waiting
-        thread.spin_wait = True
-        return (
-            "compute",
-            Work(_SPIN_CYCLES, label=f"spin:{syscall.reason}"),
-            None,
-            None,
-        )
 
     def _try_fast_forward(self, thread: SimThread, syscall: IdleCompute) -> int:
         """Complete up to ``syscall.max_batch`` idle segments analytically.
@@ -740,19 +601,10 @@ class Kernel:
             return message
         return self._block_value(thread, "message")
 
-    def _peekmessage_remove_action(self, thread: SimThread):
-        return self._peekmessage_action(thread, True)
-
-    def _peekmessage_peek_action(self, thread: SimThread):
-        return self._peekmessage_action(thread, False)
-
-    def _peekmessage_action(self, thread: SimThread, remove: bool):
+    def _peekmessage_action(self, thread: SimThread):
         if self.obs is not None:
             self.obs.pump_idle(thread)
-        if remove:
-            message = thread.queue.get(self.sim.now)
-        else:
-            message = thread.queue.peek()
+        message = thread.queue.get(self.sim.now)
         hooks = self.hooks
         if hooks.active:
             hooks.fire(
@@ -773,30 +625,10 @@ class Kernel:
         thread, plan = thread_plan
         if plan.all_cached:
             return None
-        self.iomgr.submit(plan, on_done=lambda: self._wake(thread), sync=True)
+        self.iomgr.submit(plan, on_done=lambda: self._wake(thread))
         return self._block_value(thread, "io")
 
-    def _cancel_spin_wait(self, thread: SimThread) -> None:
-        """End a BusyWait: discard the open-ended spin, resume the thread."""
-        thread.spin_wait = False
-        if self.running is thread and self.cpu.current_context is thread:
-            self.cpu.abort()
-            self.running = None
-        thread.pending_work = None
-        thread.pending_action = None
-        thread.pending_action_arg = None
-        thread.resume_value = None
-        if thread.state == ThreadState.RUNNING:
-            thread.state = ThreadState.READY
-            if self.obs is not None:
-                self.obs.run_end(thread, "spin-cancel")
-            self.scheduler.make_ready(thread, front=True)
-        self._request_dispatch()
-
     def _on_message_posted(self, thread: SimThread, message: Message) -> None:
-        if thread.spin_wait:
-            self._cancel_spin_wait(thread)
-            return
         if thread.blocked and thread.wait_reason == "message":
             delivered = thread.queue.get(self.sim.now)
             hooks = self.hooks
@@ -1067,16 +899,3 @@ class Kernel:
         self.sim.schedule_kind(
             personality.idle_background_period_ns, self._idle_bg_hid
         )
-
-    # ------------------------------------------------------------------
-    # Introspection for the measurement layer
-    # ------------------------------------------------------------------
-    def foreground_queue_len(self) -> int:
-        """Message-queue length of the focused thread (FSM support)."""
-        if self.foreground is None:
-            return 0
-        return len(self.foreground.queue)
-
-    def cpu_is_idle(self) -> bool:
-        """True when no thread/DPC work is executing (hardware view)."""
-        return not self.cpu.busy

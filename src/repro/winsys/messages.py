@@ -137,7 +137,7 @@ class MessageQueue:
         return message
 
     def peek(self) -> Optional[Message]:
-        """Head message without removal (PeekMessage with PM_NOREMOVE)."""
+        """Head message without removal (diagnostics)."""
         return self._queue[0] if self._queue else None
 
     def snapshot_kinds(self) -> List[WM]:

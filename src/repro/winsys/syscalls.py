@@ -6,38 +6,31 @@ and receiving the result when the kernel resumes the generator.  All
 simulated time is explicit: a thread only consumes CPU through
 :class:`Compute` (or through the costs the Win32 layer attaches to its
 API calls), so cost models live in one auditable place.
+
+The vocabulary is exactly what the experiments use: computation (and
+the idle loop's batchable segments), message retrieval, GDI,
+synchronous file I/O, timers and the cycle counter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from ..sim.work import Work
-from .messages import Message, WM
 
 __all__ = [
     "Syscall",
     "Compute",
     "IdleCompute",
-    "BusyWait",
     "GetMessage",
     "PeekMessage",
-    "PostMessage",
     "GdiOp",
     "GdiFlush",
-    "UserCall",
     "SyncRead",
     "SyncWrite",
-    "AsyncRead",
-    "AsyncWrite",
-    "Sleep",
     "SetTimer",
     "KillTimer",
-    "YieldCpu",
     "ReadCycleCounter",
-    "SpawnThread",
-    "ExitThread",
 ]
 
 
@@ -77,21 +70,6 @@ class IdleCompute(Compute):
 
 
 @dataclass
-class BusyWait(Syscall):
-    """Spin on the CPU until a message is posted to this thread.
-
-    The poll-mode wait of 16-bit-era code: instead of blocking in
-    GetMessage, the thread burns cycles until input arrives, keeping
-    the processor 100% busy — the application-level analogue of the
-    Windows 95 mouse-click spin the paper uncovered (Figure 6).  The
-    syscall returns None once a message is queued; the application then
-    retrieves it with Peek/GetMessage.
-    """
-
-    reason: str = ""
-
-
-@dataclass
 class GetMessage(Syscall):
     """Block until a message is available, then retrieve it.
 
@@ -103,20 +81,7 @@ class GetMessage(Syscall):
 
 @dataclass
 class PeekMessage(Syscall):
-    """Non-blocking queue examination.
-
-    ``remove`` mirrors PM_REMOVE; the result is the message or None.
-    """
-
-    remove: bool = False
-
-
-@dataclass
-class PostMessage(Syscall):
-    """Post ``message`` to another thread's queue (or our own)."""
-
-    target: object  # SimThread
-    message: Message
+    """Non-blocking retrieval (PM_REMOVE): the next message, or None."""
 
 
 @dataclass
@@ -138,14 +103,6 @@ class GdiFlush(Syscall):
 
 
 @dataclass
-class UserCall(Syscall):
-    """A USER32-style call of ``base`` cost, subject to personality costs."""
-
-    name: str
-    base: Work
-
-
-@dataclass
 class SyncRead(Syscall):
     """Synchronous file read; blocks if any block misses the buffer cache."""
 
@@ -164,40 +121,6 @@ class SyncWrite(Syscall):
 
 
 @dataclass
-class AsyncRead(Syscall):
-    """Asynchronous read-ahead; returns immediately, populates the cache."""
-
-    file: object
-    offset: int
-    length: int
-
-
-@dataclass
-class AsyncWrite(Syscall):
-    """Asynchronous write-behind (autosave-style background I/O).
-
-    Returns immediately; the disk traffic proceeds in the background.
-    Per Figure 2's assumption, asynchronous I/O is background activity
-    the user does not wait for.
-    """
-
-    file: object
-    offset: int
-    length: int
-
-
-@dataclass
-class Sleep(Syscall):
-    """Block for at least ``duration_ns``, rounded up to the timer tick.
-
-    Tick rounding reproduces the 10 ms alignment of paced animation
-    steps (Figure 4a).
-    """
-
-    duration_ns: int
-
-
-@dataclass
 class SetTimer(Syscall):
     """Request periodic WM_TIMER messages every ``period_ns`` (tick-rounded)."""
 
@@ -213,28 +136,9 @@ class KillTimer(Syscall):
 
 
 @dataclass
-class YieldCpu(Syscall):
-    """Relinquish the processor to any equal-priority ready thread."""
-
-
-@dataclass
 class ReadCycleCounter(Syscall):
     """RDTSC: returns the free-running cycle counter (user-mode readable).
 
     This is what the 'traditional' getchar-timestamp measurement of
     Figure 1 uses.
     """
-
-
-@dataclass
-class SpawnThread(Syscall):
-    """Create a new thread in this process; result is the SimThread."""
-
-    name: str
-    coroutine: object
-    priority: int
-
-
-@dataclass
-class ExitThread(Syscall):
-    """Terminate the calling thread."""

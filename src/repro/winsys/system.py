@@ -67,10 +67,6 @@ class WindowsSystem:
         return self.kernel.filesystem
 
     @property
-    def buffer_cache(self):
-        return self.kernel.buffer_cache
-
-    @property
     def iomgr(self):
         return self.kernel.iomgr
 
@@ -98,9 +94,6 @@ class WindowsSystem:
         """Spawn at idle priority (the paper's replacement idle loop)."""
         return self.spawn(name, program, priority=IDLE_PRIORITY)
 
-    def set_foreground(self, thread: SimThread) -> None:
-        self.kernel.set_foreground(thread)
-
     def bind_socket(self, thread: SimThread) -> None:
         """Route WM_SOCKET packet notifications to ``thread``."""
         self.kernel.bind_socket(thread)
@@ -120,9 +113,6 @@ class WindowsSystem:
     # ------------------------------------------------------------------
     def run_for(self, duration_ns: int) -> int:
         return self.machine.run_for(duration_ns)
-
-    def run_until(self, time_ns: int) -> int:
-        return self.machine.run_until(time_ns)
 
     def quiescent(self) -> bool:
         """No non-idle thread runnable, no DPC, no pending I/O, empty queues."""

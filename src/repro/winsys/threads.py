@@ -74,9 +74,6 @@ class SimThread:
         #: Clock ticks consumed since the quantum last reset (the kernel
         #: rotates equal-priority threads when this reaches the quantum).
         self.quantum_ticks_used = 0
-        #: True while the thread is in a BusyWait poll-spin; a message
-        #: post cancels the spin instead of merely queueing.
-        self.spin_wait = False
         self._started = False
         # Accounting.
         self.cpu_ns = 0

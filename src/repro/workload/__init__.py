@@ -2,7 +2,6 @@
 
 from .mstest import MsTestDriver
 from .network import PacketSource
-from .replay import Recording, ReplayDriver
 from .script import (
     Action,
     Click,
@@ -28,8 +27,6 @@ __all__ = [
     "MsTestDriver",
     "PacketSource",
     "Pause",
-    "Recording",
-    "ReplayDriver",
     "TaskSpec",
     "TypistDriver",
     "TypistModel",

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-import dataclasses
-
 from ..sim.timebase import ns_from_ms
 from ..winsys.system import WindowsSystem
 from .script import Click, Command, InputScript, Key, Mark, Pause, WaitIdle
@@ -59,8 +57,6 @@ class MsTestDriver:
         #: click, command) — the driver-side half of the input-latency
         #: decomposition in :mod:`repro.core.decompose`.
         self.injection_times: List[int] = []
-        #: The input actions actually injected, in order (for replay).
-        self._injected_actions: List[object] = []
         #: (label, time_ns) pairs recorded by Mark actions.
         self.marks: List[Tuple[str, int]] = []
         self._index = 0
@@ -140,7 +136,6 @@ class MsTestDriver:
                 return
             if isinstance(action, Key):
                 self.system.machine.keyboard.keystroke(action.key)
-                self._injected_actions.append(action)
                 self._after_input(self._pause_after(action))
                 return
             if isinstance(action, Click):
@@ -148,7 +143,6 @@ class MsTestDriver:
                 self.system.machine.mouse.click(
                     button=action.button, hold_ns=ns_from_ms(action.hold_ms)
                 )
-                self._injected_actions.append(action)
                 self._after_input(
                     self._pause_after(action) + ns_from_ms(action.hold_ms),
                     extra_delay_ns=ns_from_ms(action.hold_ms),
@@ -156,7 +150,6 @@ class MsTestDriver:
                 return
             if isinstance(action, Command):
                 self.system.post_command(action.payload)
-                self._injected_actions.append(action)
                 self._after_input(self._pause_after(action))
                 return
             raise TypeError(f"unknown script action {action!r}")
@@ -209,30 +202,6 @@ class MsTestDriver:
         if self._awaiting_qs:
             self._awaiting_qs = False
             self._schedule_step(self._pending_pause_ns)
-
-    # ------------------------------------------------------------------
-    # Capture / replay
-    # ------------------------------------------------------------------
-    def recorded_script(self) -> InputScript:
-        """The injected input as a replayable script with exact timing.
-
-        Pauses come from the *observed* injection gaps, so replaying the
-        recording (with any driver, on any OS) reproduces this run's
-        input stream precisely — how the paper's hand-generated trials
-        kept "the same typist and input" comparable across runs.
-        """
-        actions = []
-        for index, action in enumerate(self._injected_actions):
-            if index + 1 < len(self.injection_times):
-                gap_ms = (
-                    self.injection_times[index + 1] - self.injection_times[index]
-                ) / 1e6
-                if isinstance(action, Click):
-                    gap_ms = max(0.0, gap_ms - action.hold_ms)
-                actions.append(dataclasses.replace(action, pause_ms=gap_ms))
-            else:
-                actions.append(action)
-        return InputScript(actions)
 
     def _poll_idle(self, settle_ns: int) -> None:
         if self.system.quiescent() or self.system.now >= self._wait_deadline:

@@ -109,10 +109,6 @@ class InputScript:
         self.actions.extend(actions)
         return self
 
-    def extend(self, actions: Iterable[Action]) -> "InputScript":
-        self.actions.extend(actions)
-        return self
-
     def key_count(self) -> int:
         return sum(1 for action in self.actions if isinstance(action, Key))
 

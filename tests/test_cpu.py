@@ -23,10 +23,8 @@ class TestExecution:
     def test_busy_flag(self, sim, cpu):
         cpu.start(Work(1000), "ctx", lambda c: None)
         assert cpu.busy
-        assert cpu.current_context == "ctx"
         sim.run()
         assert not cpu.busy
-        assert cpu.current_context is None
 
     def test_start_while_busy_raises(self, sim, cpu):
         cpu.start(Work(1000), "a", lambda c: None)

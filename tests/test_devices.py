@@ -66,9 +66,13 @@ class TestDisk:
         with pytest.raises(ValueError):
             disk.submit(DiskRequest(block=0, count=0))
 
-    def test_interrupt_sink_used_when_set(self, sim, disk):
+    def test_interrupt_sink_used_when_set(self, sim):
         raised = []
-        disk.set_interrupt_sink(lambda vector, payload: raised.append(vector))
+        disk = Disk(
+            sim,
+            RngStreams(0),
+            raise_interrupt=lambda vector, payload: raised.append(vector),
+        )
         disk.submit(DiskRequest(block=0, count=1))
         sim.run()
         assert raised == ["disk"]

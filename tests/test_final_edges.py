@@ -9,17 +9,17 @@ from repro.winsys import Compute, GetMessage, Message, WM, boot
 class TestKernelIntrospection:
     def test_cpu_is_idle(self, nt40):
         nt40.run_for(ns_from_ms(5))
-        assert nt40.kernel.cpu_is_idle()
+        assert not nt40.machine.cpu.busy
 
         def worker():
             yield Compute(nt40.personality.app_work(10_000_000))
 
         nt40.spawn("w", worker())
         nt40.run_for(ns_from_ms(1))
-        assert not nt40.kernel.cpu_is_idle()
+        assert nt40.machine.cpu.busy
 
     def test_foreground_queue_len(self, nt40):
-        assert nt40.kernel.foreground_queue_len() == 0
+        assert nt40.kernel.foreground is None
 
         def app():
             yield Compute(nt40.personality.app_work(50_000_000))
@@ -30,7 +30,7 @@ class TestKernelIntrospection:
         nt40.run_for(ns_from_ms(1))
         nt40.kernel.post_message(thread, Message(WM.USER))
         nt40.kernel.post_message(thread, Message(WM.USER))
-        assert nt40.kernel.foreground_queue_len() == 2
+        assert len(nt40.kernel.foreground.queue) == 2
 
 
 class TestRunnerRenderPath:

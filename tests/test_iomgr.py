@@ -19,10 +19,13 @@ from repro.winsys.nt40 import PERSONALITY
 
 @pytest.fixture
 def io_setup(sim):
-    disk = Disk(sim, RngStreams(0))
+    disk = Disk(
+        sim,
+        RngStreams(0),
+        raise_interrupt=lambda vector, request: iomgr.on_disk_complete(request),
+    )
     cache = BufferCache(64)
     iomgr = IoManager(disk, cache, PERSONALITY)
-    disk.set_interrupt_sink(lambda vector, request: iomgr.on_disk_complete(request))
     fs = FileSystem(total_blocks=disk.geometry.total_blocks)
     return sim, disk, cache, iomgr, fs
 
@@ -104,20 +107,11 @@ class TestSubmission:
         file = fs.create("a", 4096)
         observed = []
         iomgr.add_sync_observer(observed.append)
-        iomgr.submit(iomgr.plan_read(file, 0, 4096), on_done=lambda: None, sync=True)
+        iomgr.submit(iomgr.plan_read(file, 0, 4096), on_done=lambda: None)
         assert iomgr.outstanding_sync == 1
         sim.run()
         assert iomgr.outstanding_sync == 0
         assert observed == [1, 0]
-
-    def test_async_does_not_count_as_sync(self, io_setup):
-        sim, _disk, _cache, iomgr, fs = io_setup
-        file = fs.create("a", 4096)
-        iomgr.submit(iomgr.plan_read(file, 0, 4096), on_done=lambda: None, sync=False)
-        assert iomgr.outstanding_sync == 0
-        assert iomgr.pending_ops == 1
-        sim.run()
-        assert iomgr.pending_ops == 0
 
     def test_multi_request_plan_completes_once(self, io_setup):
         sim, _disk, _cache, iomgr, fs = io_setup
@@ -141,10 +135,13 @@ def _traced_sync_read(stall_ns=0):
     service-time modifier that holds requests until a deadline passes.
     """
     sim = Simulator()
-    disk = Disk(sim, RngStreams(0))
+    disk = Disk(
+        sim,
+        RngStreams(0),
+        raise_interrupt=lambda vector, request: iomgr.on_disk_complete(request),
+    )
     cache = BufferCache(64)
     iomgr = IoManager(disk, cache, PERSONALITY)
-    disk.set_interrupt_sink(lambda vector, request: iomgr.on_disk_complete(request))
     fs = FileSystem(total_blocks=disk.geometry.total_blocks)
     if stall_ns:
         disk.add_service_time_modifier(
@@ -156,7 +153,7 @@ def _traced_sync_read(stall_ns=0):
 
     file = fs.create("probe", 4096)
     done = []
-    iomgr.submit(iomgr.plan_read(file, 0, 4096), on_done=lambda: done.append(sim.now), sync=True)
+    iomgr.submit(iomgr.plan_read(file, 0, 4096), on_done=lambda: done.append(sim.now))
     sim.run()
     assert len(done) == 1
 
@@ -222,12 +219,13 @@ class TestInjectedStalls:
 
     def test_modifier_removal_restores_baseline(self):
         sim = Simulator()
-        disk = Disk(sim, RngStreams(0))
+        disk = Disk(
+            sim,
+            RngStreams(0),
+            raise_interrupt=lambda vector, request: iomgr.on_disk_complete(request),
+        )
         cache = BufferCache(64)
         iomgr = IoManager(disk, cache, PERSONALITY)
-        disk.set_interrupt_sink(
-            lambda vector, request: iomgr.on_disk_complete(request)
-        )
         fs = FileSystem(total_blocks=disk.geometry.total_blocks)
         file = fs.create("probe", 2 * 4096)
 

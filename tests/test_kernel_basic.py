@@ -5,18 +5,13 @@ import pytest
 from repro.sim.timebase import ns_from_ms
 from repro.winsys import (
     Compute,
-    ExitThread,
     GetMessage,
     KillTimer,
     Message,
     PeekMessage,
-    PostMessage,
     ReadCycleCounter,
     SetTimer,
-    Sleep,
-    SpawnThread,
     WM,
-    YieldCpu,
     boot,
 )
 from repro.winsys.threads import ThreadState
@@ -101,47 +96,16 @@ class TestMessaging:
         results = []
 
         def program():
-            results.append((yield PeekMessage(remove=False)))
-            results.append((yield PeekMessage(remove=True)))
-            results.append((yield PeekMessage(remove=True)))
+            results.append((yield PeekMessage()))
+            results.append((yield PeekMessage()))
 
         thread = nt40.spawn("peeker", program())
         nt40.kernel.post_message(thread, Message(WM.USER, payload="only"))
         nt40.run_for(ns_from_ms(10))
-        assert results[0].payload == "only"  # peeked, not removed
-        assert results[1].payload == "only"  # removed
-        assert results[2] is None
-
-    def test_postmessage_between_threads(self, nt40):
-        got = []
-
-        def receiver():
-            message = yield GetMessage()
-            got.append(message.payload)
-
-        receiver_thread = nt40.spawn("receiver", receiver())
-
-        def sender():
-            yield PostMessage(receiver_thread, Message(WM.USER, payload=42))
-
-        nt40.spawn("sender", sender())
-        nt40.run_for(ns_from_ms(10))
-        assert got == [42]
-
+        assert results[0].payload == "only"  # removed
+        assert results[1] is None
 
 class TestTimersAndSleep:
-    def test_sleep_rounds_to_tick(self, nt40):
-        woke = []
-
-        def program():
-            yield Sleep(ns_from_ms(3))
-            woke.append(nt40.now)
-
-        run_program(nt40, program(), until_ms=100)
-        assert len(woke) == 1
-        # Woken on a 10 ms boundary (plus dispatch epsilon).
-        assert woke[0] % ns_from_ms(10) < ns_from_ms(1)
-
     def test_set_timer_posts_wm_timer(self, nt40):
         fired = []
 
@@ -187,43 +151,3 @@ class TestMisc:
 
         run_program(nt40, program())
         assert values[1] - values[0] >= 100_000
-
-    def test_spawn_thread(self, nt40):
-        child_ran = []
-
-        def child():
-            yield Compute(nt40.personality.app_work(1000))
-            child_ran.append(True)
-
-        def parent():
-            thread = yield SpawnThread("child", child(), priority=8)
-            assert thread.name == "child"
-            yield Compute(nt40.personality.app_work(1000))
-
-        run_program(nt40, parent())
-        assert child_ran == [True]
-
-    def test_exit_thread(self, nt40):
-        after = []
-
-        def program():
-            yield ExitThread()
-            after.append(True)  # pragma: no cover - must not run
-
-        thread = run_program(nt40, program(), until_ms=10)
-        assert thread.done
-        assert after == []
-
-    def test_yield_cpu_round_robins(self, nt40):
-        order = []
-
-        def worker(tag):
-            for _ in range(3):
-                yield Compute(nt40.personality.app_work(1000))
-                order.append(tag)
-                yield YieldCpu()
-
-        nt40.spawn("a", worker("a"))
-        nt40.spawn("b", worker("b"))
-        nt40.run_for(ns_from_ms(50))
-        assert order[:4] == ["a", "b", "a", "b"]

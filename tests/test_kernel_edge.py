@@ -1,80 +1,17 @@
-"""Kernel edge cases: spin-waits, GDI flush, hooks, panics."""
+"""Kernel edge cases: GDI flush, hooks, panics."""
 
 import pytest
 
 from repro.sim.timebase import ns_from_ms
 from repro.winsys import (
-    BusyWait,
-    Compute,
     GdiFlush,
     GdiOp,
     GetMessage,
     Message,
-    PeekMessage,
-    UserCall,
     WM,
-    boot,
 )
 from repro.winsys.kernel import KernelPanic
 from repro.sim.work import Work
-
-
-class TestBusyWaitSyscall:
-    def test_spin_ends_when_message_arrives(self, nt40):
-        log = []
-
-        def program():
-            yield BusyWait(reason="poll")
-            log.append(("woke", nt40.now))
-            message = yield PeekMessage(remove=True)
-            log.append(("got", message.kind))
-
-        thread = nt40.spawn("poller", program())
-        nt40.run_for(ns_from_ms(50))
-        assert log == []  # still spinning
-        nt40.kernel.post_message(thread, Message(WM.USER))
-        nt40.run_for(ns_from_ms(20))
-        assert log[0][0] == "woke"
-        assert log[1] == ("got", WM.USER)
-
-    def test_cpu_fully_busy_while_spinning(self, nt40):
-        def program():
-            yield BusyWait()
-
-        nt40.spawn("poller", program())
-        nt40.run_for(ns_from_ms(5))
-        busy_before = nt40.machine.cpu.busy_ns
-        nt40.run_for(ns_from_ms(100))
-        busy = nt40.machine.cpu.busy_ns - busy_before
-        assert busy > ns_from_ms(95)
-
-    def test_spin_returns_immediately_if_queued(self, nt40):
-        log = []
-
-        def program():
-            yield Compute(nt40.personality.app_work(1000))
-            yield BusyWait()
-            log.append(nt40.now)
-
-        thread = nt40.spawn("poller", program())
-        nt40.kernel.post_message(thread, Message(WM.USER))
-        nt40.run_for(ns_from_ms(10))
-        assert log and log[0] < ns_from_ms(5)
-
-    def test_spin_survives_preemption_by_dpc(self, nt40):
-        """A clock tick mid-spin must not terminate the wait."""
-        log = []
-
-        def program():
-            yield BusyWait()
-            log.append(nt40.now)
-
-        thread = nt40.spawn("poller", program())
-        nt40.run_for(ns_from_ms(35))  # several ticks elapse
-        assert log == []
-        nt40.kernel.post_message(thread, Message(WM.USER))
-        nt40.run_for(ns_from_ms(10))
-        assert len(log) == 1
 
 
 class TestGdiPath:
@@ -119,22 +56,6 @@ class TestGdiPath:
         nt40.spawn("painter", program())
         nt40.run_for(ns_from_ms(5))
         assert done
-
-
-class TestUserCall:
-    def test_user_call_costs_scale_by_personality(self, nt351, nt40):
-        def elapsed(system):
-            done = []
-
-            def program():
-                yield UserCall("CreateWindow", system.personality.app_work(500_000))
-                done.append(system.now)
-
-            system.spawn("caller", program())
-            system.run_for(ns_from_ms(50))
-            return done[0]
-
-        assert elapsed(nt351) > elapsed(nt40)
 
 
 class TestHookRecords:

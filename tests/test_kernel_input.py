@@ -57,7 +57,7 @@ class TestKeyboardPipeline:
         nt40.run_for(ns_from_ms(5))
         nt40.machine.keyboard.keystroke("x")
         nt40.run_for(ns_from_ms(20))
-        nt40.set_foreground(thread_b)
+        nt40.kernel.set_foreground(thread_b)
         nt40.machine.keyboard.keystroke("y")
         nt40.run_for(ns_from_ms(20))
         assert [p for _k, p, _t in got_a if p] == ["x", "x", "x"]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.timebase import ns_from_ms
-from repro.winsys import AsyncRead, Compute, SyncRead, SyncWrite, boot
+from repro.winsys import SyncRead, SyncWrite, boot
 
 
 class TestSyncRead:
@@ -91,43 +91,3 @@ class TestSyncWrite:
         nt40.run_for(ns_from_ms(2000))
         assert durations[0] < ns_from_ms(2)
 
-
-class TestAsyncRead:
-    def test_async_read_does_not_block(self, nt40):
-        file = nt40.filesystem.create("doc", 64 * 4096)
-        stamps = []
-
-        def program():
-            start = nt40.now
-            yield AsyncRead(file, 0, 64 * 4096)
-            stamps.append(nt40.now - start)
-
-        nt40.spawn("reader", program())
-        nt40.run_for(ns_from_ms(2000))
-        assert stamps[0] < ns_from_ms(2)
-
-    def test_async_read_warms_cache(self, nt40):
-        file = nt40.filesystem.create("doc", 32 * 4096)
-        durations = []
-
-        def program():
-            yield AsyncRead(file, 0, 32 * 4096)
-            # Wait for the background read to land, then read again.
-            yield Compute(nt40.personality.app_work(100))
-            start = nt40.now
-            yield SyncRead(file, 0, 32 * 4096)
-            durations.append(nt40.now - start)
-
-        nt40.spawn("reader", program())
-        nt40.run_until_quiescent(max_ns=ns_from_ms(5000))
-        # Run again after disk finished.
-        stamps2 = []
-
-        def second():
-            start = nt40.now
-            yield SyncRead(file, 0, 32 * 4096)
-            stamps2.append(nt40.now - start)
-
-        nt40.spawn("reader2", second())
-        nt40.run_for(ns_from_ms(500))
-        assert stamps2[0] < ns_from_ms(2)

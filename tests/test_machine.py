@@ -24,9 +24,9 @@ class TestMachine:
 
     def test_run_for_advances(self, machine):
         machine.run_for(5_000)
-        assert machine.now == 5_000
-        machine.run_until(10_000)
-        assert machine.now == 10_000
+        assert machine.sim.now == 5_000
+        machine.run_for(5_000)
+        assert machine.sim.now == 10_000
 
     def test_device_vectors_registered(self, machine):
         for vector in ("clock", "disk", "keyboard", "mouse"):

@@ -101,6 +101,14 @@ def test_retries_must_be_nonnegative(capsys):
     assert "--retries must be >= 0" in capsys.readouterr().err
 
 
+def test_backoff_must_be_nonnegative(monkeypatch, capsys):
+    # Checked up front: sleep() would reject it only after the first
+    # retryable failure, killing the sweep before it wrote a manifest.
+    monkeypatch.setitem(registry.EXPERIMENTS, "fig1", _crash)
+    assert main(["fig1", "--retries", "1", "--backoff", "-1", "--no-cache"]) == 2
+    assert "--backoff must be >= 0" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------
 # Retry with exponential backoff (transient pool failures only)
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.timebase import ns_from_ms
-from repro.winsys import Compute, GetMessage, Sleep, SyncRead, WM, boot
+from repro.winsys import Compute, GetMessage, SyncRead, WM, boot
 from repro.winsys.threads import IDLE_PRIORITY
 
 
@@ -115,7 +115,7 @@ class TestQuiescence:
 
     def test_sleeping_thread_is_quiescent(self, nt40):
         def program():
-            yield Sleep(ns_from_ms(500))
+            yield GetMessage()  # nothing is posted: blocks for good
 
         nt40.spawn("sleeper", program())
         nt40.run_for(ns_from_ms(30))
