@@ -207,8 +207,10 @@ envelope-smoke:
 # through the runner — the manifest must carry the merged-sketch
 # provenance, a run observed with sampled stage envelopes must record
 # the same fleet digest (fleet sessions ignore the caller's session),
-# the stats subcommand must render the fleet block, and the
-# fleet-report verb must produce the capacity plan.
+# so must a run on the slow simulation path (--no-fast-forward; its
+# own --no-cache, since the cache key omits the flag), the stats
+# subcommand must render the fleet block, and the fleet-report verb
+# must produce the capacity plan.
 fleet-smoke:
 	rm -rf $(SMOKE_OUT) $(SMOKE_CACHE)
 	$(PYTHON) -m repro.experiments ext-fleet --jobs 1 \
@@ -231,6 +233,14 @@ fleet-smoke:
 	plain, sampled = digest('$(SMOKE_OUT)'), digest('$(SMOKE_OUT)/sampled'); \
 	assert sampled == plain, 'sampled run changed the fleet digest: %s != %s' % (sampled, plain); \
 	print('sampled fleet digest ok: %s' % sampled)"
+	$(PYTHON) -m repro.experiments ext-fleet --jobs 1 --no-fast-forward \
+		--no-cache --save $(SMOKE_OUT)/slow --checks-only
+	$(PYTHON) -c "\
+	from repro.core.serialize import load_json; \
+	digest = lambda d: load_json(d + '/manifest.json')['experiments'][0]['fleet']['merged_digest']; \
+	plain, slow = digest('$(SMOKE_OUT)'), digest('$(SMOKE_OUT)/slow'); \
+	assert slow == plain, 'the slow path changed the fleet digest: %s != %s' % (slow, plain); \
+	print('slow-path fleet digest ok: %s' % slow)"
 	$(PYTHON) -m repro.experiments stats $(SMOKE_OUT)/manifest.json \
 		| grep -q "merged wait-time sketches"
 	$(PYTHON) -m repro.experiments fleet-report $(SMOKE_OUT) \

@@ -54,12 +54,12 @@ class IdleLoopInstrument:
         self._installed = False
         #: Optional per-record callback ``hook(timestamp_ns)``, invoked
         #: once for every trace record — including records a fast-forward
-        #: batch synthesizes (probes that pair each record with a counter
+        #: jump synthesizes (probes that pair each record with a counter
         #: reading, e.g. :class:`repro.core.isrcost.InterruptCostProbe`,
         #: hook here rather than wrapping ``buffer.append``, which the
-        #: batch path bypasses).  Counters cannot change between the
-        #: events of a batch, so the paired readings are identical with
-        #: fast-forward on or off.
+        #: jump bypasses).  While a hook is set, jumps cross no tick, and
+        #: counters cannot change between the events of such a jump, so
+        #: the paired readings are identical with fast-forward on or off.
         self.record_hook: Optional[Callable[[int], None]] = None
 
     def _calibrate(self) -> int:
@@ -85,44 +85,49 @@ class IdleLoopInstrument:
         self.thread = self.system.spawn_idle("idle-instrument", self._program())
 
     def _program(self) -> Iterator[Syscall]:
+        """The loop itself, one ``IdleCompute`` per record.
+
+        The kernel answers each yield with ``None`` (the segment ran; its
+        record is now) or with ``(start, count)`` ramps of the records a
+        fast-forward jump completed in closed form (see
+        :class:`~repro.winsys.syscalls.IdleCompute`).  A ``record_hook``
+        confines jumps to the segments before the next tick, because it
+        reads state at each record's own time.
+        """
         work = self.system.personality.app_work(
             self.loop_work_cycles, label="idle-loop"
         )
         system = self.system
         buffer = self.buffer
         # Segment wall-duration on an idle processor — the record spacing
-        # fast-forward batches reproduce.  Computed through the same CPU
-        # model the kernel charges, so the two can never disagree.
+        # of every ramp.  Computed through the same CPU model the kernel
+        # charges, so the two can never disagree.
         step_ns = system.machine.cpu.duration_ns(work)
         # One reusable syscall object: the kernel consumes an IdleCompute
-        # at perform time (work + max_batch) and never retains it, so the
-        # instrument can mutate max_batch between yields instead of
-        # allocating a fresh syscall per millisecond of idle time.
-        syscall = IdleCompute(work, max_batch=0)
+        # at perform time and never retains it, so the instrument can
+        # mutate its fields between yields instead of allocating a fresh
+        # syscall per millisecond of idle time.
+        syscall = IdleCompute(work)
         while True:
             space = buffer.space_left
             if not space:
                 break
-            # max_batch caps any analytic batch at the records that still
-            # fit, mirroring this loop's own space_left check.
             syscall.max_batch = space
-            batched = yield syscall
+            syscall.tickless = self.record_hook is None
+            ramps = yield syscall
             hook = self.record_hook
-            if batched is None:
+            if ramps is None:
                 # Segment executed on the (possibly contended) CPU; its
                 # elongation, if any, is the measurement.
                 now = system.now
                 buffer.append(now)
                 if hook is not None:
                     hook(now)
-            else:
-                # The kernel completed `batched` uncontended segments
-                # analytically; their records are exactly evenly spaced,
-                # ending at the jumped-to now.
-                start = system.now - (batched - 1) * step_ns
-                buffer.extend_ramp(start, step_ns, batched)
+                continue
+            for start, count in ramps:
+                buffer.extend_ramp(start, step_ns, count)
                 if hook is not None:
-                    for i in range(batched):
+                    for i in range(count):
                         hook(start + i * step_ns)
 
     def trace(self) -> SampleTrace:

@@ -69,6 +69,12 @@ class SystemInstrumentation:
         )
         self.tracer = tracer
         self.registry = registry
+        #: Whether a live tracer or metrics registry receives what the
+        #: hooks report.  The kernel's quiescent jump crosses clock ticks
+        #: only when it does not: crossed events call no hooks, which is
+        #: invisible to null sinks and to the envelope recorder (ticks
+        #: carry no input), but not to a live trace or metric.
+        self.recording = bool(tracer.enabled or registry.enabled)
         self.pid = tracer.register_process(os_name)
         tracer.register_thread(self.pid, "cpu", tid=CPU_TRACK)
         tracer.register_thread(self.pid, "irq", tid=IRQ_TRACK)

@@ -43,7 +43,6 @@ class CPU:
         "_on_complete",
         "_start_ns",
         "_stolen_ns",
-        "_charged_fraction",
         "_completion_seq",
         "_completion_ns",
         "_complete_hid",
@@ -61,7 +60,6 @@ class CPU:
         self._on_complete: Optional[Callable[[object], None]] = None
         self._start_ns = 0
         self._stolen_ns = 0
-        self._charged_fraction = 0.0
         # Completions are engine *kind* events (one heap tuple each, no
         # handle object): the pending entry is tracked by its seq for
         # cancellation plus its absolute due time for ISR push-back.
@@ -107,7 +105,6 @@ class CPU:
         now = sim._now
         self._start_ns = now
         self._stolen_ns = 0
-        self._charged_fraction = 0.0
         duration = (work.cycles * NS_PER_SEC) // self.hz
         self._duration_ns = duration
         self._completion_ns = now + duration
@@ -118,28 +115,16 @@ class CPU:
         elapsed = self.sim.now - self._start_ns
         return max(0, elapsed - self._stolen_ns)
 
-    def _charge_progress(self, fraction: float) -> None:
-        """Charge the segment's events up to ``fraction`` of completion."""
-        assert self._work is not None
-        delta = fraction - self._charged_fraction
-        if delta > 0:
-            self.perf.charge_events(self._work.events, delta)
-            self._charged_fraction = fraction
-
     def _complete(self) -> None:
         work, context, callback = self._work, self._context, self._on_complete
         assert work is not None and callback is not None
-        # Uncontested segments (nothing preempted or partially charged
-        # them) are the common case: their events are exact integers, so
-        # the whole-count add skips the pro-rata float path entirely
-        # (inlined charge_events_whole — this runs once per segment).
-        if self._charged_fraction == 0.0:
-            tally = self.perf._tally
-            for event, count in work.events.items():
-                if count:
-                    tally[event] += count
-        else:
-            self._charge_progress(1.0)
+        # A completed segment charges its events whole: exact integers
+        # that never touch the fractional residual (inlined
+        # charge_events_whole — this runs once per segment).
+        tally = self.perf._tally
+        for event, count in work.events.items():
+            if count:
+                tally[event] += count
         self.busy_ns += self._duration_ns
         self._work = None
         self._context = None
@@ -147,22 +132,46 @@ class CPU:
         self._completion_seq = None
         callback(context)
 
-    def credit_idle_batch(self, work: Work, duration_ns: int, count: int) -> None:
-        """Account ``count`` back-to-back completions of ``work`` at once.
+    def credit(self, work: Work, times: int = 1) -> None:
+        """Account ``times`` whole executions of ``work`` in one step.
 
-        The idle fast-forward path (see
-        :meth:`repro.winsys.kernel.Kernel._try_fast_forward`) skips the
-        execution of ``count`` identical idle-loop segments and calls
-        this instead.  It must be bit-identical to ``count`` sequential
-        :meth:`start`/:meth:`_complete` rounds: a completed segment
-        charges its events at fraction 1.0 — whole counts that never
-        touch the fractional residual — so the batch add below matches
-        exactly.  The CPU must be free (the kernel guarantees it).
+        Bit-identical to ``times`` uncontested start/complete rounds:
+        whole event counts (which never touch the fractional residual)
+        and the busy time.  The kernel's quiescent jump credits the
+        segments, ISRs and DPCs it crosses this way.
         """
-        if self._work is not None:
-            raise SimulationError("credit_idle_batch while busy")
-        self.busy_ns += duration_ns * count
-        self.perf.charge_events_whole(work.events, count)
+        self.busy_ns += self.duration_ns(work) * times
+        self.perf.charge_events_whole(work.events, times)
+
+    def split(self, work: Work, executed_ns: int) -> Tuple[float, Optional[Work]]:
+        """Where a preemption after ``executed_ns`` of ``work`` leaves it.
+
+        Returns the executed fraction and the remaining segment, whose
+        cycles and event counts are rounded to whole numbers (None when
+        nothing is left).  :meth:`preempt` and the kernel's quiescent
+        jump both split segments here, so the two cannot round
+        differently.
+        """
+        total_ns = self.duration_ns(work)
+        fraction = executed_ns / total_ns if total_ns else 1.0
+        remaining_cycles = work.cycles - round(work.cycles * fraction)
+        if remaining_cycles <= 0:
+            return fraction, None
+        return fraction, Work(
+            cycles=remaining_cycles,
+            events={
+                ev: count - round(count * fraction)
+                for ev, count in work.events.items()
+            },
+            label=work.label,
+        )
+
+    def charge_split(self, work: Work, fraction: float, executed_ns: int) -> None:
+        """Charge the executed part of a split segment: its pro-rata
+        events (through the fractional residual) and busy time."""
+        if fraction > 0:
+            self.perf.charge_events(work.events, fraction)
+        self.busy_ns += executed_ns
 
     def preempt(self) -> Tuple[object, Optional[Work]]:
         """Take the CPU away from the current segment.
@@ -176,26 +185,13 @@ class CPU:
         assert self._completion_seq is not None
         self.sim.cancel_kind(self._completion_seq)
         work, context = self._work, self._context
-        total_ns = self._duration_ns
-        executed_ns = min(self._executed_ns(), total_ns)
-        fraction = executed_ns / total_ns if total_ns else 1.0
-        self._charge_progress(fraction)
-        self.busy_ns += executed_ns
-        remaining_cycles = work.cycles - round(work.cycles * fraction)
+        executed_ns = min(self._executed_ns(), self._duration_ns)
+        fraction, remaining = self.split(work, executed_ns)
+        self.charge_split(work, fraction, executed_ns)
         self._work = None
         self._context = None
         self._on_complete = None
         self._completion_seq = None
-        if remaining_cycles <= 0:
-            return context, None
-        remaining = Work(
-            cycles=remaining_cycles,
-            events={
-                ev: count - round(count * fraction)
-                for ev, count in work.events.items()
-            },
-            label=work.label,
-        )
         return context, remaining
 
     def abort(self) -> object:

@@ -48,12 +48,19 @@ change the pop order.  No experiment cancels enough handles to compact
 today: compaction is the bound that keeps a long run with many
 cancelled timers from growing the heap without limit.
 
-The engine also carries the state the idle fast-forward path (see
-:mod:`repro.winsys.kernel` and ``docs/performance.md``) needs to stay
-bit-identical to ordinary execution: the active run horizon, and a
-:meth:`Simulator.fast_forward` jump that advances the clock *and* the
-sequence/executed counters exactly as executing the skipped events one
-by one would have.
+The engine also carries what the idle fast-forward jump (see
+:meth:`repro.winsys.kernel.Kernel._try_fast_forward` and
+``docs/performance.md``) needs to stay bit-identical to ordinary
+execution.  :meth:`Simulator.jump_window` says how far a jump may go:
+strictly before the next live entry other than the periodic ones the
+caller crosses in closed form (the clock tick, the Win95 idle
+background), and no further than the run horizon; a run with an
+``until`` predicate, a ``max_events`` bound or a stop request narrows
+or forbids it.  :meth:`Simulator.fast_forward` then advances the clock
+*and* the sequence/executed counters exactly as executing the crossed
+events one by one would have, pops the periodic entries it crossed and
+re-arms each at the ``(time, seq)`` key the slow path would have given
+its successor.
 """
 
 from __future__ import annotations
@@ -62,7 +69,7 @@ import heapq
 from contextlib import contextmanager
 from contextvars import ContextVar
 from heapq import heappop as _heappop, heappush as _heappush
-from typing import Any, Callable, Iterator, List, Optional
+from typing import Any, Callable, Collection, Iterable, Iterator, List, Optional, Tuple
 
 __all__ = [
     "ScheduledEvent",
@@ -147,6 +154,7 @@ class Simulator:
         "_stop_requested",
         "_horizon",
         "_ff_allowed",
+        "_until_active",
         "_cancelled",
         "_handler_fns",
         "_kind_cancelled",
@@ -174,6 +182,10 @@ class Simulator:
         #: False while a ``max_events``-bounded run is active — fast
         #: forward would execute segments the bound should count.
         self._ff_allowed = True
+        #: True while an ``until``-predicate run is active — the slow
+        #: path re-checks the predicate after every event, so a jump may
+        #: not cross the periodic entries (see :meth:`jump_window`).
+        self._until_active = False
         #: Cancelled ScheduledEvent entries still on the calendar (lazy
         #: deletion; the slot entry counts here too).
         self._cancelled = 0
@@ -526,50 +538,108 @@ class Simulator:
     # ------------------------------------------------------------------
     # Fast-forward support (see repro.winsys.kernel._try_fast_forward)
     # ------------------------------------------------------------------
-    def fast_forward_budget(self, step_ns: int) -> int:
-        """Largest ``k`` such that jumping ``k * step_ns`` is invisible.
+    @property
+    def next_seq(self) -> int:
+        """The ``seq`` the next scheduled entry will receive."""
+        return self._seq
 
-        The jump must land strictly before the next live calendar event
-        (a segment that would span it must execute normally so the event
-        — typically a clock tick stealing time — elongates it exactly as
-        on the slow path) and at or before the active run horizon (the
-        slow path executes events at the horizon itself).  Returns 0
-        when no bound exists (empty calendar and no horizon — nothing to
-        fast-forward *to*), when a ``max_events`` run is active, or when
-        a stop was requested mid-callback.
+    def jump_window(self, periodic: Collection[int] = ()) -> Tuple[Optional[int], str]:
+        """The latest instant a fast-forward jump may reach, and what sets it.
+
+        A jump must end strictly before the earliest live entry other
+        than the kind entries whose seqs are in ``periodic`` (the caller
+        crosses those in closed form and re-keys them through
+        :meth:`fast_forward`), and at or before the active run horizon
+        (the slow path executes events at the horizon itself).  Returns
+        ``(limit_ns, reason)``, where ``reason`` names the nearer bound:
+        ``"next event"`` or ``"horizon"``.  Under a run with an ``until``
+        predicate, which re-checks it after every event, the periodic
+        entries bound the jump like any other, and when one of them is
+        the nearer bound the reason is ``"until/max_events run"``.
+        ``limit_ns`` is None when no jump is allowed at all: under a
+        ``max_events`` run (skipped events would count against the
+        bound), after a stop request, or when nothing bounds the jump
+        (empty calendar, no horizon).
         """
-        if step_ns <= 0 or not self._ff_allowed or self._stop_requested:
-            return 0
+        if not self._ff_allowed:
+            return None, "until/max_events run"
+        if self._stop_requested:
+            return None, "stop requested"
+        skip = () if self._until_active else periodic
         self._discard_cancelled()
+        kc = self._kind_cancelled
+        event_cls = ScheduledEvent
+        nearest = None
         nxt = self._next
-        if nxt is not None:
-            next_time = nxt[0]
+        if nxt is not None and nxt[1] not in skip:
+            nearest = nxt
         else:
-            next_time = self._queue[0][0] if self._queue else None
-        budget = None
-        if next_time is not None:
-            # An event at or before now + step (e.g. an isr-return at the
-            # current timestamp) leaves no room for even one segment.
-            budget = (next_time - self._now - 1) // step_ns
-            if budget <= 0:
-                return 0
+            # Walk the heap from the root, descending only through
+            # entries that do not count (dead or skipped): a counted
+            # entry bounds its whole subtree.
+            queue = self._queue
+            size = len(queue)
+            stack = [0] if size else []
+            while stack:
+                index = stack.pop()
+                entry = queue[index]
+                if nearest is not None and entry[0] >= nearest[0]:
+                    continue
+                payload = entry[2]
+                if payload.__class__ is event_cls:
+                    dead = payload.cancelled
+                else:
+                    dead = entry[1] in kc
+                if dead or entry[1] in skip:
+                    child = 2 * index + 1
+                    if child < size:
+                        stack.append(child)
+                        if child + 1 < size:
+                            stack.append(child + 1)
+                else:
+                    nearest = entry
         horizon = self._horizon
-        if horizon is not None:
-            by_horizon = (horizon - self._now) // step_ns
-            if budget is None or by_horizon < budget:
-                budget = by_horizon
-        return budget if budget is not None and budget > 0 else 0
+        if nearest is None:
+            if horizon is None:
+                return None, "unbounded"
+            return horizon, "horizon"
+        limit = nearest[0] - 1
+        if horizon is not None and horizon <= limit:
+            return horizon, "horizon"
+        if nearest[1] in periodic:
+            return limit, "until/max_events run"
+        return limit, "next event"
 
-    def fast_forward(self, delta_ns: int, events: int) -> None:
+    def fast_forward(
+        self,
+        delta_ns: int,
+        events: int,
+        seqs: Optional[int] = None,
+        moved: Iterable[Tuple[int, int, int, int]] = (),
+    ) -> None:
         """Jump the clock by ``delta_ns``, accounting ``events`` callbacks.
 
-        The sequence counter advances by ``events`` too, so every event
-        scheduled afterwards receives the exact ``(time, seq)`` key it
-        would have had if the skipped callbacks had each performed one
-        ``schedule`` + execution round — which is what keeps ordering
-        (and therefore every downstream trace) bit-identical.
+        The jump stands for ``events`` callbacks the caller computed in
+        closed form instead of executing: the executed and
+        fast-forwarded counters advance by ``events``, and the sequence
+        counter by ``seqs`` — the schedules those callbacks would have
+        made (default: one each).  Every event scheduled afterwards
+        therefore receives the exact ``(time, seq)`` key it would have
+        had on the slow path, which is what keeps ordering (and every
+        downstream trace) bit-identical.
+
+        ``moved`` re-keys the periodic kind entries the skipped
+        callbacks would have re-armed: each ``(old_seq, time, seq, hid)``
+        withdraws the live entry ``old_seq``, which must lie inside the
+        jump, and schedules handler ``hid`` at ``(time, seq)``, the key
+        the slow path gives its last successor (``seq`` lies inside the
+        jump's sequence range, ``time`` after the jump).  Every other
+        live entry must lie strictly after the jump, and the jump must
+        not pass the run horizon.
         """
-        if delta_ns < 0 or events < 0:
+        if seqs is None:
+            seqs = events
+        if delta_ns < 0 or events < 0 or seqs < 0:
             raise SimulationError(
                 f"cannot fast-forward by {delta_ns} ns / {events} events"
             )
@@ -579,20 +649,69 @@ class Simulator:
                 f"fast-forward to {target} ns crosses run horizon "
                 f"{self._horizon} ns"
             )
-        if self._next is not None and target >= self._next[0]:
+        moved = tuple(moved)
+        base = self._seq
+        for old_seq, time_ns, seq, _hid in moved:
+            if time_ns <= target or not base <= seq < base + seqs:
+                raise SimulationError(
+                    f"cannot re-key entry {old_seq} to ({time_ns}, {seq})"
+                )
+        # Pop everything the jump crosses, exactly as the slow path would
+        # have: dead entries, and the withdrawn periodic entries.  Any
+        # other live entry inside the jump is an error.
+        withdrawn = {old_seq for old_seq, _time, _seq, _hid in moved}
+        queue = self._queue
+        kc = self._kind_cancelled
+        while True:
+            nxt = self._next
+            head = nxt if nxt is not None else (queue[0] if queue else None)
+            if head is None or head[0] > target:
+                break
+            payload = head[2]
+            if payload.__class__ is ScheduledEvent and payload.cancelled:
+                self._cancelled -= 1
+            elif head[1] in kc:
+                kc.discard(head[1])
+            elif head[1] in withdrawn:
+                withdrawn.discard(head[1])
+            else:
+                raise SimulationError(
+                    f"fast-forward to {target} ns crosses pending event "
+                    f"at {head[0]} ns"
+                )
+            if nxt is not None:
+                self._next = None
+            else:
+                _heappop(queue)
+        if withdrawn:
             raise SimulationError(
-                f"fast-forward to {target} ns crosses pending event at "
-                f"{self._next[0]} ns"
-            )
-        if self._queue and target >= self._queue[0][0]:
-            raise SimulationError(
-                f"fast-forward to {target} ns crosses pending event at "
-                f"{self._queue[0][0]} ns"
+                f"fast-forward to {target} ns does not cross entries "
+                f"{sorted(withdrawn)}"
             )
         self._now = target
-        self._seq += events
+        self._seq = base + seqs
         self.events_executed += events
         self.events_fast_forwarded += events
+        for _old, time_ns, seq, hid in moved:
+            self._insert((time_ns, seq, hid))
+
+    def _insert(self, entry: tuple) -> None:
+        """Place an entry with a preassigned key on the calendar."""
+        queue = self._queue
+        nxt = self._next
+        if nxt is None:
+            if queue and entry[0] >= queue[0][0]:
+                _heappush(queue, entry)
+            else:
+                self._next = entry
+        elif entry < nxt:
+            self._next = entry
+            _heappush(queue, nxt)
+        else:
+            _heappush(queue, entry)
+        depth = len(queue) + (self._next is not None)
+        if depth > self.calendar_high_water:
+            self.calendar_high_water = depth
 
     def run(
         self,
@@ -619,6 +738,7 @@ class Simulator:
         self._stop_requested = False
         self._horizon = until_ns
         self._ff_allowed = max_events is None
+        self._until_active = until is not None
         executed = 0
         heap_done = 0  # deferred events_executed increments, flushed below
         # The hot loop: local bindings, no per-event peek indirection.  The
@@ -691,4 +811,5 @@ class Simulator:
             self._running = False
             self._horizon = None
             self._ff_allowed = True
+            self._until_active = False
         return self._now

@@ -12,7 +12,7 @@ profiles (Figure 3) and of the 10 ms alignment of animation steps
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from .cpu import CPU
 from .engine import Simulator
@@ -102,6 +102,20 @@ class InterruptController:
             # the payload so no closure or handle is allocated.
             self.sim.schedule_call(duration, hid, payload)
 
+    def credit(self, name: str, count: int) -> None:
+        """Account ``count`` deliveries on vector ``name`` in one step.
+
+        Charges what ``count`` :meth:`raise_interrupt` calls charge: the
+        interrupt event, the ISR's hardware events and busy time, and the
+        delivery count.  The kernel's quiescent jump crosses clock ticks
+        this way; it computes the stolen time and the post-actions in
+        closed form itself, and no observer sees the crossed deliveries
+        (the jump crosses ticks only when no live sink is attached).
+        """
+        self.cpu.perf.charge(HwEvent.INTERRUPTS, count)
+        self.cpu.credit(self._vectors[name].isr_work, count)
+        self.delivered[name] = self.delivered.get(name, 0) + count
+
     def raise_spurious(self, name: str) -> int:
         """Deliver a *spurious* interrupt on vector ``name``.
 
@@ -144,31 +158,37 @@ class PeriodicClock:
         self.controller = controller
         self.period_ns = period_ns
         self.ticks = 0
-        self._running = False
+        #: ``(time, seq)`` of the armed tick entry, or None before
+        #: :meth:`start`.  The kernel's quiescent jump crosses ticks in
+        #: closed form and re-keys this entry (:meth:`credit`).
+        self.pending: Optional[Tuple[int, int]] = None
         controller.register(
             self.VECTOR,
             isr_work if isr_work is not None else Work(400, label="clock-isr"),
         )
         #: Engine handler id for the tick re-arm (no-argument kind).
-        self._tick_hid = sim.register_handler(self._tick)
+        self.tick_hid = sim.register_handler(self._tick)
 
     def start(self) -> None:
         """Begin ticking; the first tick lands on the next period boundary."""
-        if self._running:
-            return
-        self._running = True
-        self._schedule_next()
-
-    def stop(self) -> None:
-        self._running = False
+        if self.pending is None:
+            self._schedule_next()
 
     def _schedule_next(self) -> None:
         next_tick = ((self.sim.now // self.period_ns) + 1) * self.period_ns
-        self.sim.schedule_kind_at(next_tick, self._tick_hid)
+        self.pending = (next_tick, self.sim.schedule_kind_at(next_tick, self.tick_hid))
 
     def _tick(self) -> None:
-        if not self._running:
-            return
         self.ticks += 1
         self.controller.raise_interrupt(self.VECTOR, payload=self.ticks)
         self._schedule_next()
+
+    def credit(self, count: int, pending: Tuple[int, int]) -> None:
+        """Account ``count`` ticks a quiescent jump crossed.
+
+        ``pending`` is the ``(time, seq)`` key the jump gave the re-armed
+        tick entry (see :meth:`repro.sim.engine.Simulator.fast_forward`).
+        """
+        self.ticks += count
+        self.controller.credit(self.VECTOR, count)
+        self.pending = pending

@@ -11,8 +11,10 @@ block cache.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, Iterable, List, Tuple
 
 __all__ = ["SimFile", "FileSystem", "BufferCache"]
@@ -20,15 +22,24 @@ __all__ = ["SimFile", "FileSystem", "BufferCache"]
 
 @dataclass
 class SimFile:
-    """A file: a name, a size, and the disk extents that back it."""
+    """A file: a name, a size, and the disk extents that back it.
+
+    The allocator fixes a file's extents when it creates the file.
+    """
 
     name: str
     size_bytes: int
     extents: List[Tuple[int, int]] = field(default_factory=list)  # (start, count)
 
+    def __post_init__(self) -> None:
+        # The file block at which each extent ends, for blocks() to
+        # bisect: a read then costs O(log extents + blocks read) instead
+        # of flattening the whole file.
+        self._ends = list(accumulate(count for _start, count in self.extents))
+
     @property
     def block_count(self) -> int:
-        return sum(count for _start, count in self.extents)
+        return self._ends[-1] if self._ends else 0
 
     def blocks(self, offset: int, length: int, block_size: int) -> List[int]:
         """Absolute disk blocks covering ``[offset, offset+length)``."""
@@ -38,17 +49,22 @@ class SimFile:
             return []
         first = offset // block_size
         last = (offset + length - 1) // block_size
-        wanted = range(first, last + 1)
-        flat: List[int] = []
-        for start, count in self.extents:
-            flat.extend(range(start, start + count))
-        out = []
-        for index in wanted:
-            if index >= len(flat):
-                raise ValueError(
-                    f"read past end of {self.name!r}: block {index} of {len(flat)}"
-                )
-            out.append(flat[index])
+        ends = self._ends
+        total = self.block_count
+        if last >= total:
+            raise ValueError(
+                f"read past end of {self.name!r}: block {max(first, total)} of {total}"
+            )
+        out: List[int] = []
+        index = first
+        extent = bisect_right(ends, index)
+        while index <= last:
+            start, count = self.extents[extent]
+            base = start - (ends[extent] - count)  # disk block of file block 0
+            stop = min(last + 1, ends[extent])
+            out.extend(range(base + index, base + stop))
+            index = stop
+            extent += 1
         return out
 
 

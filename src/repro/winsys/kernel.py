@@ -22,7 +22,7 @@ Scheduling model:
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
@@ -140,8 +140,19 @@ class Kernel:
         # Diagnostics.
         self.context_switches = 0
         self.dpcs_run = 0
+        #: Fast-forward jumps taken, the records they completed in closed
+        #: form, and the clock ticks they crossed.
         self.fast_forward_batches = 0
         self.fast_forward_segments = 0
+        self.ticks_crossed = 0
+        #: Why each jump stopped, or declined to cross a tick (see
+        #: :meth:`_try_fast_forward`).  Diagnostics only: no digest
+        #: includes it.
+        self.jump_stops: Counter = Counter()
+        #: Engine ``next_seq`` where the last jump stopped.  The
+        #: instrument yields again at once, and until something is
+        #: scheduled a retry would stop at the same place.
+        self._jump_stopped_at = -1
         #: Observability hook (a SystemInstrumentation from repro.obs),
         #: attached by boot() when a session is active; None otherwise.
         #: Every call site guards with ``is not None`` so the disabled
@@ -152,6 +163,9 @@ class Kernel:
         # occurrence (docs/performance.md, "inner loop").
         self._dispatch_hid = self.sim.register_handler(self._dispatch)
         self._idle_bg_hid = self.sim.register_handler(self._idle_background_tick)
+        #: ``(time, seq)`` of the armed idle-background entry (Windows 95),
+        #: which the quiescent jump crosses and re-keys like a tick.
+        self._idle_bg_pending: Optional[Tuple[int, int]] = None
         # Precompiled syscall dispatch table: concrete syscall class →
         # bound perform method, so the steady state is one dict hit per
         # syscall instead of an isinstance chain.  A class missing here
@@ -192,9 +206,7 @@ class Kernel:
         interrupts.set_handler("nic", self._on_packet)
         self.machine.power_on()
         if personality.idle_background_period_ns > 0:
-            self.sim.schedule_kind(
-                personality.idle_background_period_ns, self._idle_bg_hid
-            )
+            self._arm_idle_background()
 
     # ------------------------------------------------------------------
     # Thread management
@@ -402,9 +414,9 @@ class Kernel:
 
     def _perform_compute(self, thread: SimThread, syscall: Compute):
         if syscall.__class__ is IdleCompute and self.fast_forward:
-            batched = self._try_fast_forward(thread, syscall)
-            if batched:
-                return ("result", batched)
+            ramps = self._try_fast_forward(thread, syscall)
+            if ramps is not None:
+                return ("result", ramps)
         return ("compute", syscall.work, None, None)
 
     def _perform_getmessage(self, thread: SimThread, syscall: GetMessage):
@@ -515,61 +527,266 @@ class Kernel:
     def _perform_rdtsc(self, thread: SimThread, syscall: ReadCycleCounter):
         return ("result", self.machine.perf.read_cycle_counter())
 
-    def _try_fast_forward(self, thread: SimThread, syscall: IdleCompute) -> int:
-        """Complete up to ``syscall.max_batch`` idle segments analytically.
+    def _try_fast_forward(self, thread: SimThread, syscall: IdleCompute):
+        """Jump a quiescent machine forward, crossing periodic events in
+        closed form (``docs/performance.md`` §1).
 
-        Preconditions for a batch (otherwise return 0 and execute the
-        segment normally):
+        Preconditions (otherwise return None and execute the segment
+        normally): ``thread`` is the running thread, at idle priority,
+        the CPU is free, no DPC is queued, no other thread is ready and
+        no Win95 mouse spin is active — nothing but this idle loop can
+        touch the processor before the next calendar event — and the
+        engine allows a jump (:meth:`Simulator.jump_window`).
 
-        * ``thread`` is the running thread, the CPU is free, no DPC is
-          queued, no ready thread exists, no Win95 mouse spin is active —
-          i.e. *nothing* but this idle loop can touch the processor
-          before the next calendar event fires;
-        * the calendar (or the active run horizon) bounds the jump, and
-          at least one whole segment fits strictly before the next live
-          event.  The segment that would *span* that event is excluded
-          on purpose: it must execute normally so the event — typically
-          the clock tick whose ISR steals time — elongates it exactly as
-          on the slow path.  The elongation is the paper's measurement;
-          fast-forward only skips the segments that carry no signal.
+        The jump walks the idle loop forward in arithmetic: runs of
+        uncontended segments complete in one step, and each clock tick,
+        housekeeping DPC or Win95 idle-background DPC that lands in a
+        segment is crossed with the elongation, preemption split
+        (:meth:`CPU.split`, as a real preemption rounds it) and charges
+        the slow path would produce — also when it lands on the
+        segment's end, in the order the calendar runs it.  It ends at a
+        segment completion, where the slow path resumes the instrument:
+        before the next other live event, at the run horizon, at a full
+        trace buffer, or before a segment it does not model (a periodic
+        event on the segment's start, a preemption that leaves nothing,
+        two periodic events in one segment's span).  It crosses no
+        periodic event at all — the zero-tick batch — when a live tracer
+        or metrics registry is attached, the issuer reads state at each
+        record (``tickless`` is False), the run has an ``until``
+        predicate, or an application timer is armed.  ``jump_stops``
+        counts why each jump stopped.
 
-        A batch of ``k`` segments then reproduces, in closed form, the
-        exact machine state ``k`` execute/complete rounds would leave:
-        the clock advances ``k * duration``, the calendar sequence and
-        executed-event counters advance by ``k`` (one completion event
-        each), the CPU accrues ``k * duration`` busy time, and the
-        segment's hardware events are charged ``k`` whole times (whole
-        charges never touch the fractional residual).  The syscall
-        result ``k`` tells the instrument to synthesize the ``k`` trace
-        records.  Equivalence is proven record-for-record by
-        ``tests/test_fastforward.py`` and the golden digests.
+        The crossed events are accounted exactly: executed and sequence
+        counters (a plain tick costs 3 events and 4 sequence numbers
+        with its segment, a housekeeping tick 6 and 8), re-keyed tick
+        and idle-background entries, ticks and deliveries, busy time,
+        hardware events and fractional residuals, context switches, DPCs
+        run, the thread's dispatches and quantum ticks, and the
+        scheduler requeue (which replays any requeue-jitter draw).
+        Returns the records as ``(start, count)`` ramps (see
+        :class:`~repro.winsys.syscalls.IdleCompute`), or None when no
+        segment completed; ``tests/test_fastforward.py`` compares every
+        such state with the slow path's.
         """
-        limit = syscall.max_batch
+        space = syscall.max_batch
         if (
-            limit <= 0
+            space <= 0
+            or self.sim.next_seq == self._jump_stopped_at
             or self._dpc_queue
             or self._spin_active
             or self.running is not thread
+            or thread.priority != IDLE_PRIORITY
             or self.cpu.busy
             or self.scheduler.top >= 0
         ):
-            return 0
+            return None
+        cpu = self.cpu
         work = syscall.work
-        duration = self.cpu.duration_ns(work)
-        if duration <= 0:
-            return 0
-        batch = self.sim.fast_forward_budget(duration)
-        if batch > limit:
-            batch = limit
-        if batch <= 0:
-            return 0
-        self.sim.fast_forward(batch * duration, events=batch)
-        self.cpu.credit_idle_batch(work, duration, batch)
+        step = cpu.duration_ns(work)
+        if step <= 0:
+            return None
+        sim = self.sim
+        clock = self.machine.clock
+        personality = self.personality
+        tick_at, tick_seq = clock.pending or (None, None)
+        bg_at = bg_seq = None
+        if personality.idle_background_cycles > 0 and self._idle_bg_pending:
+            bg_at, bg_seq = self._idle_bg_pending
+        limit, bound = sim.jump_window((tick_seq, bg_seq))
+        if limit is None:
+            self.jump_stops[bound] += 1
+            return None
+        # Why this jump may not cross a periodic event, if it may not.
+        if self.obs is not None and self.obs.recording:
+            hold = "observer attached"
+        elif not syscall.tickless:
+            hold = "record hook"
+        elif self._timers:
+            hold = "timer armed"
+        else:
+            hold = None
+        period = clock.period_ns
+        isr_ns = cpu.duration_ns(personality.clock_isr_work)
+        ticks = clock.ticks
+        housekeeping_every = personality.housekeeping_period_ticks
+        housekeeping = personality.housekeeping_work
+        idle_bg = personality.idle_background_work
+        idle_bg_period = personality.idle_background_period_ns
+
+        now = t = sim.now
+        base = sim.next_seq
+        events = seqs = crossed = whole = 0
+        ramps: List[Tuple[int, int]] = []
+        ramp_start = ramp_count = 0
+        new_tick = new_bg = None
+        while True:
+            if tick_at is not None and (bg_at is None or tick_at <= bg_at):
+                nxt = tick_at
+            else:
+                nxt = bg_at
+            # Uncontended segments: each completes strictly before the
+            # next periodic event and within the window.
+            edge = limit if nxt is None or nxt > limit else nxt - 1
+            k = min((edge - t) // step, space)
+            if k > 0:
+                if not ramp_count:
+                    ramp_start = t + step
+                ramp_count += k
+                whole += k
+                events += k
+                seqs += k
+                space -= k
+                t += k * step
+            if not space:
+                reason = "buffer full"
+                break
+            if nxt is None or nxt > limit:
+                reason = bound
+                break
+            if hold is not None:
+                reason = hold
+                break
+            if nxt <= t:
+                reason = "periodic event on a segment edge"
+                break
+            # The segment [t, t + step] holds the periodic event at nxt.
+            # Work out the record it leaves and what the crossed events
+            # cost; commit only if nothing else lands in that span.
+            is_tick = nxt == tick_at
+            if is_tick:
+                rearm, other = nxt + period, bg_at
+                number = ticks + crossed + 1
+                dpc = housekeeping if number % housekeeping_every == 0 else None
+                # The tick and its ISR return; the segment's start and the
+                # tick's three schedules (pushed completion, ISR return,
+                # next tick).
+                n_events, n_seqs = 2, 4
+            else:
+                rearm, other, dpc = nxt + idle_bg_period, tick_at, idle_bg
+                # The event; the segment's start, its dispatch request and
+                # its re-arm.
+                n_events, n_seqs = 1, 3
+            on_end = nxt == t + step
+            if on_end and step >= rearm - nxt:
+                # Armed after the segment started: the segment completes
+                # first and the event lands on the next one's start.
+                reason = "periodic event on a segment edge"
+                break
+            first = rest = None
+            executed = 0
+            preempts = dpc is not None
+            completes = 0  # the segment itself completes whole
+            if dpc is None:
+                # A plain tick: the ISR steals its duration, so the segment
+                # completes that much later (on its end too: the tick was
+                # armed first).
+                record = t + step + isr_ns
+                n_events += 1
+                completes = 1
+            elif not on_end:
+                # The DPC preempts the segment when it is queued (the ISR
+                # return, or the event itself), runs, and the remainder
+                # completes: dispatch, DPC completion, dispatch, remainder
+                # completion; the ISR return's dispatch request, the DPC's
+                # start and completion request, the remainder's start.
+                executed = nxt - t
+                fraction, rest = cpu.split(work, executed)
+                if rest is None:
+                    # Within half a cycle of the end: nothing remains.
+                    reason = "periodic event on a segment edge"
+                    break
+                record = (
+                    nxt
+                    + (isr_ns if is_tick else 0)
+                    + cpu.duration_ns(dpc)
+                    + cpu.duration_ns(rest)
+                )
+                n_events += 4
+                n_seqs += 3 + is_tick
+            elif is_tick:
+                # Housekeeping on the segment's end: the segment completes
+                # ISR-late before the ISR return queues the DPC, which then
+                # preempts the next segment before it makes progress.
+                if space < 2:
+                    reason = "buffer full"
+                    break
+                first = t + step + isr_ns
+                completes = 1
+                fraction, rest = cpu.split(work, 0)
+                record = first + cpu.duration_ns(dpc) + cpu.duration_ns(rest)
+                n_events += 5
+                n_seqs += 5
+            else:
+                # The idle background on the segment's end: its DPC is
+                # queued first, so the completed segment yields to it and
+                # the record lands when the DPC retires; nothing is
+                # preempted.
+                completes = 1
+                preempts = False
+                record = nxt + cpu.duration_ns(dpc)
+                n_events += 4
+                n_seqs += 2
+            if rearm <= record or (other is not None and other <= record):
+                reason = "periodic events share a segment"
+                break
+            if record > limit:
+                reason = bound
+                break
+            if is_tick:
+                new_tick = (rearm, base + seqs + 3)
+                tick_at = rearm
+                crossed += 1
+            else:
+                new_bg = (rearm, base + seqs + 2)
+                bg_at = rearm
+            whole += completes
+            if dpc is not None:
+                if preempts:
+                    cpu.charge_split(work, fraction, executed)
+                    cpu.credit(rest)
+                    self.context_switches += 1
+                cpu.credit(dpc)
+                self.dpcs_run += 1
+                thread.dispatches += 1
+                # Requeued at the front (replaying any requeue-jitter
+                # draw), then dispatched once the DPC retires.
+                self.scheduler.make_ready(thread, front=True)
+                self.scheduler.pick()
+            events += n_events
+            seqs += n_seqs
+            if ramp_count:
+                ramps.append((ramp_start, ramp_count))
+            if first is not None:
+                ramps.append((first, 1))
+                space -= 1
+            ramp_start, ramp_count = record, 1
+            space -= 1
+            t = record
+        self.jump_stops[reason] += 1
+        if ramp_count:
+            ramps.append((ramp_start, ramp_count))
+        if not ramps:
+            return None
+        moved = []
+        if new_tick is not None:
+            moved.append((tick_seq, new_tick[0], new_tick[1], clock.tick_hid))
+        if new_bg is not None:
+            moved.append((bg_seq, new_bg[0], new_bg[1], self._idle_bg_hid))
+        sim.fast_forward(t - now, events, seqs, moved)
+        self._jump_stopped_at = sim.next_seq
+        if crossed:
+            clock.credit(crossed, new_tick)
+            thread.quantum_ticks_used += crossed
+            self.ticks_crossed += crossed
+        if new_bg is not None:
+            self._idle_bg_pending = new_bg
+        cpu.credit(work, whole)
+        records = sum(count for _start, count in ramps)
         self.fast_forward_batches += 1
-        self.fast_forward_segments += batch
+        self.fast_forward_segments += records
         if self.obs is not None:
-            self.obs.fast_forward(batch, batch * duration)
-        return batch
+            self.obs.fast_forward(records, t - now)
+        return ramps
 
     def _block_value(self, thread: SimThread, reason: str):
         """Block from inside a pending action (returns the sentinel)."""
@@ -896,6 +1113,11 @@ class Kernel:
         personality = self.personality
         if personality.idle_background_cycles > 0:
             self.queue_dpc(personality.idle_background_work, label="idle-bg")
-        self.sim.schedule_kind(
-            personality.idle_background_period_ns, self._idle_bg_hid
+        self._arm_idle_background()
+
+    def _arm_idle_background(self) -> None:
+        period = self.personality.idle_background_period_ns
+        self._idle_bg_pending = (
+            self.sim.now + period,
+            self.sim.schedule_kind(period, self._idle_bg_hid),
         )

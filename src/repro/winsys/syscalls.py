@@ -53,20 +53,33 @@ class IdleCompute(Compute):
 
     Identical to :class:`Compute` except that the issuer declares the
     segment *stateless and repeating*: if the kernel finds the machine
-    otherwise idle it may complete up to ``max_batch`` consecutive
-    segments analytically (jumping the clock instead of executing each
-    busy-wait) and return the number batched as the syscall result.  A
-    ``None`` result means the segment executed normally.  The issuer —
-    the idle-loop instrument — then synthesizes the trace records the
-    executed segments would have produced.  ``max_batch`` is the
-    instrument's remaining buffer space, so a batch can never run past
-    the point where the real loop would have stopped ("while
-    space_left_in_the_buffer").  With ``max_batch=0`` (or the kernel's
-    ``fast_forward`` flag off) the syscall degenerates to ``Compute``,
-    which is the bit-identical slow path the A/B tests compare against.
+    otherwise quiescent it may complete a run of consecutive segments
+    in closed form (jumping the clock instead of executing each
+    busy-wait), crossing the clock ticks and periodic DPCs that land in
+    them unless ``tickless`` is False.  The syscall result says what
+    happened:
+
+    * ``None`` — the segment executed normally; its record is ``now``;
+    * a list of ``(start, count)`` ramps — the kernel completed
+      segments in closed form, and the records they would have produced
+      are, ramp by ramp, ``start, start + step, …`` (``count`` of them,
+      ``step`` being the segment's uncontended duration).  Each ramp
+      after the first starts with the elongated record of a crossed
+      tick or DPC.
+
+    ``max_batch`` caps the records a jump may produce: the instrument's
+    remaining buffer space, so a jump can never run past the point where
+    the real loop would have stopped ("while space_left_in_the_buffer").
+    ``tickless=False`` confines a jump to the uncontended segments
+    before the next tick — an issuer that reads state at each record
+    (the interrupt-cost probe reads a counter) needs that.  With
+    ``max_batch=0`` (or the kernel's ``fast_forward`` flag off) the
+    syscall degenerates to ``Compute``, which is the bit-identical slow
+    path the A/B tests compare against.
     """
 
     max_batch: int = 0
+    tickless: bool = True
 
 
 @dataclass

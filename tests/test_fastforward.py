@@ -12,6 +12,7 @@ import pytest
 from repro.core import IdleLoopInstrument
 from repro.core.isrcost import InterruptCostProbe
 from repro.sim.engine import (
+    ScheduledEvent,
     SimulationError,
     Simulator,
     fast_forward_default,
@@ -143,31 +144,41 @@ class TestPayloadEquivalence:
             assert entry["status"] == "matched", entry
 
 
+def _budget(sim, step_ns):
+    """Segments of ``step_ns`` a jump may complete from now before the
+    next event: the zero-tick batch the kernel derives from
+    :meth:`Simulator.jump_window`."""
+    limit, _reason = sim.jump_window()
+    if limit is None:
+        return 0
+    return max(0, (limit - sim.now) // step_ns)
+
+
 class TestEngineFastForward:
     def test_budget_bounded_by_next_event(self):
         sim = Simulator()
         sim.schedule(1000, lambda: None)
         # Segments of 300 ns: 3 fit strictly before the event at 1000.
-        assert sim.fast_forward_budget(300) == 3
+        assert _budget(sim, 300) == 3
         # A segment that would land exactly on the event must run normally.
-        assert sim.fast_forward_budget(500) == 1
-        assert sim.fast_forward_budget(1000) == 0
+        assert _budget(sim, 500) == 1
+        assert _budget(sim, 1000) == 0
 
     def test_budget_zero_when_event_is_immediate(self):
         sim = Simulator()
         sim.schedule(0, lambda: None)
-        assert sim.fast_forward_budget(100) == 0
+        assert _budget(sim, 100) == 0
 
     def test_budget_zero_without_any_bound(self):
         # Empty calendar, no horizon: nothing to fast-forward *to*.
-        assert Simulator().fast_forward_budget(100) == 0
+        assert _budget(Simulator(), 100) == 0
 
     def test_budget_respects_run_horizon(self):
         sim = Simulator()
         seen = []
 
         def probe():
-            seen.append(sim.fast_forward_budget(300))
+            seen.append(_budget(sim, 300))
 
         sim.schedule(100, probe)
         sim.run(until_ns=1000)
@@ -177,7 +188,7 @@ class TestEngineFastForward:
     def test_budget_zero_under_max_events(self):
         sim = Simulator()
         seen = []
-        sim.schedule(100, lambda: seen.append(sim.fast_forward_budget(10)))
+        sim.schedule(100, lambda: seen.append(_budget(sim, 10)))
         sim.schedule(10_000, lambda: None)
         sim.run(max_events=2)
         assert seen == [0]
@@ -218,6 +229,318 @@ class TestEngineFastForward:
             sim.fast_forward(-1, events=0)
         with pytest.raises(SimulationError):
             sim.fast_forward(0, events=-1)
+
+    def test_window_skips_periodic_entries(self):
+        sim = Simulator()
+        hid = sim.register_handler(lambda: None)
+        tick = sim.schedule_kind(100, hid)
+        sim.schedule(1000, lambda: None)
+        assert sim.jump_window() == (99, "next event")
+        assert sim.jump_window((tick,)) == (999, "next event")
+
+    def test_window_under_until_is_bounded_by_periodic_entries(self):
+        sim = Simulator()
+        hid = sim.register_handler(lambda: None)
+        tick = sim.schedule_kind(100, hid)
+        seen = []
+        sim.schedule(10, lambda: seen.append(sim.jump_window((tick,))))
+        sim.run(until=lambda: bool(seen), until_ns=5000)
+        assert seen == [(99, "until/max_events run")]
+        sim.schedule(10, lambda: seen.append(sim.jump_window((tick,))))
+        sim.run(until_ns=5000)
+        # After the tick fired its successor is unknown to the window,
+        # so only the horizon bounds it.
+        assert seen[1] == (5000, "horizon")
+
+    def test_fast_forward_rekeys_crossed_entries(self):
+        sim = Simulator()
+        fired = []
+        hid = sim.register_handler(lambda: fired.append(sim.now))
+        tick = sim.schedule_kind(100, hid)
+        base = sim.next_seq
+        # A jump to 500 that crossed the entry at 100, whose successor
+        # the slow path would have armed at 600 with the jump's 3rd seq.
+        sim.fast_forward(500, events=4, seqs=6, moved=[(tick, 600, base + 2, hid)])
+        assert (sim.now, sim.next_seq, sim.events_executed) == (500, base + 6, 4)
+        assert sim.pending_count() == 1
+        sim.run()
+        assert fired == [600]
+
+    def test_fast_forward_rejects_bad_rekeys(self):
+        sim = Simulator()
+        hid = sim.register_handler(lambda: None)
+        tick = sim.schedule_kind(100, hid)
+        base = sim.next_seq
+        with pytest.raises(SimulationError):  # successor inside the jump
+            sim.fast_forward(500, events=1, moved=[(tick, 500, base, hid)])
+        with pytest.raises(SimulationError):  # seq outside the jump's range
+            sim.fast_forward(500, events=1, moved=[(tick, 600, base + 1, hid)])
+        sim = Simulator()
+        hid = sim.register_handler(lambda: None)
+        tick = sim.schedule_kind(1000, hid)
+        base = sim.next_seq
+        with pytest.raises(SimulationError):  # the entry was not crossed
+            sim.fast_forward(500, events=1, moved=[(tick, 1600, base, hid)])
+
+
+def _pending(sim):
+    """The live calendar entries as sorted (time, seq, handler) keys."""
+    entries = ([sim._next] if sim._next is not None else []) + list(sim._queue)
+    live = []
+    for entry in entries:
+        payload = entry[2]
+        if isinstance(payload, ScheduledEvent):
+            if not payload.cancelled:
+                live.append((entry[0], entry[1], payload.label))
+        elif entry[1] not in sim._kind_cancelled:
+            live.append((entry[0], entry[1], payload))
+    return sorted(live)
+
+
+def _machine_state(kernel, instrument):
+    """Everything a fast-forward jump must leave exactly as the slow path
+    leaves it.  Trace records are compared by count and last value here
+    (they are append-only) and in full at the end of each run."""
+    sim, machine = kernel.sim, kernel.machine
+    recorder = kernel.obs.envelopes if kernel.obs is not None else None
+    records = instrument.buffer if instrument is not None else ()
+    return {
+        "now": sim.now,
+        "next_seq": sim.next_seq,
+        "events_executed": sim.events_executed,
+        "pending": _pending(sim),
+        "busy_ns": machine.cpu.busy_ns,
+        "cpu_busy": machine.cpu.busy,
+        "tally": dict(machine.perf._tally),
+        "residual": dict(machine.perf._residual),
+        "ticks": machine.clock.ticks,
+        "delivered": dict(machine.interrupts.delivered),
+        "spurious": dict(machine.interrupts.spurious),
+        "context_switches": kernel.context_switches,
+        "dpcs_run": kernel.dpcs_run,
+        "threads": [
+            (t.name, t.state, t.dispatches, t.quantum_ticks_used)
+            for t in kernel.threads
+        ],
+        "sync_wait_ns": kernel.iomgr.sync_wait_ns,
+        "envelopes_finished": recorder.finished if recorder is not None else None,
+        "records": len(records),
+        "last_record": records.records()[-1:] if len(records) else [],
+    }
+
+
+@pytest.fixture
+def pauses(monkeypatch):
+    """Snapshots of every booted system at each pause point — each
+    return from ``Simulator.run`` — plus the kernels and instruments."""
+    seen = {"states": [], "kernels": [], "instruments": {}}
+    init = Kernel.__init__
+    install = IdleLoopInstrument.install
+    run = Simulator.run
+
+    def kernel_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        seen["kernels"].append(self)
+
+    def instrument_install(self):
+        install(self)
+        seen["instruments"][id(self.system.kernel)] = self
+
+    def paused_run(self, *args, **kwargs):
+        result = run(self, *args, **kwargs)
+        for kernel in seen["kernels"]:
+            if kernel.sim is self:
+                instrument = seen["instruments"].get(id(kernel))
+                seen["states"].append(_machine_state(kernel, instrument))
+        return result
+
+    monkeypatch.setattr(Kernel, "__init__", kernel_init)
+    monkeypatch.setattr(IdleLoopInstrument, "install", instrument_install)
+    monkeypatch.setattr(Simulator, "run", paused_run)
+    return seen
+
+
+def _on_and_off(pauses, scenario):
+    """Run ``scenario`` with fast-forward on, then off; assert the state
+    at every pause point and the records, and return the fast run's
+    kernel (for its jump diagnostics) and both results."""
+    runs = {}
+    for fast_forward in (True, False):
+        pauses["states"].clear()
+        pauses["kernels"].clear()
+        pauses["instruments"].clear()
+        with fast_forward_scope(fast_forward):
+            result = scenario()
+        (kernel,) = pauses["kernels"]
+        instrument = pauses["instruments"].get(id(kernel))
+        records = instrument.buffer.records() if instrument is not None else []
+        runs[fast_forward] = (list(pauses["states"]), records, kernel, result)
+    states_on, records_on, kernel_on, result_on = runs[True]
+    states_off, records_off, kernel_off, result_off = runs[False]
+    assert kernel_off.fast_forward_batches == 0
+    assert len(states_on) == len(states_off)
+    for index, (on, off) in enumerate(zip(states_on, states_off)):
+        assert on == off, f"state differs at pause {index}"
+    assert records_on == records_off
+    return kernel_on, result_on, result_off
+
+
+def _idle_run(os_name, loop_ms, chunk_ms, sim_ms=10_000.0):
+    def scenario():
+        system = boot(os_name)
+        IdleLoopInstrument(system, loop_ms=loop_ms).install()
+        end = ns_from_ms(sim_ms)
+        step = end if chunk_ms is None else ns_from_ms(chunk_ms)
+        while system.now < end:
+            system.run_for(min(step, end - system.now))
+
+    return scenario
+
+
+def _typed_run(os_name, keys=8, gap_ms=300.0, tail_ms=1000.0):
+    """An editor taking a keystroke every ``gap_ms``, idle-traced."""
+
+    def scenario():
+        from repro.apps import NotepadApp
+
+        system = boot(os_name)
+        NotepadApp(system).start(foreground=True)
+        IdleLoopInstrument(system).install()
+        for position in range(keys):
+            system.machine.keyboard.keystroke(chr(ord("a") + position))
+            system.run_for(ns_from_ms(gap_ms))
+        system.run_for(ns_from_ms(tail_ms))
+
+    return scenario
+
+
+class TestTicklessOracle:
+    """The quiescent jump leaves the slow path's exact state at every
+    pause point; only ``events_fast_forwarded``, ``calendar_high_water``
+    and the kernel's jump diagnostics may differ."""
+
+    @pytest.mark.parametrize("loop_ms", [0.1, 1.0, 25.0])
+    @pytest.mark.parametrize("os_name", PERSONALITIES)
+    def test_idle(self, pauses, os_name, loop_ms):
+        for chunk_ms in (None, 37.0):
+            kernel = _on_and_off(pauses, _idle_run(os_name, loop_ms, chunk_ms))[0]
+            if loop_ms < 10.0:
+                assert kernel.ticks_crossed > 850
+            else:
+                # Every 25 ms segment spans several ticks: nothing to cross.
+                assert kernel.ticks_crossed == 0
+
+    @pytest.mark.parametrize("scenario", [None, "smoke", "sched-jitter"])
+    @pytest.mark.parametrize("os_name", PERSONALITIES)
+    def test_fleet_editor_session(self, pauses, os_name, scenario):
+        """A fleet editor session: keystrokes about every 300 ms, in its
+        own null-sink observability scope with envelopes on, where the
+        jump crosses ticks."""
+        from repro.fleet.population import SessionSpec
+        from repro.fleet.session import run_session
+
+        spec = SessionSpec(
+            index=0,
+            seed=11,
+            os_name=os_name,
+            profile="editor",
+            scenario=scenario,
+            wpm=40.0,
+            jitter=0.2,
+            think_mean_s=1.0,
+            chars=10,
+        )
+        kernel, on, off = _on_and_off(pauses, lambda: run_session(spec))
+        assert on == off
+        assert on.envelope_events > 0
+        assert kernel.ticks_crossed > 0
+
+    @pytest.mark.parametrize("sinks", [{"trace": True, "metrics": False},
+                                       {"trace": False, "metrics": True}])
+    def test_live_observer_crosses_no_tick(self, pauses, sinks):
+        from repro.obs import observed
+
+        def scenario():
+            with observed(**sinks):
+                _typed_run("nt40", keys=3)()
+
+        kernel = _on_and_off(pauses, scenario)[0]
+        assert kernel.ticks_crossed == 0
+        assert kernel.jump_stops["observer attached"] > 0
+
+    def test_record_hook_crosses_no_tick(self, pauses):
+        def scenario():
+            probe = InterruptCostProbe(boot("nt40"), loop_us=200.0)
+            return probe.measure(duration_ms=300.0)
+
+        kernel, on, off = _on_and_off(pauses, scenario)
+        assert on.single_interrupt_cycles == off.single_interrupt_cycles
+        assert kernel.ticks_crossed == 0
+        assert kernel.jump_stops["record hook"] > 0
+
+    @pytest.mark.parametrize("os_name", PERSONALITIES)
+    def test_run_until_quiescent(self, pauses, os_name):
+        def scenario():
+            from repro.apps import NotepadApp
+
+            system = boot(os_name)
+            NotepadApp(system).start(foreground=True)
+            IdleLoopInstrument(system).install()
+            system.machine.keyboard.keystroke("x")
+            return system.run_until_quiescent(settle_ns=ns_from_ms(200))
+
+        kernel, on, off = _on_and_off(pauses, scenario)
+        assert on == off
+        assert kernel.ticks_crossed > 0
+
+
+class TestExactWork:
+    """Ten idle simulated seconds, with only the instrument installed:
+    the events executed outside the jump are pinned exactly.  The
+    counts carry no timing noise, so a jump that stops engaging fails
+    here on any host."""
+
+    @pytest.mark.parametrize(
+        "os_name, outside", [("nt351", 2), ("nt40", 2), ("win95", 920)]
+    )
+    def test_ten_idle_seconds(self, os_name, outside):
+        runs = {}
+        for fast_forward in (True, False):
+            with fast_forward_scope(fast_forward):
+                system = boot(os_name)
+            instrument = IdleLoopInstrument(system)
+            instrument.install()
+            ticks = system.machine.clock.ticks
+            system.run_for(ns_from_ms(10_000))
+            runs[fast_forward] = (system, instrument.buffer.records())
+        system, records = runs[True]
+        sim = system.sim
+        assert sim.events_executed - sim.events_fast_forwarded == outside
+        assert system.machine.clock.ticks - ticks == 1000
+        assert records == runs[False][1]
+        assert sim.events_executed == runs[False][0].sim.events_executed
+
+
+class TestJumpDiagnostics:
+    def test_idle_nt40_stops_only_at_the_horizon(self):
+        system = boot("nt40")
+        IdleLoopInstrument(system).install()
+        system.run_for(ns_from_ms(10_000))
+        kernel = system.kernel
+        assert kernel.ticks_crossed >= 999
+        assert set(kernel.jump_stops) == {"horizon"}
+
+    def test_live_tracer_records_the_observer_reason(self):
+        from repro.obs import observed
+
+        with observed(trace=True, metrics=False):
+            system = boot("nt40")
+        IdleLoopInstrument(system).install()
+        system.run_for(ns_from_ms(500))
+        kernel = system.kernel
+        assert kernel.ticks_crossed == 0
+        assert kernel.jump_stops["observer attached"] >= 49
+        assert kernel.fast_forward_batches > 0
 
 
 class TestObservability:

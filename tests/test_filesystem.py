@@ -96,6 +96,31 @@ class TestSimFileBlocks:
         assert len(blocks) == 6
         assert len(set(blocks)) == 6
 
+    @pytest.mark.parametrize("kind", ["ntfs", "fat"])
+    def test_matches_flattened_reference(self, kind):
+        """The bisected lookup equals flattening every extent, at every
+        (offset, length) of a grid that crosses extent boundaries and
+        runs past the end."""
+        fs = FileSystem(total_blocks=100_000, kind=kind, fat_extent_blocks=4)
+        file = fs.create("a", 11 * 4096 - 100)  # 11 blocks, a short tail
+        flat = [b for start, count in file.extents for b in range(start, start + count)]
+        if kind == "fat":
+            assert len(file.extents) == 3
+        sizes = (1, 100, 4095, 4096, 4097, 3 * 4096, 5 * 4096 + 7, 11 * 4096, 12 * 4096)
+        for offset in range(0, 13 * 4096, 1024):
+            for length in sizes:
+                first = offset // 4096
+                last = (offset + length - 1) // 4096
+                wanted = list(range(first, last + 1))
+                if last >= len(flat):
+                    failing = next(i for i in wanted if i >= len(flat))
+                    message = f"read past end of 'a': block {failing} of {len(flat)}"
+                    with pytest.raises(ValueError) as error:
+                        file.blocks(offset, length, 4096)
+                    assert str(error.value) == message
+                else:
+                    assert file.blocks(offset, length, 4096) == [flat[i] for i in wanted]
+
 
 class TestBufferCache:
     def test_probe_miss_then_hit(self):

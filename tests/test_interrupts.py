@@ -80,15 +80,6 @@ class TestPeriodicClock:
         for time_ns, boundary in zip(times, (10_000_000, 20_000_000, 30_000_000)):
             assert 0 <= time_ns - boundary < 100_000
 
-    def test_stop(self, setup):
-        sim, _perf, _cpu, controller = setup
-        clock = PeriodicClock(sim, controller)
-        clock.start()
-        sim.run(until_ns=25_000_000)
-        clock.stop()
-        sim.run(until_ns=100_000_000)
-        assert clock.ticks == 2
-
     def test_start_idempotent(self, setup):
         sim, _perf, _cpu, controller = setup
         clock = PeriodicClock(sim, controller)
