@@ -53,6 +53,9 @@ experiments:
 
 # CI gate: two cheap experiments through the pool path, with the
 # watchdog armed and an isolated cache, then validate the run manifest.
+# A --resume round trip into another directory then re-runs nothing:
+# every entry is preserved, with its archive copied next to the new
+# manifest.
 experiments-smoke:
 	rm -rf $(SMOKE_OUT) $(SMOKE_CACHE)
 	$(PYTHON) -m repro.experiments fig1 fig4 --jobs 2 --timeout 300 \
@@ -63,6 +66,18 @@ experiments-smoke:
 	assert m['failures'] == 0, m; \
 	assert len(m['experiments']) == 2, m; \
 	print('smoke ok: %d runs, jobs=%d, code %s' % (len(m['experiments']), m['jobs'], m['code_version']))"
+	$(PYTHON) -m repro.experiments --resume $(SMOKE_OUT) \
+		--save $(SMOKE_OUT)/resumed --cache-dir $(SMOKE_CACHE) --checks-only
+	$(PYTHON) -c "\
+	import os; \
+	from repro.core.serialize import load_json, manifest_from_dict; \
+	m = manifest_from_dict(load_json('$(SMOKE_OUT)/resumed/manifest.json')); \
+	assert m['failures'] == 0, m; \
+	assert all(e['resumed'] for e in m['experiments']), m; \
+	missing = [e['saved'] for e in m['experiments'] \
+	           if not os.path.exists('$(SMOKE_OUT)/resumed/%s' % e['saved'])]; \
+	assert not missing, missing; \
+	print('resume smoke ok: %d entries preserved with their archives' % len(m['experiments']))"
 	rm -rf $(SMOKE_OUT) $(SMOKE_CACHE)
 
 # CI gate for the fault-injection subsystem: the tiny 'smoke' plan on

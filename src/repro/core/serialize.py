@@ -23,7 +23,7 @@ import json
 import platform
 import time
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
 from .latency import LatencyEvent, LatencyProfile
 from .samples import SampleTrace
@@ -38,6 +38,7 @@ __all__ = [
     "cache_entry_from_dict",
     "manifest_to_dict",
     "manifest_from_dict",
+    "read_manifest",
     "metrics_to_dict",
     "metrics_from_dict",
     "save_json",
@@ -244,6 +245,16 @@ def manifest_from_dict(data: dict) -> dict:
             if key not in run:
                 raise ValueError(f"manifest experiment entry missing {key!r}")
     return data
+
+
+def read_manifest(path: Union[str, Path]) -> Tuple[Path, dict]:
+    """Load a ``manifest.json``, or the one in a ``--save`` directory:
+    the file read (its directory holds the archives the entries name)
+    and the JSON, which :func:`manifest_from_dict` validates."""
+    path = Path(path)
+    if path.is_dir():
+        path = path / "manifest.json"
+    return path, load_json(path)
 
 
 def metrics_to_dict(snapshot: dict, *, code_version: str = "") -> dict:

@@ -30,12 +30,14 @@ See ``docs/running-experiments.md`` for the full CLI reference and
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..core.atomicio import atomic_write_text
 from ..core.runcache import RunCache, code_version
@@ -44,6 +46,7 @@ from ..core.serialize import (
     manifest_from_dict,
     manifest_to_dict,
     metrics_to_dict,
+    read_manifest,
     save_json,
 )
 from ..obs import (
@@ -84,19 +87,66 @@ EXIT_INVARIANT = 3
 EXIT_INCOMPLETE = 4
 
 
+class _UsageError(Exception):
+    """A bad command line: :func:`main` logs the message and exits 2.
+    Every check raising it runs before anything is created or run."""
+
+
+#: Numeric flag bounds: flag -> (rule, test).  An unset flag (``None``)
+#: passes; a set one must be finite and pass its test.
+_BOUNDS = {
+    "--retries": (">= 0", lambda value: value >= 0),
+    "--backoff": (">= 0", lambda value: value >= 0),
+    "--timeout": ("positive", lambda value: value > 0),
+    "--checkpoint-interval": (">= 1", lambda value: value >= 1),
+    "--packets": (">= 1", lambda value: value >= 1),
+    "--stage-sample-rate": ("in [0, 1]", lambda value: 0 <= value <= 1),
+}
+
+Spec = Tuple[str, int]
+
+
+@dataclass(frozen=True)
+class SweepPlan:
+    """What one invocation runs, settled by :func:`_plan` before any job
+    starts.  Under ``--resume`` the ids, seeds and save dir default to
+    the resumed manifest's, and ``run_kwargs`` is its run kwargs
+    overlaid with every one given on the command line."""
+
+    ids: Tuple[str, ...]
+    seeds: Tuple[int, ...]
+    run_kwargs: Optional[dict]
+    #: The id-major ``ids x seeds`` matrix, in manifest order.
+    all_specs: Tuple[Spec, ...]
+    #: Entries kept verbatim (``resumed: true``) from the resumed manifest.
+    preserved: Dict[Spec, dict]
+    #: ``all_specs`` minus ``preserved``: the jobs to run.
+    specs: Tuple[Spec, ...]
+    save_dir: Optional[Path]
+    #: The resumed manifest's directory, which holds the preserved archives.
+    resume_dir: Optional[Path]
+    cache: Optional[RunCache]
+    jobs: int
+    obs: Optional[dict]
+
+
+class _Sweep(NamedTuple):
+    results: List[JobResult]
+    entries: List[dict]
+    interrupted: bool
+    makespan_s: float
+    probes: Optional[List[dict]]
+
+
 def _parse_seeds(text: str) -> List[int]:
     """``"0,1,2"`` → ``[0, 1, 2]`` (order kept, duplicates dropped)."""
-    seeds: List[int] = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        seed = int(part)
-        if seed not in seeds:
-            seeds.append(seed)
+    try:
+        seeds = [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        seeds = []
     if not seeds:
-        raise ValueError(f"no seeds in {text!r}")
-    return seeds
+        raise _UsageError(f"invalid --seed value: {text!r}")
+    return list(dict.fromkeys(seeds))
 
 
 def _normalize_id(experiment_id: str) -> str:
@@ -132,6 +182,11 @@ def _cache_status(job: JobResult) -> str:
     if job.error is not None:
         return "error"
     return "hit" if job.cache_hit else "miss"
+
+
+def _violations(reports) -> List[dict]:
+    """Every violation of the failed reports, as manifest records."""
+    return [v.to_dict() for r in reports if r.status == "failed" for v in r.violations]
 
 
 def _entry_from_job(job: JobResult, saved: Optional[str]) -> dict:
@@ -174,10 +229,7 @@ def _entry_from_job(job: JobResult, saved: Optional[str]) -> dict:
             "passed": [r.name for r in reports if r.status == "passed"],
             "failed": [r.name for r in reports if r.status == "failed"],
         }
-        violations = [
-            v.to_dict() for r in reports if r.status == "failed"
-            for v in r.violations
-        ]
+        violations = _violations(reports)
         if violations:
             entry["invariant_violations"] = violations
     return entry
@@ -301,30 +353,14 @@ def _strict_probe_matrix(scenario: Optional[str], seed: int) -> List[dict]:
                 "scenario": probe_scenario or "",
                 "summary": summarize_reports(reports),
             }
-            violations = [
-                v.to_dict() for r in reports if r.status == "failed"
-                for v in r.violations
-            ]
+            violations = _violations(reports)
             if violations:
                 record["violations"] = violations
             records.append(record)
     return records
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "stats":
-        from .stats import stats_main
-
-        return stats_main(argv[1:])
-    if argv and argv[0] == "fleet-report":
-        from ..fleet.report import fleet_report_main
-
-        return fleet_report_main(argv[1:])
-    if argv and argv[0] == "run":
-        # Optional verb: ``repro-experiments run fig7`` == ``repro-experiments
-        # fig7`` (symmetry with the ``stats`` subcommand).
-        argv = argv[1:]
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
         description=(
@@ -339,7 +375,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--seed",
-        default=None,
         metavar="N[,N...]",
         help="master RNG seed(s), comma-separated (default: 0)",
     )
@@ -354,7 +389,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--save",
         metavar="DIR",
-        default=None,
         help=(
             "archive each experiment's full result as JSON into DIR, plus a "
             "manifest.json describing the whole run"
@@ -363,7 +397,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--jobs",
         type=int,
-        default=None,
         metavar="N",
         help=(
             "worker processes for the sweep (default: CPU count; 1 runs "
@@ -373,7 +406,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--cache-dir",
         metavar="DIR",
-        default=None,
         help=(
             "result-cache directory (default: $XDG_CACHE_HOME/repro or "
             "~/.cache/repro)"
@@ -392,7 +424,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--timeout",
         type=float,
-        default=None,
         metavar="SECONDS",
         help=(
             "per-experiment wall-clock watchdog; a job running longer is "
@@ -419,7 +450,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--resume",
         metavar="MANIFEST",
-        default=None,
         help=(
             "path to a previous sweep's manifest.json (or its directory); "
             "re-runs only the jobs that failed or are missing, preserving "
@@ -429,7 +459,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--scenario",
         metavar="NAME",
-        default=None,
         help=(
             "run fault-aware experiments under this named fault scenario; "
             "cached results are keyed by the plan's content fingerprint, so "
@@ -439,7 +468,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--packets",
         type=int,
-        default=None,
         metavar="N",
         help=(
             "burst size for packet-driven experiments (ext-network); "
@@ -450,7 +478,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--chaos",
         metavar="NAME",
-        default=None,
         help=(
             "inject a named deterministic harness-fault scenario (worker "
             "crashes, hangs, torn writes, poisoned sessions ...) into "
@@ -508,7 +535,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--checkpoint-dir",
         metavar="DIR",
-        default=None,
         help=(
             "write crash-safe unit checkpoints for long experiments here; a "
             "killed sweep re-run with the same arguments resumes from the "
@@ -525,7 +551,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--trace-out",
         metavar="FILE",
-        default=None,
         help=(
             "write a merged Chrome trace-event JSON file (loadable in "
             "Perfetto / chrome://tracing) covering every job in the sweep"
@@ -534,7 +559,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--metrics-out",
         metavar="FILE",
-        default=None,
         help=(
             "write the merged sim+harness metrics snapshot; '.prom' files "
             "get Prometheus text format, anything else JSON"
@@ -543,7 +567,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--stage-sample-rate",
         type=float,
-        default=None,
         metavar="RATE",
         help=(
             "fraction of input events to carry full stage envelopes for "
@@ -556,7 +579,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--stage-budget",
         action="append",
-        default=None,
         metavar="STAGE=MS",
         help=(
             "latency budget for one pipeline stage (e.g. handler=50); an "
@@ -570,192 +592,155 @@ def main(argv: Optional[List[str]] = None) -> int:
         default="info",
         help="minimum severity for runner/worker log lines (default: info)",
     )
-    args = parser.parse_args(argv)
-    set_level(args.log_level)
+    return parser
 
-    if args.list:
-        for experiment_id, title in TITLES.items():
-            print(f"{experiment_id:16s} {title}")
-        return 0
 
-    if args.retries < 0:
-        log.error(f"--retries must be >= 0, got {args.retries}")
-        return 2
-    if args.backoff < 0:
-        log.error(f"--backoff must be >= 0, got {args.backoff}")
-        return 2
-    if args.timeout is not None and args.timeout <= 0:
-        log.error(f"--timeout must be positive, got {args.timeout}")
-        return 2
-    if args.checkpoint_interval < 1:
-        log.error(
-            f"--checkpoint-interval must be >= 1, got {args.checkpoint_interval}"
-        )
-        return 2
-    if args.packets is not None and args.packets < 1:
-        log.error(f"--packets must be >= 1, got {args.packets}")
-        return 2
-    if args.stage_sample_rate is not None and not (
-        0.0 <= args.stage_sample_rate <= 1.0
-    ):
-        log.error(
-            f"--stage-sample-rate must be in [0, 1], got {args.stage_sample_rate}"
-        )
-        return 2
-    stage_budgets: Dict[str, float] = {}
-    for budget_spec in args.stage_budget or []:
-        stage, sep, millis = budget_spec.partition("=")
-        if not sep or stage not in STAGES:
-            log.error(
-                f"invalid --stage-budget {budget_spec!r}; expected "
-                f"STAGE=MS with STAGE one of: {', '.join(STAGES)}"
-            )
-            return 2
+def _stage_budgets(specs: Optional[List[str]]) -> Dict[str, float]:
+    """``--stage-budget`` values (``STAGE=MS``) -> ``{stage: ms}``."""
+    budgets: Dict[str, float] = {}
+    for spec in specs or []:
+        stage, _, millis = spec.partition("=")
         try:
             budget_ms = float(millis)
         except ValueError:
-            budget_ms = -1.0
-        if budget_ms <= 0:
-            log.error(
-                f"invalid --stage-budget {budget_spec!r}; "
-                f"MS must be a positive number"
+            budget_ms = math.nan
+        if stage not in STAGES or not (math.isfinite(budget_ms) and budget_ms > 0):
+            raise _UsageError(
+                f"invalid --stage-budget {spec!r}; expected STAGE=MS with "
+                f"STAGE one of: {', '.join(STAGES)} and MS a positive, "
+                f"finite number"
             )
-            return 2
-        stage_budgets[stage] = budget_ms
-    if args.scenario is not None:
-        from ..faults import scenario_names
+        budgets[stage] = budget_ms
+    return budgets
 
-        if args.scenario not in scenario_names():
-            log.error(
-                f"unknown scenario {args.scenario!r}; "
-                f"known: {', '.join(scenario_names())}"
+
+def _plan(args: argparse.Namespace) -> SweepPlan:
+    """Check the command line and settle the sweep it asks for.
+
+    Raises :class:`_UsageError` on the first bad value.  Nothing is
+    created before the last check: the cache, built last, hashes the
+    code, and :func:`_execute` makes the save dir.
+    """
+    from ..chaos import chaos_scenario_names
+    from ..faults import scenario_names
+
+    for flag, (rule, holds) in _BOUNDS.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and not (math.isfinite(value) and holds(value)):
+            finite = "" if math.isfinite(value) else "finite and "
+            raise _UsageError(f"{flag} must be {finite}{rule}, got {value}")
+    budgets = _stage_budgets(args.stage_budget)
+    for flag, kind, name, known in (
+        ("--scenario", "scenario", args.scenario, scenario_names()),
+        ("--chaos", "chaos scenario", args.chaos, chaos_scenario_names()),
+    ):
+        if name is not None and name not in known:
+            raise _UsageError(
+                f"{flag}: unknown {kind} {name!r}; known: {', '.join(known)}"
             )
-            return 2
-    if args.chaos is not None:
-        from ..chaos import chaos_scenario_names
-
-        if args.chaos not in chaos_scenario_names():
-            log.error(
-                f"unknown chaos scenario {args.chaos!r}; "
-                f"known: {', '.join(chaos_scenario_names())}"
-            )
-            return 2
-
-    resume_manifest: Optional[dict] = None
+    resumed: dict = {}
     resume_dir: Optional[Path] = None
     if args.resume:
-        manifest_path = Path(args.resume)
-        if manifest_path.is_dir():
-            manifest_path = manifest_path / "manifest.json"
         try:
-            resume_manifest = manifest_from_dict(load_json(manifest_path))
+            path, document = read_manifest(args.resume)
+            resumed = manifest_from_dict(document)
         except (OSError, ValueError) as exc:
-            log.error(f"cannot resume from {manifest_path}: {exc}")
-            return 2
-        resume_dir = manifest_path.parent
-
+            raise _UsageError(
+                f"--resume: cannot resume from {args.resume}: {exc}"
+            ) from None
+        resume_dir = path.parent
     if args.seed is not None:
-        try:
-            seeds = _parse_seeds(args.seed)
-        except ValueError:
-            log.error(f"invalid --seed value: {args.seed!r}")
-            return 2
-    elif resume_manifest is not None:
-        seeds = [int(seed) for seed in resume_manifest["seeds"]]
+        seeds = _parse_seeds(args.seed)
     else:
-        seeds = [0]
-
-    # A resumed sweep must re-run its stragglers under the *same*
-    # configuration the originals ran under, or the merged manifest
-    # would mix healthy and faulted results.
-    scenario = args.scenario
-    resume_kwargs = (
-        (resume_manifest.get("run_kwargs") or {})
-        if resume_manifest is not None
-        else {}
-    )
-    if scenario is None:
-        scenario = resume_kwargs.get("scenario")
-    chaos = args.chaos if args.chaos is not None else resume_kwargs.get("chaos")
-    packets = (
-        args.packets if args.packets is not None else resume_kwargs.get("packets")
-    )
-    run_kwargs: Optional[dict] = {}
-    if scenario:
-        run_kwargs["scenario"] = scenario
-    if packets:
-        run_kwargs["packets"] = int(packets)
-    if chaos:
-        # Chaos-aware experiments (ext-fleet) take the plan name and
-        # seed as run kwargs; both enter the cache variant, so chaotic
-        # runs never reuse clean cache entries (or vice versa).
-        run_kwargs["chaos"] = chaos
-        run_kwargs["chaos_seed"] = (
-            args.chaos_seed
-            if args.chaos is not None
-            else int(resume_kwargs.get("chaos_seed", 0))
-        )
-    if args.hedge:
-        run_kwargs["hedge"] = True
-    run_kwargs = run_kwargs or None
-
-    if args.ids:
-        ids = [_normalize_id(experiment_id) for experiment_id in args.ids]
-    elif resume_manifest is not None:
-        ids = list(resume_manifest["ids"])
-    else:
-        ids = list(EXPERIMENTS)
+        seeds = [int(seed) for seed in resumed.get("seeds", [0])]
+    ids = [_normalize_id(experiment_id) for experiment_id in args.ids]
+    ids = ids or list(resumed.get("ids", EXPERIMENTS))
     unknown = [experiment_id for experiment_id in ids if experiment_id not in EXPERIMENTS]
     if unknown:
-        log.error(f"unknown experiment ids: {', '.join(unknown)}")
-        return 2
+        raise _UsageError(f"unknown experiment ids: {', '.join(unknown)}")
 
-    cache: Optional[RunCache] = None
-    if not args.no_cache:
-        cache = RunCache(args.cache_dir)
+    # Resumed jobs run under the configuration the preserved ones ran
+    # under, or the merged manifest would mix, say, healthy and faulted
+    # results: the manifest's run kwargs, overlaid with every one given
+    # on the command line (--chaos-seed follows --chaos).  Scenario,
+    # packets and chaos enter the cache variant, so runs under other
+    # settings never serve each other's cache entries.
+    given = {
+        "scenario": args.scenario,
+        "packets": args.packets,
+        "chaos": args.chaos,
+        "chaos_seed": args.chaos_seed if args.chaos is not None else None,
+        "hedge": args.hedge or None,
+    }
+    run_kwargs = dict(resumed.get("run_kwargs") or {})
+    run_kwargs.update((key, value) for key, value in given.items() if value is not None)
 
-    save_dir: Optional[Path] = None
-    if args.save:
-        save_dir = Path(args.save)
-    elif resume_dir is not None:
+    # Without --resume every (id, seed) job runs; with it, only those the
+    # manifest lacks or records as failed, and the rest are kept verbatim.
+    all_specs = tuple((experiment_id, seed) for experiment_id in ids for seed in seeds)
+    preserved: Dict[Spec, dict] = {}
+    for entry in resumed.get("experiments", ()):
+        key = (entry["id"], int(entry["seed"]))
+        if key in all_specs and _job_completed(entry, resume_dir):
+            preserved[key] = dict(entry, resumed=True)
+    specs = tuple(spec for spec in all_specs if spec not in preserved)
+    if args.resume:
+        log.info(f"resuming: {len(preserved)} job(s) preserved, {len(specs)} to run")
+    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
+
+    # Stage flags force an observability session even without trace or
+    # metrics outputs: budgets and sampling act on the envelope layer.
+    stage_flags = args.stage_sample_rate is not None or budgets
+    obs: Optional[dict] = None
+    if args.trace_out or args.metrics_out or stage_flags:
+        obs = {"trace": bool(args.trace_out), "metrics": bool(args.metrics_out)}
+        if stage_flags:
+            rate = 1.0 if args.stage_sample_rate is None else args.stage_sample_rate
+            obs["envelopes"] = {
+                "enabled": True, "sample_rate": rate, "budgets_ms": budgets
+            }
+    return SweepPlan(
+        ids=tuple(ids),
+        seeds=tuple(seeds),
+        run_kwargs=run_kwargs or None,
+        all_specs=all_specs,
+        preserved=preserved,
+        specs=specs,
         # Resumed archives belong next to the manifest they complete.
-        save_dir = resume_dir
+        save_dir=Path(args.save) if args.save else resume_dir,
+        resume_dir=resume_dir,
+        cache=None if args.no_cache else RunCache(args.cache_dir),
+        jobs=max(1, min(jobs, len(specs) or 1)),
+        obs=obs,
+    )
+
+
+def _execute(plan: SweepPlan, args: argparse.Namespace) -> _Sweep:
+    """Run the plan's jobs, streaming each report and archive as it
+    lands, then (under ``--strict-invariants``) the probe matrix.  A
+    Ctrl-C keeps what finished, for a partial manifest."""
+    save_dir, resume_dir = plan.save_dir, plan.resume_dir
     if save_dir is not None:
         save_dir.mkdir(parents=True, exist_ok=True)
+        # Resuming into another directory: the new manifest names the
+        # preserved archives, so they must sit next to it.
+        if resume_dir is not None and save_dir.resolve() != resume_dir.resolve():
+            for entry in plan.preserved.values():
+                if entry.get("saved"):
+                    archive = load_json(resume_dir / entry["saved"])
+                    save_json(archive, save_dir / entry["saved"])
 
-    # Which (id, seed) jobs actually need running?  Without --resume:
-    # all of them.  With it: only those the old manifest lacks or
-    # records as failed; the rest are preserved verbatim.
-    all_specs = [(experiment_id, seed) for experiment_id in ids for seed in seeds]
-    preserved: Dict[Tuple[str, int], dict] = {}
-    if resume_manifest is not None:
-        for entry in resume_manifest["experiments"]:
-            key = (entry["id"], int(entry["seed"]))
-            if key in all_specs and _job_completed(entry, resume_dir):
-                kept = dict(entry)
-                kept["resumed"] = True
-                preserved[key] = kept
-    specs = [spec for spec in all_specs if spec not in preserved]
-    if resume_manifest is not None:
-        log.info(
-            f"resuming: {len(preserved)} job(s) preserved, "
-            f"{len(specs)} to run"
-        )
+    saved: Dict[Spec, str] = {}
+    seed_tag = len(plan.seeds) > 1
 
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    jobs = max(1, min(jobs, len(specs) or 1))
-
-    saved: dict = {}
-    seed_tag = len(seeds) > 1
-
-    def report(job: JobResult) -> None:
+    def on_result(job: JobResult) -> None:
         tag = f" (seed {job.seed})" if seed_tag else ""
+        cached = ", cached" if job.cache_hit else ""
         if job.error is not None:
             kind = f" [{job.failure_kind}]" if job.failure_kind else ""
             log.error(f"=== {job.experiment_id}{tag}: ERROR{kind} ===")
             print(job.error, file=sys.stderr)
         elif args.checks_only:
-            cached = ", cached" if job.cache_hit else ""
             title = TITLES[job.experiment_id]
             print(
                 f"=== {job.experiment_id}{tag}: {title} "
@@ -765,7 +750,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(f"  {_format_check(check)}")
         else:
             print(job.rendered)
-            cached = ", cached" if job.cache_hit else ""
             print(f"(wall time {job.wall_s:.1f}s{cached}){tag}")
         print()
         if save_dir is not None and job.payload is not None:
@@ -773,91 +757,71 @@ def main(argv: Optional[List[str]] = None) -> int:
             save_json(job.payload, save_dir / filename)
             saved[(job.experiment_id, job.seed)] = filename
 
-    # Stage flags force an observability session even without trace or
-    # metrics outputs: budgets and sampling act on the envelope layer.
-    stage_flags = args.stage_sample_rate is not None or stage_budgets
-    obs_opts: Optional[dict] = None
-    if args.trace_out or args.metrics_out or stage_flags:
-        obs_opts = {
-            "trace": bool(args.trace_out),
-            "metrics": bool(args.metrics_out),
-        }
-        if stage_flags:
-            obs_opts["envelopes"] = {
-                "enabled": True,
-                "sample_rate": (
-                    1.0
-                    if args.stage_sample_rate is None
-                    else args.stage_sample_rate
-                ),
-                "budgets_ms": stage_budgets,
-            }
-
     interrupted = False
     sweep_started = time.perf_counter()
     try:
         results = run_specs(
-            specs,
-            jobs=jobs,
-            cache=cache,
+            plan.specs,
+            jobs=plan.jobs,
+            cache=plan.cache,
             refresh=args.refresh,
-            on_result=report,
+            on_result=on_result,
             timeout_s=args.timeout,
             retries=args.retries,
             backoff_s=args.backoff,
-            run_kwargs=run_kwargs,
+            run_kwargs=plan.run_kwargs,
             checkpoint_dir=args.checkpoint_dir,
             checkpoint_interval=args.checkpoint_interval,
-            obs=obs_opts,
+            obs=plan.obs,
             fast_forward=not args.no_fast_forward,
         )
     except SweepInterrupted as exc:
         # Ctrl-C: outstanding jobs were cancelled; keep what finished
-        # so the manifest below still records the partial sweep.
+        # so the manifest still records the partial sweep.
         interrupted = True
         results = exc.results
         log.warning("sweep interrupted; writing partial manifest")
     makespan_s = time.perf_counter() - sweep_started
 
-    by_spec: Dict[Tuple[str, int], JobResult] = {
-        (job.experiment_id, job.seed): job for job in results
-    }
-    entries: List[dict] = []
-    for spec in all_specs:
-        if spec in preserved:
-            entries.append(preserved[spec])
-        elif spec in by_spec:
-            job = by_spec[spec]
-            entries.append(_entry_from_job(job, saved.get(spec)))
+    by_spec = {(job.experiment_id, job.seed): job for job in results}
+    entries = [
+        plan.preserved[spec]
+        if spec in plan.preserved
+        else _entry_from_job(by_spec[spec], saved.get(spec))
+        for spec in plan.all_specs
+        if spec in plan.preserved or spec in by_spec
+    ]
+    probes: Optional[List[dict]] = None
+    if args.strict_invariants and not interrupted:
+        scenario = (plan.run_kwargs or {}).get("scenario")
+        with fast_forward_scope(not args.no_fast_forward):
+            probes = _strict_probe_matrix(scenario, min(plan.seeds))
+    return _Sweep(results, entries, interrupted, makespan_s, probes)
 
+
+def _report(plan: SweepPlan, args: argparse.Namespace, sweep: _Sweep) -> int:
+    """Write the trace, metrics and manifest outputs; return the exit code."""
+    results, entries = sweep.results, sweep.entries
     # Measurement-integrity accounting: payload-invariant failures are
     # recorded per entry; --strict-invariants adds the probe matrix.
     invariant_failures = sum(
         len(entry.get("invariants", {}).get("failed", ())) for entry in entries
     )
-    probe_records: Optional[List[dict]] = None
-    if args.strict_invariants and not interrupted:
-        with fast_forward_scope(not args.no_fast_forward):
-            probe_records = _strict_probe_matrix(scenario, min(seeds))
-        probe_failures = sum(
-            len(record["summary"]["failed"]) for record in probe_records
-        )
-        if probe_failures:
-            for record in probe_records:
-                for name in record["summary"]["failed"]:
-                    log.error(
-                        f"invariant FAILED: {name} "
-                        f"(probe {record['os']}/{record['scenario'] or 'healthy'})"
-                    )
-        invariant_failures += probe_failures
+    for record in sweep.probes or ():
+        for name in record["summary"]["failed"]:
+            invariant_failures += 1
+            log.error(
+                f"invariant FAILED: {name} "
+                f"(probe {record['os']}/{record['scenario'] or 'healthy'})"
+            )
 
     # Observability outputs: the harness registry summarises the sweep
     # itself; worker snapshots carry the per-job sim metrics when the
     # obs session was on.  The merge is cheap, so the manifest always
     # embeds it.
-    version = cache.version if cache is not None else code_version()
+    version = plan.cache.version if plan.cache is not None else code_version()
     harness = _harness_metrics(
-        results, entries, workers=jobs, makespan_s=makespan_s
+        results, entries, workers=plan.jobs, makespan_s=sweep.makespan_s
     )
     merged_metrics = merge_snapshots(
         [job.metrics for job in results if job.metrics] + [harness.snapshot()]
@@ -893,31 +857,31 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
         log.info(f"wrote metrics snapshot to {args.metrics_out}")
 
-    if save_dir is not None:
+    if plan.save_dir is not None:
         manifest = manifest_to_dict(
             entries,
-            jobs=jobs,
+            jobs=plan.jobs,
             cache={
-                "enabled": cache is not None,
-                "dir": str(cache.root) if cache is not None else None,
+                "enabled": plan.cache is not None,
+                "dir": str(plan.cache.root) if plan.cache is not None else None,
                 "refresh": args.refresh,
             },
             code_version=version,
         )
-        if interrupted:
+        if sweep.interrupted:
             manifest["interrupted"] = True
-        if run_kwargs:
-            manifest["run_kwargs"] = dict(run_kwargs)
+        if plan.run_kwargs:
+            manifest["run_kwargs"] = dict(plan.run_kwargs)
         manifest["integrity"] = {
             "strict": bool(args.strict_invariants),
             "invariant_failures": invariant_failures,
         }
-        if probe_records is not None:
-            manifest["integrity"]["probes"] = probe_records
+        if sweep.probes is not None:
+            manifest["integrity"]["probes"] = sweep.probes
         manifest["obs"] = {
             "trace_out": args.trace_out,
             "metrics_out": args.metrics_out,
-            "makespan_s": makespan_s,
+            "makespan_s": sweep.makespan_s,
             "metrics": merged_metrics,
         }
         if merged_stages is not None:
@@ -926,8 +890,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                 alerts_suppressed=merged_stages["alerts_suppressed"],
             )
             manifest["obs"]["stage_alerts"] = merged_stages["alerts"]
-        save_json(manifest, save_dir / "manifest.json")
+        save_json(manifest, plan.save_dir / "manifest.json")
+    return _exit_code(args, sweep, invariant_failures)
 
+
+def _exit_code(args: argparse.Namespace, sweep: _Sweep, invariant_failures: int) -> int:
+    entries = sweep.entries
     errors = sum(1 for entry in entries if entry.get("error") is not None)
     check_failures = sum(len(entry["failed_checks"]) for entry in entries)
     # Fleet completeness accounting: batch failures and partial sweeps
@@ -936,8 +904,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     incomplete_fleets = 0
     for entry in entries:
         fleet = entry.get("fleet") or {}
-        if not fleet:
-            continue
         fleet_batch_failures += int(fleet.get("failures") or 0)
         expected = fleet.get("sessions_expected")
         completed = fleet.get("sessions_completed", fleet.get("sessions"))
@@ -959,7 +925,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         log.error(
             f"{fleet_batch_failures} fleet batch failure(s) left unaccounted"
         )
-    if interrupted:
+    if sweep.interrupted:
         return EXIT_INTERRUPTED
     if args.strict_invariants and invariant_failures:
         return EXIT_INVARIANT
@@ -973,6 +939,34 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_INCOMPLETE
     print("all shape checks passed")
     return 0
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv and argv[0] == "stats":
+        from .stats import stats_main
+
+        return stats_main(argv[1:])
+    if argv and argv[0] == "fleet-report":
+        from ..fleet.report import fleet_report_main
+
+        return fleet_report_main(argv[1:])
+    if argv and argv[0] == "run":
+        # Optional verb: ``repro-experiments run fig7`` == ``repro-experiments
+        # fig7`` (symmetry with the ``stats`` subcommand).
+        argv = argv[1:]
+    args = _build_parser().parse_args(argv)
+    set_level(args.log_level)
+    if args.list:
+        for experiment_id, title in TITLES.items():
+            print(f"{experiment_id:16s} {title}")
+        return 0
+    try:
+        plan = _plan(args)
+    except _UsageError as exc:
+        log.error(str(exc))
+        return 2
+    return _report(plan, args, _execute(plan, args))
 
 
 if __name__ == "__main__":

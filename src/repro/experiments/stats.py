@@ -15,14 +15,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 from typing import List, Optional
 
 from ..core.report import TextTable
-from ..core.serialize import load_json, manifest_from_dict
+from ..core.serialize import manifest_from_dict, read_manifest
 from ..obs import get_logger
 
-__all__ = ["render_stats", "stats_main"]
+__all__ = ["print_report", "render_stats", "stats_main"]
 
 log = get_logger("repro.stats")
 
@@ -298,6 +297,16 @@ def render_stats(manifest: dict) -> str:
     return "\n".join(lines)
 
 
+def print_report(text: str) -> None:
+    """Print to stdout; a reader closing the pipe early (``| head``)
+    ends the output quietly instead of with a traceback."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def stats_main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-experiments stats",
@@ -308,19 +317,10 @@ def stats_main(argv: Optional[List[str]] = None) -> int:
         help="path to a manifest.json (or the --save directory holding one)",
     )
     args = parser.parse_args(argv)
-    path = Path(args.manifest)
-    if path.is_dir():
-        path = path / "manifest.json"
     try:
-        manifest = manifest_from_dict(load_json(path))
+        manifest = manifest_from_dict(read_manifest(args.manifest)[1])
     except (OSError, ValueError) as exc:
-        log.error(f"cannot read manifest {path}: {exc}")
+        log.error(f"cannot read manifest {args.manifest}: {exc}")
         return 2
-    try:
-        print(render_stats(manifest))
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # Downstream consumer (e.g. `| head`) closed the pipe; point
-        # stdout at devnull so interpreter shutdown doesn't re-raise.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    print_report(render_stats(manifest))
     return 0

@@ -24,12 +24,10 @@ from __future__ import annotations
 
 import argparse
 import math
-import sys
-from pathlib import Path
 from typing import List, Mapping, Optional
 
 from ..core.report import TextTable
-from ..core.serialize import load_json
+from ..core.serialize import load_json, read_manifest
 from ..obs.logging import get_logger
 from .sketch import FleetAggregator, relative_error_bound
 
@@ -364,11 +362,9 @@ def render_fleet_report(
     return "\n".join(lines)
 
 
-def _extract_fleet_sections(path: Path) -> List[dict]:
+def _extract_fleet_sections(source: str) -> List[dict]:
     """Fleet sections from a payload file, manifest, or --save dir."""
-    if path.is_dir():
-        path = path / "manifest.json"
-    document = load_json(path)
+    path, document = read_manifest(source)
     # An archived ext-fleet payload: {"data": {"fleet": {...}}}.
     data = document.get("data")
     if isinstance(data, dict) and "fleet" in data:
@@ -420,32 +416,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def fleet_report_main(argv: Optional[List[str]] = None) -> int:
+    from ..experiments.stats import print_report
+
     args = build_parser().parse_args(argv)
-    path = Path(args.path)
-    if args.budget_hours <= 0:
-        log.error(f"--budget-hours must be positive, got {args.budget_hours}")
-        return 2
-    try:
-        sections = _extract_fleet_sections(path)
-    except (OSError, ValueError) as exc:
-        log.error(f"cannot read {path}: {exc}")
-        return 2
-    if not sections:
+    if not (math.isfinite(args.budget_hours) and args.budget_hours > 0):
         log.error(
-            f"no fleet results in {path} (expected an ext-fleet payload or a "
-            "manifest whose archive contains one)"
+            f"--budget-hours must be positive and finite, got {args.budget_hours}"
         )
         return 2
     try:
-        for index, fleet in enumerate(sections):
-            if index:
-                print()
-            print(render_fleet_report(fleet, budget_hours=args.budget_hours))
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # Downstream consumer (e.g. `| head`) closed the pipe; point
-        # stdout at devnull so interpreter shutdown doesn't re-raise.
-        import os
-
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sections = _extract_fleet_sections(args.path)
+    except (OSError, ValueError) as exc:
+        log.error(f"cannot read {args.path}: {exc}")
+        return 2
+    if not sections:
+        log.error(
+            f"no fleet results in {args.path} (expected an ext-fleet payload "
+            "or a manifest whose archive contains one)"
+        )
+        return 2
+    print_report(
+        "\n\n".join(
+            render_fleet_report(fleet, budget_hours=args.budget_hours)
+            for fleet in sections
+        )
+    )
     return 0

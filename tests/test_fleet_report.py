@@ -128,6 +128,14 @@ def test_fleet_report_cli_errors(tmp_path, capsys):
     assert fleet_report_main([str(empty), "--budget-hours", "-1"]) == 2
 
 
+@pytest.mark.parametrize("hours", ["-1", "0", "nan", "inf"])
+def test_fleet_report_cli_rejects_budget_hours(tmp_path, capsys, fleet_section, hours):
+    payload = tmp_path / "ext-fleet-seed0.json"
+    save_json({"id": "ext-fleet", "data": {"fleet": fleet_section}}, payload)
+    assert fleet_report_main([str(payload), "--budget-hours", hours]) == 2
+    assert "--budget-hours" in capsys.readouterr().err
+
+
 def test_runner_dispatches_fleet_report_verb(tmp_path, capsys, fleet_section):
     from repro.experiments.runner import main
 
