@@ -169,8 +169,9 @@ obs-smoke:
 	$(PYTHON) -m repro.experiments stats $(SMOKE_OUT)/manifest.json > /dev/null
 	rm -rf $(SMOKE_OUT)
 
-# CI gate: the disabled observability path must stay within 5% of an
-# uninstrumented run (see benchmarks/test_obs_overhead.py).
+# CI gate: a session with no live tracer or registry and envelopes off
+# binds no hook site, and must stay within 5% of an uninstrumented run
+# (see benchmarks/test_obs_overhead.py).
 obs-overhead:
 	$(PYTHON) -m pytest benchmarks/test_obs_overhead.py -q
 
@@ -178,7 +179,10 @@ obs-overhead:
 # conserve time exactly (stage durations sum to the measured wait, in
 # integer nanoseconds), the per-stage Perfetto tracks must pass the
 # structural trace validator, and a sweep archived with the stage flags
-# on must render the breakdown and budget-alert sections in stats.
+# on must render the breakdown and budget-alert sections in stats.  The
+# same sweep with a live tracer and registry (--trace-out,
+# --metrics-out) must record the same stage section: the recorder sees
+# the same crossings whoever else listens.
 envelope-smoke:
 	rm -rf $(SMOKE_OUT)
 	$(PYTHON) -c "\
@@ -215,6 +219,17 @@ envelope-smoke:
 	      (len(obs['stages']['groups']), len(obs['stage_alerts'])))"
 	$(PYTHON) -m repro.experiments stats $(SMOKE_OUT)/manifest.json \
 		| grep -q "stage breakdown (envelopes)"
+	$(PYTHON) -m repro.experiments run fig1 --no-cache --checks-only \
+		--save $(SMOKE_OUT)/sinks --stage-sample-rate 1.0 --stage-budget handler=0.1 \
+		--trace-out $(SMOKE_OUT)/sinks/trace.json \
+		--metrics-out $(SMOKE_OUT)/sinks/metrics.json
+	$(PYTHON) -c "\
+	from repro.core.serialize import load_json; \
+	alone, sinks = (load_json(d + '/manifest.json')['obs'] \
+	                for d in ('$(SMOKE_OUT)', '$(SMOKE_OUT)/sinks')); \
+	differ = [key for key in ('stages', 'stage_alerts') if sinks.get(key) != alone.get(key)]; \
+	assert alone.get('stages') and not differ, ('differs with live sinks', differ); \
+	print('envelope sinks ok: same stage section with a live tracer and registry')"
 	@echo "envelope smoke ok"
 	rm -rf $(SMOKE_OUT)
 

@@ -95,11 +95,16 @@ class InteractiveApp:
 
     def main(self) -> Iterator[Syscall]:
         """The message pump."""
-        # When the subclass keeps the stock dispatch() and no
-        # observability is attached, route straight to
-        # _dispatch_message — one delegating generator per message is
-        # pure overhead on the hot pump path.
-        plain_dispatch = type(self).dispatch is InteractiveApp.dispatch
+        # When the subclass keeps the stock dispatch() and nothing
+        # reads app events, route straight to _dispatch_message — one
+        # delegating generator per message is pure overhead on the hot
+        # pump path.
+        kernel = self.system.kernel
+        plain_dispatch = (
+            type(self).dispatch is InteractiveApp.dispatch
+            and kernel.obs is None
+            and kernel.envelopes is None
+        )
         yield from self.on_start()
         while not self._quit:
             if self.has_background_work():
@@ -109,7 +114,7 @@ class InteractiveApp:
                     continue
             else:
                 message = yield GetMessage()
-            if plain_dispatch and self.system.obs is None:
+            if plain_dispatch:
                 yield from self._dispatch_message(message)
             else:
                 yield from self.dispatch(message)
@@ -118,17 +123,20 @@ class InteractiveApp:
     # Message dispatch
     # ------------------------------------------------------------------
     def dispatch(self, message: Message) -> Iterator[Syscall]:
-        """Route one message to its handler, tracing the dispatch as an
-        app-event span when observability is attached."""
-        obs = self.system.obs
-        if obs is None:
-            yield from self._dispatch_message(message)
-            return
-        obs.app_event_begin(self.thread, message)
+        """Route one message to its handler.  A live trace-and-metrics
+        sink sees the dispatch as an app-event span, and the envelope
+        recorder sees its end as the close of a handler stage."""
+        kernel = self.system.kernel
+        sink, recorder = kernel.obs, kernel.envelopes
+        if sink is not None:
+            sink.app_event_begin(self.thread, message)
         try:
             yield from self._dispatch_message(message)
         finally:
-            obs.app_event_end(self.thread, message)
+            if recorder is not None:
+                recorder.on_app_event_end(self.thread, message)
+            if sink is not None:
+                sink.app_event_end(self.thread, message)
 
     def _dispatch_message(self, message: Message) -> Iterator[Syscall]:
         kind = message.kind

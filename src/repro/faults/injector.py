@@ -112,8 +112,8 @@ class FaultInjector:
         return mean * stream.uniform(0.5, 1.5)
 
     def _notify_obs(self, fault: FaultSpec) -> None:
-        """Surface one injection to the observability layer, if attached."""
-        obs = getattr(self.system, "obs", None)
+        """Surface one injection to a live tracer or metrics registry."""
+        obs = self.system.kernel.obs
         if obs is not None:
             obs.fault_injected(fault.name, fault.kind)
 

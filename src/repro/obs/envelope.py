@@ -35,6 +35,7 @@ draws come from a dedicated ``rngs.fork("stage-sample")`` child factory
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 __all__ = [
@@ -212,21 +213,27 @@ class EnvelopeConfig:
 class EnvelopeRecorder:
     """Stamps envelopes for one booted system.
 
-    Created by :func:`repro.obs.instrument.instrument_system` alongside
-    the :class:`~repro.obs.instrument.SystemInstrumentation`; the kernel
-    and message-queue observers feed it boundary crossings, and it folds
-    every finalized envelope into a
+    Created by :func:`repro.obs.instrument.instrument_system` when the
+    session records envelopes.  It subscribes to what it reads: the
+    interrupt controller's slot, the kernel's envelope sites, every
+    thread's message queue, the I/O manager's sync-I/O count and the app
+    framework's handler close.  It folds every finalized envelope into a
     :class:`~repro.obs.attribution.StageAttribution`.
+
+    ``sink`` is the boot's
+    :class:`~repro.obs.instrument.SystemInstrumentation` when a tracer or
+    metrics registry is live, and receives the stage spans and envelope
+    counters; with ``sink=None`` the recorder calls neither.
     """
 
-    def __init__(self, system, os_name: str, instrumentation, config) -> None:
+    def __init__(self, system, os_name: str, config, sink) -> None:
         from .attribution import StageAttribution
 
         self.system = system
         self.os = os_name
         self.config = config
         self._sim = system.machine.sim
-        self._inst = instrumentation
+        self._sink = sink
         self.scenario = "baseline"
         self._next_seq = 0
         #: id(payload) -> (payload, envelope): created at interrupt
@@ -255,25 +262,27 @@ class EnvelopeRecorder:
             if 0.0 < rate < 1.0
             else None
         )
-        registry = instrumentation.registry
-        self._envelopes_total = registry.counter(
-            "repro_stage_envelopes_total",
-            "Stage envelopes finalized, by outcome.",
-        )
-        self._budget_exceeded = registry.counter(
-            "repro_stage_budget_exceeded_total",
-            "Completed envelopes whose stage time exceeded its budget.",
-        )
+        if sink is not None:
+            self._envelopes_total = sink.registry.counter(
+                "repro_stage_envelopes_total",
+                "Stage envelopes finalized, by outcome.",
+            )
+            self._budget_exceeded = sink.registry.counter(
+                "repro_stage_budget_exceeded_total",
+                "Completed envelopes whose stage time exceeded its budget.",
+            )
 
     # ------------------------------------------------------------------
-    # Stage-span plumbing (one Perfetto track per stage per OS process)
+    # Stage-span plumbing (one Perfetto track per stage per OS process).
+    # Spans open only with a live sink, so without one _span_end finds
+    # nothing open.
     # ------------------------------------------------------------------
     def _span_begin(self, env: StageEnvelope, stage: str, now_ns: int) -> None:
-        track = self._inst.stage_track(stage)
-        self._inst.tracer.begin(
+        sink = self._sink
+        sink.tracer.begin(
             f"{stage}:{env.kind}",
-            self._inst.pid,
-            track,
+            sink.pid,
+            sink.stage_track(stage),
             now_ns,
             category="stage",
             args={"seq": env.seq},
@@ -283,8 +292,8 @@ class EnvelopeRecorder:
     def _span_end(self, env: StageEnvelope, now_ns: int) -> None:
         if env._span_open is None:
             return
-        track = self._inst.stage_track(env._span_open)
-        self._inst.tracer.end(self._inst.pid, track, now_ns)
+        sink = self._sink
+        sink.tracer.end(sink.pid, sink.stage_track(env._span_open), now_ns)
         env._span_open = None
 
     # ------------------------------------------------------------------
@@ -310,7 +319,7 @@ class EnvelopeRecorder:
         env = StageEnvelope(kind, self._next_seq, inject_ns)
         self._next_seq += 1
         self.started += 1
-        if span:
+        if span and self._sink is not None:
             self._span_begin(env, "input", inject_ns)
         return env
 
@@ -321,7 +330,8 @@ class EnvelopeRecorder:
             now_ns = self._sim.now
         self._span_end(env, now_ns)
         env.advance(stage, now_ns)
-        self._span_begin(env, stage, now_ns)
+        if self._sink is not None:
+            self._span_begin(env, stage, now_ns)
 
     def finalize(
         self,
@@ -336,7 +346,8 @@ class EnvelopeRecorder:
         self._span_end(env, now_ns)
         env.close(now_ns, outcome=outcome)
         self.finished += 1
-        self._envelopes_total.inc(os=self.os, outcome=outcome)
+        if self._sink is not None:
+            self._envelopes_total.inc(os=self.os, outcome=outcome)
         if len(self.completed) < _COMPLETED_CAP:
             self.completed.append(env)
         self.attribution.observe(env, self.os, self.scenario)
@@ -346,19 +357,21 @@ class EnvelopeRecorder:
         budgets = self.config.budgets_ms
         if not budgets:
             return
+        sink = self._sink
         for stage, budget_ms in budgets.items():
             actual_ms = env.stage_ns.get(stage, 0) / 1e6
             if actual_ms <= budget_ms:
                 continue
-            self._budget_exceeded.inc(os=self.os, stage=stage)
-            self._inst.tracer.instant(
-                f"budget:{stage}",
-                self._inst.pid,
-                self._inst.stage_track(stage),
-                now_ns,
-                category="stage",
-                args={"seq": env.seq, "actual_ms": actual_ms},
-            )
+            if sink is not None:
+                self._budget_exceeded.inc(os=self.os, stage=stage)
+                sink.tracer.instant(
+                    f"budget:{stage}",
+                    sink.pid,
+                    sink.stage_track(stage),
+                    now_ns,
+                    category="stage",
+                    args={"seq": env.seq, "actual_ms": actual_ms},
+                )
             if len(self.alerts) >= _ALERT_CAP:
                 self.alerts_suppressed += 1
                 continue
@@ -378,8 +391,12 @@ class EnvelopeRecorder:
     # ------------------------------------------------------------------
     # Local input pipeline hooks (interrupts -> kernel -> queues -> app)
     # ------------------------------------------------------------------
-    def input_injected(self, vector: str, payload: object, duration_ns: int) -> None:
-        """An interrupt was raised: open an envelope at inject time."""
+    def input_injected(
+        self, vector: str, payload: object, duration_ns: int, spurious: bool
+    ) -> None:
+        """An interrupt was raised: open an envelope at inject time.
+        Housekeeping vectors and spurious deliveries (no payload) carry
+        no input event."""
         if vector not in INPUT_VECTORS or payload is None:
             return
         env = self.begin(vector, self._sim.now)
@@ -407,6 +424,10 @@ class EnvelopeRecorder:
         if entry is None or entry[0] is not payload:
             return None
         return entry[1]
+
+    def thread_created(self, thread) -> None:
+        """Subscribe to the thread's message queue (post and get)."""
+        thread.queue.add_observer(partial(self.on_queue_event, thread))
 
     def on_queue_event(self, thread, action: str, message, depth: int) -> None:
         env = getattr(message, "envelope", None)
@@ -448,8 +469,8 @@ class EnvelopeRecorder:
         pending.clear()
 
     def sync_io(self, outstanding: int) -> None:
-        """Piggyback on the iomgr's sync-I/O observer: attribute overlap
-        with in-flight handler stages (informational; the wall time is
+        """The iomgr's sync-I/O count changed: attribute overlap with
+        in-flight handler stages (informational; the wall time is
         already inside ``handler`` by the cursor construction)."""
         now = self._sim.now
         if outstanding > 0 and self._io_open_ns is None:

@@ -1,13 +1,22 @@
 """Attaching the observability session to one booted system.
 
 :func:`instrument_system` is called by :func:`repro.winsys.boot` inside
-an :func:`~repro.obs.runtime.observed` scope; it builds one
-:class:`SystemInstrumentation` and hands it to the kernel
-(``kernel.obs``), the interrupt controller, the I/O manager, the hook
-manager and every created thread's message queue.  Nothing here imports
-:mod:`repro.winsys` — the instrumentation is duck-typed over the booted
-system, which keeps the dependency arrow pointing one way (winsys →
-obs) and the disabled path a plain ``obs is None`` check.
+an :func:`~repro.obs.runtime.observed` scope, before any thread exists.
+It binds each hook site to the consumers that read it — the live
+tracer, the live metrics registry and the
+:class:`~repro.obs.envelope.EnvelopeRecorder` — and leaves a site that
+none reads ``None``.  ``kernel.obs``, read by the kernel, the app
+framework, the remote layer and the fault injector, is the
+:class:`SystemInstrumentation` only when a tracer or registry is live;
+``kernel.envelopes`` is the recorder only when the session records
+envelopes; the interrupt controller's one ``obs`` slot calls whichever
+of the two read deliveries, and each subscribes to the message queues
+and the sync-I/O count itself.  So a session with trace and metrics off
+calls no tracer or metric method, and builds an API-call record only for
+an API hook that measurement code registers itself.
+Nothing here imports :mod:`repro.winsys` — the instrumentation is
+duck-typed over the booted system, which keeps the dependency arrow
+pointing one way (winsys → obs).
 
 Track layout per simulated OS (one Perfetto *process* per boot):
 
@@ -32,6 +41,7 @@ payloads stay byte-identical with observability on
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Optional
 
 from .envelope import EnvelopeRecorder
@@ -57,7 +67,8 @@ def _message_kind(message) -> str:
 
 
 class SystemInstrumentation:
-    """Observer wired into one booted system's kernel and devices."""
+    """One boot's trace-and-metrics sink, and the handle (``system.obs``)
+    through which harvesters reach the boot's envelope recorder."""
 
     def __init__(self, system, os_name: str, session: ObsSession) -> None:
         self.system = system
@@ -69,12 +80,6 @@ class SystemInstrumentation:
         )
         self.tracer = tracer
         self.registry = registry
-        #: Whether a live tracer or metrics registry receives what the
-        #: hooks report.  The kernel's quiescent jump crosses clock ticks
-        #: only when it does not: crossed events call no hooks, which is
-        #: invisible to null sinks and to the envelope recorder (ticks
-        #: carry no input), but not to a live trace or metric.
-        self.recording = bool(tracer.enabled or registry.enabled)
         self.pid = tracer.register_process(os_name)
         tracer.register_thread(self.pid, "cpu", tid=CPU_TRACK)
         tracer.register_thread(self.pid, "irq", tid=IRQ_TRACK)
@@ -85,8 +90,8 @@ class SystemInstrumentation:
         self._next_thread_track = FIRST_THREAD_TRACK
         self._cpu_owner: object = None
         self._io_span_open = False
-        #: Stage-envelope recorder; attached by instrument_system when
-        #: the session's envelope config is enabled, None otherwise.
+        #: The boot's stage-envelope recorder when the session's envelope
+        #: config is enabled, None otherwise (set by instrument_system).
         self.envelopes: Optional[EnvelopeRecorder] = None
         #: stage name -> trace track id ("stage:input", ...), lazy.
         self._stage_tracks: Dict[str, int] = {}
@@ -188,7 +193,6 @@ class SystemInstrumentation:
         #: direction -> trace track id for link-busy spans (lazy; only
         #: remote sessions allocate them).
         self._net_tracks: Dict[str, int] = {}
-        session.add_flush(self.flush_calendar_stats)
 
     # ------------------------------------------------------------------
     # Threads and the CPU track
@@ -204,11 +208,7 @@ class SystemInstrumentation:
         self._next_thread_track = track + 1
         self._thread_tracks[thread.tid] = track
         self._threads_created.inc(os=self.os)
-        thread.queue.add_observer(
-            lambda action, message, depth, t=thread: self.queue_event(
-                t, action, message, depth
-            )
-        )
+        thread.queue.add_observer(partial(self.queue_event, thread))
         return track
 
     def run_begin(self, thread) -> None:
@@ -268,7 +268,9 @@ class SystemInstrumentation:
     # ------------------------------------------------------------------
     # Interrupts, I/O, faults
     # ------------------------------------------------------------------
-    def interrupt(self, vector: str, duration_ns: int, spurious: bool) -> None:
+    def interrupt(
+        self, vector: str, payload: object, duration_ns: int, spurious: bool
+    ) -> None:
         self.tracer.instant(
             f"irq:{vector}",
             self.pid,
@@ -282,8 +284,6 @@ class SystemInstrumentation:
         )
 
     def sync_io(self, outstanding: int) -> None:
-        if self.envelopes is not None:
-            self.envelopes.sync_io(outstanding)
         now = self._sim.now
         if outstanding > 0 and not self._io_span_open:
             self._io_span_open = True
@@ -390,25 +390,10 @@ class SystemInstrumentation:
             self._stage_tracks[stage] = track
         return track
 
-    def input_dispatch_begin(self, payload) -> None:
-        if self.envelopes is not None:
-            self.envelopes.input_dispatch_begin(payload)
-
-    def take_envelope(self, payload):
-        if self.envelopes is None:
-            return None
-        return self.envelopes.take_envelope(payload)
-
-    def pump_idle(self, thread) -> None:
-        if self.envelopes is not None:
-            self.envelopes.pump_idle(thread)
-
     # ------------------------------------------------------------------
     # Messages and app events (per-thread tracks)
     # ------------------------------------------------------------------
     def queue_event(self, thread, action: str, message, depth: int) -> None:
-        if self.envelopes is not None:
-            self.envelopes.on_queue_event(thread, action, message, depth)
         track = self._thread_tracks.get(thread.tid)
         if track is not None:
             self.tracer.instant(
@@ -441,8 +426,6 @@ class SystemInstrumentation:
         self._app_events.inc(os=self.os, kind=kind)
 
     def app_event_end(self, thread, message) -> None:
-        if self.envelopes is not None:
-            self.envelopes.on_app_event_end(thread, message)
         track = self._thread_tracks.get(thread.tid)
         if track is None:
             return
@@ -450,23 +433,39 @@ class SystemInstrumentation:
 
 
 def instrument_system(system, os_name: str, session: ObsSession):
-    """Wire a :class:`SystemInstrumentation` into one booted system."""
+    """Bind one booted system's hook sites to the session's live readers."""
     instrumentation = SystemInstrumentation(system, os_name, session)
-    config = session.envelope_config
-    if config.enabled:
-        instrumentation.envelopes = EnvelopeRecorder(
-            system, os_name, instrumentation, config
-        )
-        session.register_envelopes(instrumentation.envelopes)
-        system.machine.interrupts.obs_deliver = (
-            instrumentation.envelopes.input_injected
-        )
+    registry = instrumentation.registry
+    sink = (
+        instrumentation
+        if instrumentation.tracer.enabled or registry.enabled
+        else None
+    )
+    recorder = None
+    if session.envelope_config.enabled:
+        recorder = EnvelopeRecorder(system, os_name, session.envelope_config, sink)
+        session.register_envelopes(recorder)
+    instrumentation.envelopes = recorder
     system.obs = instrumentation
     kernel = system.kernel
-    kernel.obs = instrumentation
-    system.machine.interrupts.obs = instrumentation.interrupt
-    kernel.iomgr.add_sync_observer(instrumentation.sync_io)
-    kernel.hooks.register("*", instrumentation.api_call)
-    for thread in kernel.threads:
-        instrumentation.thread_created(thread)
+    kernel.obs = sink
+    kernel.envelopes = recorder
+    interrupts = system.machine.interrupts
+    if sink is not None and recorder is not None:
+        # The interrupt instant precedes the envelope's first stage span.
+        def delivered(vector, payload, duration_ns, spurious):
+            sink.interrupt(vector, payload, duration_ns, spurious)
+            recorder.input_injected(vector, payload, duration_ns, spurious)
+
+        interrupts.obs = delivered
+    elif sink is not None:
+        interrupts.obs = sink.interrupt
+    elif recorder is not None:
+        interrupts.obs = recorder.input_injected
+    for reader in (recorder, sink):
+        if reader is not None:
+            kernel.iomgr.add_sync_observer(reader.sync_io)
+    if registry.enabled:
+        kernel.hooks.register("*", instrumentation.api_call)
+        session.add_flush(instrumentation.flush_calendar_stats)
     return instrumentation

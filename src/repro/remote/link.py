@@ -289,7 +289,7 @@ class LossyLink:
         config = getattr(self.config, direction)
         self.sent[direction] += 1
         self.bytes[direction] += size_bytes
-        obs = getattr(self.system, "obs", None)
+        obs = self.system.kernel.obs
 
         if self.is_down(now):
             self.flapped[direction] += 1

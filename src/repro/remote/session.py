@@ -200,7 +200,7 @@ class RemoteServer:
         )
         if not self._dirty and self._repeats_left <= 0:
             return  # idle tick: nothing on screen changed
-        obs = getattr(self.link.system, "obs", None)
+        obs = self.link.system.kernel.obs
         backlog_ns = self.link.backlog_ns("down")
         if backlog_ns > ns_from_ms(self.config.skip_backlog_ms):
             # The downlink is badly behind: coalesce (send nothing, the
@@ -455,7 +455,7 @@ class RemoteSession:
         if miss:
             self._correct(seq)
         else:
-            obs = self.system.obs
+            obs = self.system.kernel.obs
             if obs is not None:
                 obs.remote_prediction(hit=True)
 
@@ -477,7 +477,7 @@ class RemoteSession:
     def _correct(self, seq: int) -> None:
         self.corrections += 1
         self.log(("correct", seq, self.sim.now))
-        obs = self.system.obs
+        obs = self.system.kernel.obs
         if obs is not None:
             obs.remote_prediction(hit=False)
 
@@ -491,7 +491,7 @@ class RemoteSession:
         if frame.fseq <= self._last_played_fseq:
             self.frames_stale += 1
             self.log(("frame-stale", frame.fseq, self.sim.now))
-            obs = self.system.obs
+            obs = self.system.kernel.obs
             if obs is not None:
                 obs.remote_frame("stale")
             return

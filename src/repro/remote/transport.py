@@ -280,7 +280,7 @@ class InputChannel:
         state = self._pending.get(seq)
         if state is None:
             return
-        obs = getattr(self.link.system, "obs", None)
+        obs = self.link.system.kernel.obs
         if state["attempts"] >= self.config.retry_cap:
             del self._pending[seq]
             self.abandoned.append(seq)

@@ -46,13 +46,10 @@ class InterruptController:
         self.delivered: Dict[str, int] = {}
         #: Per-vector spurious delivery counts (ISR cost, no handler).
         self.spurious: Dict[str, int] = {}
-        #: Observability callback ``(vector, duration_ns, spurious)`` or
-        #: None (the default, zero-cost path).
-        self.obs: Optional[Callable[[str, int, bool], None]] = None
-        #: Envelope callback ``(vector, payload, duration_ns)`` fired at
-        #: inject time for *genuine* deliveries only — a spurious
-        #: interrupt carries no input event to envelope.
-        self.obs_deliver: Optional[Callable[[str, object, int], None]] = None
+        #: Observer ``(vector, payload, duration_ns, spurious)`` of every
+        #: delivery, or None when nothing reads deliveries (the default).
+        #: A spurious delivery carries no payload.
+        self.obs: Optional[Callable[[str, object, int, bool], None]] = None
 
     def register(
         self,
@@ -93,9 +90,7 @@ class InterruptController:
         duration = self.cpu.steal(vector.isr_work)
         self.delivered[name] = self.delivered.get(name, 0) + 1
         if self.obs is not None:
-            self.obs(name, duration, False)
-        if self.obs_deliver is not None:
-            self.obs_deliver(name, payload, duration)
+            self.obs(name, payload, duration, False)
         hid = self._handler_hids.get(name)
         if hid is not None:
             # The handler runs at ISR retirement; the kind entry carries
@@ -110,7 +105,8 @@ class InterruptController:
         delivery count.  The kernel's quiescent jump crosses clock ticks
         this way; it computes the stolen time and the post-actions in
         closed form itself, and no observer sees the crossed deliveries
-        (the jump crosses ticks only when no live sink is attached).
+        (the jump crosses ticks only when no tracer or metrics registry
+        is live, and the envelope recorder ignores clock interrupts).
         """
         self.cpu.perf.charge(HwEvent.INTERRUPTS, count)
         self.cpu.credit(self._vectors[name].isr_work, count)
@@ -133,7 +129,7 @@ class InterruptController:
         duration = self.cpu.steal(vector.isr_work)
         self.spurious[name] = self.spurious.get(name, 0) + 1
         if self.obs is not None:
-            self.obs(name, duration, True)
+            self.obs(name, None, duration, True)
         return duration
 
 

@@ -153,11 +153,13 @@ class Kernel:
         #: instrument yields again at once, and until something is
         #: scheduled a retry would stop at the same place.
         self._jump_stopped_at = -1
-        #: Observability hook (a SystemInstrumentation from repro.obs),
-        #: attached by boot() when a session is active; None otherwise.
-        #: Every call site guards with ``is not None`` so the disabled
-        #: path costs one attribute check.
+        #: Trace-and-metrics sink (a SystemInstrumentation from
+        #: repro.obs), bound at boot only when the session has a live
+        #: tracer or metrics registry; None otherwise.
         self.obs = None
+        #: Stage-envelope recorder (an EnvelopeRecorder from repro.obs),
+        #: bound at boot only when the session records envelopes.
+        self.envelopes = None
         # Precompiled engine handler ids for the kernel's own recurring
         # events: one heap tuple each, no handle/closure/label per
         # occurrence (docs/performance.md, "inner loop").
@@ -216,14 +218,17 @@ class Kernel:
         name: str,
         program,
         priority: int = NORMAL_PRIORITY,
-        process: object = None,
     ) -> SimThread:
         """Create and ready a thread around a generator ``program``."""
-        thread = SimThread(name=name, program=program, priority=priority, process=process)
+        thread = SimThread(name=name, program=program, priority=priority)
         self.threads.append(thread)
         thread.queue.add_post_callback(
             lambda message, t=thread: self._on_message_posted(t, message)
         )
+        # Both subscribe to the thread's queue; the recorder first, so
+        # its stage spans precede the sink's message instant.
+        if self.envelopes is not None:
+            self.envelopes.thread_created(thread)
         if self.obs is not None:
             self.obs.thread_created(thread)
         self.scheduler.make_ready(thread)
@@ -597,7 +602,7 @@ class Kernel:
             self.jump_stops[bound] += 1
             return None
         # Why this jump may not cross a periodic event, if it may not.
-        if self.obs is not None and self.obs.recording:
+        if self.obs is not None:
             hold = "observer attached"
         elif not syscall.tickless:
             hold = "record hook"
@@ -795,10 +800,10 @@ class Kernel:
         return _BLOCKED
 
     def _getmessage_action(self, thread: SimThread):
-        if self.obs is not None:
+        if self.envelopes is not None:
             # The pump reached its next retrieval: any envelope whose
             # render tail was pending on this thread is now on screen.
-            self.obs.pump_idle(thread)
+            self.envelopes.pump_idle(thread)
         message = thread.queue.get(self.sim.now)
         if message is not None:
             hooks = self.hooks
@@ -819,8 +824,8 @@ class Kernel:
         return self._block_value(thread, "message")
 
     def _peekmessage_action(self, thread: SimThread):
-        if self.obs is not None:
-            self.obs.pump_idle(thread)
+        if self.envelopes is not None:
+            self.envelopes.pump_idle(thread)
         message = thread.queue.get(self.sim.now)
         hooks = self.hooks
         if hooks.active:
@@ -947,8 +952,8 @@ class Kernel:
                     self._request_dispatch()
 
     def _on_keyboard(self, event: KeyEvent) -> None:
-        if self.obs is not None:
-            self.obs.input_dispatch_begin(event)
+        if self.envelopes is not None:
+            self.envelopes.input_dispatch_begin(event)
         self.queue_dpc(
             self.personality.input_dispatch_work,
             action=lambda: self._deliver_key(event),
@@ -958,9 +963,8 @@ class Kernel:
     def _deliver_key(self, event: KeyEvent) -> None:
         if self.foreground is None:
             return
-        envelope = (
-            self.obs.take_envelope(event) if self.obs is not None else None
-        )
+        recorder = self.envelopes
+        envelope = recorder.take_envelope(event) if recorder is not None else None
         if event.down:
             self.post_to_foreground(
                 Message(
@@ -992,8 +996,8 @@ class Kernel:
             )
 
     def _on_mouse(self, event: MouseEvent) -> None:
-        if self.obs is not None:
-            self.obs.input_dispatch_begin(event)
+        if self.envelopes is not None:
+            self.envelopes.input_dispatch_begin(event)
         if event.kind == "down" and self.personality.mouse_click_busywait:
             self._pending_mouse_down = event
             self.queue_dpc(
@@ -1019,9 +1023,8 @@ class Kernel:
             "up": WM.LBUTTONUP,
             "move": WM.MOUSEMOVE,
         }
-        envelope = (
-            self.obs.take_envelope(event) if self.obs is not None else None
-        )
+        recorder = self.envelopes
+        envelope = recorder.take_envelope(event) if recorder is not None else None
         self.post_to_foreground(
             Message(
                 kind_to_wm[event.kind],
@@ -1079,8 +1082,8 @@ class Kernel:
         self.socket_owner = thread
 
     def _on_packet(self, packet) -> None:
-        if self.obs is not None:
-            self.obs.input_dispatch_begin(packet)
+        if self.envelopes is not None:
+            self.envelopes.input_dispatch_begin(packet)
         self.queue_dpc(
             self.personality.nic_dispatch_work,
             action=lambda: self._deliver_packet(packet),
@@ -1091,9 +1094,8 @@ class Kernel:
         target = self.socket_owner or self.foreground
         if target is None or target.done:
             return
-        envelope = (
-            self.obs.take_envelope(packet) if self.obs is not None else None
-        )
+        recorder = self.envelopes
+        envelope = recorder.take_envelope(packet) if recorder is not None else None
         self.post_message(
             target,
             Message(

@@ -30,8 +30,10 @@ class WindowsSystem:
         self.machine = machine or Machine(MachineSpec(master_seed=seed))
         self.kernel = Kernel(self.machine, personality)
         self._booted = False
-        #: Observability hook (repro.obs instrumentation) or None; the
-        #: fault injector and app framework read it duck-typed.
+        #: The boot's repro.obs SystemInstrumentation when an observed
+        #: scope booted it, None otherwise.  Harvesters read the boot's
+        #: envelope recorder from its ``envelopes``; hook sites read the
+        #: kernel's ``obs`` and ``envelopes`` slots instead.
         self.obs = None
 
     def boot(self) -> "WindowsSystem":

@@ -47,14 +47,12 @@ class SimThread:
         name: str,
         program: Generator,
         priority: int = NORMAL_PRIORITY,
-        process: object = None,
     ) -> None:
         self.tid = SimThread._next_id
         SimThread._next_id += 1
         self.name = name
         self.program = program
         self.priority = priority
-        self.process = process
         self.state = ThreadState.READY
         self.queue = MessageQueue(owner_name=name)
         #: Why the thread is blocked: 'message' | 'io' | 'sleep' | None.

@@ -38,11 +38,12 @@ from repro.winsys import boot
 
 
 def _typed_recorders(
-    os_name="nt40", text="hello", seed=0, envelopes=None, trace=False
+    os_name="nt40", text="hello", seed=0, envelopes=None, trace=False,
+    metrics=False,
 ):
     """Boot, type ``text`` into Notepad, return (session, recorders)."""
     with observed(
-        trace=trace, metrics=False, envelopes=envelopes
+        trace=trace, metrics=metrics, envelopes=envelopes
     ) as session:
         system = boot(os_name, seed=seed)
         app = NotepadApp(system)
@@ -57,6 +58,16 @@ def _typed_recorders(
 
 def _completed(recorders):
     return [e for recorder in recorders for e in recorder.completed]
+
+
+def _remote_session():
+    from repro.remote import LinkConfig, RemoteSession, TransportConfig
+
+    system = boot("nt40", seed=0)
+    link = LinkConfig.symmetric("test", rtt_ms=40.0, jitter_ms=5.0, loss=0.05)
+    RemoteSession(
+        system, link, transport=TransportConfig(prediction=False)
+    ).run(chars=6, cadence_ms=130.0)
 
 
 # ---------------------------------------------------------------------------
@@ -81,15 +92,8 @@ def test_stage_durations_sum_exactly_to_wait(text, seed, os_name):
 
 
 def test_remote_envelopes_conserve_and_carry_network_stage():
-    from repro.remote import LinkConfig, RemoteSession, TransportConfig
-
     with observed(trace=False, metrics=False) as session:
-        system = boot("nt40", seed=0)
-        link = LinkConfig.symmetric("test", rtt_ms=40.0, jitter_ms=5.0, loss=0.05)
-        remote = RemoteSession(
-            system, link, transport=TransportConfig(prediction=False)
-        )
-        remote.run(chars=6, cadence_ms=130.0)
+        _remote_session()
     envelopes = [
         e for e in _completed(session.envelope_recorders) if e.kind == "remote"
     ]
@@ -104,11 +108,68 @@ def test_remote_envelopes_conserve_and_carry_network_stage():
 # ---------------------------------------------------------------------------
 # Determinism
 # ---------------------------------------------------------------------------
-def _envelope_bytes(**kwargs):
-    _, recorders = _typed_recorders(**kwargs)
-    return json.dumps(
-        [e.to_dict() for e in _completed(recorders)], sort_keys=True
-    ).encode()
+def _envelope_bytes(run=None, trace=False, metrics=False, **kwargs):
+    """The completed envelopes and stage sketches of one run, as bytes.
+
+    ``run`` drives its own boots inside a session with the given sinks;
+    by default ``_typed_recorders(**kwargs)`` types into Notepad."""
+    if run is None:
+        _, recorders = _typed_recorders(trace=trace, metrics=metrics, **kwargs)
+    else:
+        with observed(trace=trace, metrics=metrics) as session:
+            run()
+        recorders = session.envelope_recorders
+    envelopes = [e.to_dict() for e in _completed(recorders)]
+    assert envelopes
+    sketches = [
+        {
+            stage: sketch.to_dict()
+            for stage, sketch in recorder.attribution.stage_sketches().items()
+        }
+        for recorder in recorders
+    ]
+    return json.dumps([envelopes, sketches], sort_keys=True).encode()
+
+
+def _autosaving_editor():
+    """A fleet editor session (autosave every 4 keys) in the caller's
+    session, so its sync I/O overlaps handler stages."""
+    from repro.fleet.population import SessionSpec
+    from repro.fleet.session import _run_local_session
+
+    spec = SessionSpec(
+        index=0,
+        seed=11,
+        os_name="nt40",
+        profile="editor",
+        scenario=None,
+        wpm=40.0,
+        jitter=0.2,
+        think_mean_s=1.0,
+        chars=10,
+    )
+    _run_local_session(spec)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        {"os_name": "nt351"},
+        {"os_name": "nt40"},
+        {"os_name": "win95"},
+        {"run": _remote_session},
+        {"run": _autosaving_editor},
+    ],
+    ids=["nt351", "nt40", "win95", "remote", "editor"],
+)
+def test_recorder_sees_the_same_crossings_whoever_else_listens(case):
+    """The recorder and a live tracer and registry each subscribe to the
+    queue, sync-I/O and handler-close sites; neither changes what the
+    recorder sees."""
+    alone = _envelope_bytes(**case)
+    assert _envelope_bytes(trace=True, metrics=True, **case) == alone
+    if case.get("run") is _autosaving_editor:
+        assert any(e["io_ns"] > 0 for e in json.loads(alone)[0])
 
 
 def test_envelopes_byte_identical_with_fast_forward_on_and_off():

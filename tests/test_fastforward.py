@@ -302,7 +302,7 @@ def _machine_state(kernel, instrument):
     leaves it.  Trace records are compared by count and last value here
     (they are append-only) and in full at the end of each run."""
     sim, machine = kernel.sim, kernel.machine
-    recorder = kernel.obs.envelopes if kernel.obs is not None else None
+    recorder = kernel.envelopes
     records = instrument.buffer if instrument is not None else ()
     return {
         "now": sim.now,
