@@ -42,13 +42,20 @@ __all__ = [
 #: Canonical (experiment_id, seed) pairs pinned by the golden check —
 #: cheap experiments, one per major pipeline path (idle-loop
 #: elongation, wait/think FSM, event extraction, NIC event class, and
-#: the remote lossy-link transport schedule).
+#: the remote lossy-link transport schedule), plus every other cheap
+#: experiment that attaches the measurement rig itself (simple events,
+#: faults under the editor profile, and the three ablations).
 GOLDEN_SET: Tuple[Tuple[str, int], ...] = (
     ("fig1", 0),
     ("fig2", 0),
     ("fig4", 0),
     ("ext-network", 0),
     ("ext-remote", 0),
+    ("fig6", 0),
+    ("ext-faults", 0),
+    ("ablation-batching", 0),
+    ("ablation-merge", 0),
+    ("ablation-idle-n", 0),
 )
 
 _FORMAT_VERSION = 1
