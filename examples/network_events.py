@@ -15,16 +15,9 @@ Run:  python examples/network_events.py
 """
 
 from repro.apps import TerminalApp
-from repro.core import (
-    EventExtractor,
-    IdleLoopInstrument,
-    MessageApiMonitor,
-    latency_histogram,
-    log_histogram,
-)
+from repro.core import instrumented, latency_histogram, log_histogram
 from repro.core.serialize import profile_to_dict, save_json, trace_to_dict
 from repro.sim.timebase import ns_from_ms
-from repro.winsys import boot
 from repro.workload import PacketSource
 
 ARCHIVE = "/tmp/packet-profile.json"
@@ -32,29 +25,20 @@ TRACE_ARCHIVE = "/tmp/packet-trace.json"
 
 
 def main() -> None:
-    system = boot("nt40")
-    app = TerminalApp(system)
-    app.start(foreground=True)
-    instrument = IdleLoopInstrument(system)
-    instrument.install()
-    monitor = MessageApiMonitor(system, thread_name=app.name)
-    monitor.attach()
-    system.run_for(ns_from_ms(200))
+    rig = instrumented("nt40", TerminalApp)
+    rig.system.run_for(ns_from_ms(200))
 
-    source = PacketSource(system, mean_interarrival_ms=120.0, size_bytes=320)
+    source = PacketSource(rig.system, mean_interarrival_ms=120.0, size_bytes=320)
     source.send_burst(80)
     source.run_to_completion()
 
-    trace = instrument.trace()
-    extraction = EventExtractor(
-        monitor=monitor, merge_gap_ns=ns_from_ms(2)
-    ).extract(trace)
-    packets = extraction.profile.filter(
+    trace = rig.instrument.trace()
+    packets = rig.extract(trace).profile.filter(
         lambda e: any("WM_SOCKET" in kind for kind in e.message_kinds)
     )
     packets.name = "nt40-packet-events"
 
-    print(f"{app.lines_received} packets received, {len(packets)} events measured")
+    print(f"{rig.app.lines_received} packets received, {len(packets)} events measured")
     print(f"median handling {float(sorted(packets.latencies_ms)[len(packets)//2]):.2f} ms, "
           f"max {packets.max_ms():.2f} ms (scroll refreshes)")
     print()

@@ -18,30 +18,18 @@ Run:  python examples/wait_think_analysis.py
 from repro.apps import SlidesApp
 from repro.core import (
     EventExtractor,
-    IdleLoopInstrument,
-    MessageApiMonitor,
-    QueueProbe,
     StateInput,
-    SyncIoProbe,
     classify_timeline,
+    instrumented,
     spans_to_transitions,
 )
 from repro.core.report import TextTable
 from repro.sim.timebase import ns_from_ms, sec_from_ns
-from repro.winsys import boot
 
 
 def main() -> None:
-    system = boot("nt40")
-    app = SlidesApp(system)
-    app.start(foreground=True)
-    instrument = IdleLoopInstrument(system)
-    instrument.install()
-    MessageApiMonitor(system, thread_name=app.name).attach()
-    io_probe = SyncIoProbe(system)
-    io_probe.attach()
-    queue_probe = QueueProbe(system, app.thread)
-    queue_probe.attach()
+    rig = instrumented("nt40", SlidesApp, probes=True)
+    system = rig.system
     system.run_for(ns_from_ms(200))
 
     start_ns = system.now
@@ -56,14 +44,16 @@ def main() -> None:
         system.run_for(ns_from_ms(1200))
     end_ns = system.now
 
-    trace = instrument.trace().slice(start_ns, end_ns)
+    trace = rig.instrument.trace().slice(start_ns, end_ns)
     cpu_spans = [
         (p.start_ns, p.end_ns) for p in EventExtractor().busy_periods(trace)
     ]
     transitions = (
         spans_to_transitions(cpu_spans, StateInput.CPU)
-        + spans_to_transitions(io_probe.busy_spans(end_ns), StateInput.SYNC_IO)
-        + spans_to_transitions(queue_probe.nonempty_spans(end_ns), StateInput.QUEUE)
+        + spans_to_transitions(rig.io_probe.busy_spans(end_ns), StateInput.SYNC_IO)
+        + spans_to_transitions(
+            rig.queue_probe.nonempty_spans(end_ns), StateInput.QUEUE
+        )
     )
     spans, summary = classify_timeline(transitions, start_ns, end_ns)
 

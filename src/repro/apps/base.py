@@ -47,7 +47,6 @@ class InteractiveApp:
     DEFAULT_KEYUP_BASE = 25_000
     DEFAULT_MOUSEDOWN_BASE = 60_000
     DEFAULT_MOUSEUP_BASE = 40_000
-    DEFAULT_MOUSEMOVE_BASE = 8_000
 
     def __init__(self, system: WindowsSystem) -> None:
         self.system = system
@@ -158,8 +157,6 @@ class InteractiveApp:
             yield from self.on_mouse_down(message.payload)
         elif kind == WM.LBUTTONUP:
             yield from self.on_mouse_up(message.payload)
-        elif kind == WM.MOUSEMOVE:
-            yield from self.on_mouse_move(message.payload)
         elif kind == WM.TIMER:
             yield from self.on_timer(message.payload)
         elif kind == WM.COMMAND:
@@ -192,9 +189,6 @@ class InteractiveApp:
 
     def on_mouse_up(self, position) -> Iterator[Syscall]:
         yield self.user_compute(self.DEFAULT_MOUSEUP_BASE, label="def-mouseup")
-
-    def on_mouse_move(self, position) -> Iterator[Syscall]:
-        yield self.user_compute(self.DEFAULT_MOUSEMOVE_BASE, label="def-mousemove")
 
     def on_timer(self, timer_id: int) -> Iterator[Syscall]:
         yield self.user_compute(5_000, label="def-timer")

@@ -26,10 +26,10 @@ entry it applies the scheduled faults for that ``(job, attempt)``:
   and is classified ``"pool"`` by the sequential round — the same
   retryable semantics without killing the only process we have.
 * ``hang``/``straggle`` — sleep (past the watchdog / briefly).
-* ``enospc``/``corrupt-write`` — install the
-  :func:`repro.core.atomicio.install_write_fault` hook for the job's
-  duration (restored on exit, so chaos never leaks into the next job
-  of a sequential sweep).
+* ``enospc``/``corrupt-write`` — enter a
+  :func:`repro.core.atomicio.write_fault_scope` for the job's duration
+  (restored on exit, so chaos never leaks into the next job of a
+  sequential sweep).
 
 ``poison`` and ``corrupt-result`` are consulted by the fleet batch
 executor itself (per session index / on the finished payload), via the
@@ -43,10 +43,10 @@ import hashlib
 import os
 import random
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Iterator, List, Optional, Tuple
 
-from ..core.atomicio import install_write_fault
+from ..core.atomicio import write_fault_scope
 from .plan import ChaosPlan, ChaosSpec
 
 __all__ = [
@@ -222,7 +222,7 @@ def _engine_from_payload(payload: dict) -> Tuple[ChaosEngine, int]:
 
 
 def _write_hook(engine: ChaosEngine, specs: List[ChaosSpec]):
-    """Build the :func:`install_write_fault` hook for this job's active
+    """Build the :func:`write_fault_scope` hook for this job's active
     write-level faults, scoped to the artifact class each spec names
     (checkpoints are ``*.ckpt.json``; everything else is "cache"/other
     artifact output)."""
@@ -283,13 +283,10 @@ def chaos_harness(
         for spec in chaos.active
         if spec.kind in ("enospc", "corrupt-write")
     ]
-    previous = None
-    installed = False
-    if write_specs:
-        previous = install_write_fault(_write_hook(engine, write_specs))
-        installed = True
-    try:
+    scope = (
+        write_fault_scope(_write_hook(engine, write_specs))
+        if write_specs
+        else nullcontext()
+    )
+    with scope:
         yield chaos
-    finally:
-        if installed:
-            install_write_fault(previous)

@@ -11,7 +11,8 @@ Public surface:
 * :class:`CounterSampler` — Pentium-counter attribution (Section 5.3);
 * analysis (:mod:`~repro.core.analysis`), interarrival tables,
   perception metrics, terminal visualization;
-* :class:`MeasurementSession` / :func:`run_comparison` — one-call
+* :func:`instrumented` — the measurement rig, attached in the paper's
+  order; :class:`MeasurementSession` / :func:`run_comparison` — one-call
   orchestration of complete benchmark runs.
 """
 
@@ -79,7 +80,7 @@ from .serialize import (
     trace_from_dict,
     trace_to_dict,
 )
-from .session import MeasurementSession, SessionResult, label_events
+from .session import MeasurementSession, Rig, SessionResult, instrumented, label_events
 from .visualize import (
     bar_chart,
     cumulative_latency_plot,
@@ -116,6 +117,7 @@ __all__ = [
     "ProposedResponsivenessMetric",
     "QueueProbe",
     "RefreshAdjustment",
+    "Rig",
     "SampleTrace",
     "SessionResult",
     "Span",
@@ -155,6 +157,7 @@ __all__ = [
     "save_json",
     "trace_from_dict",
     "trace_to_dict",
+    "instrumented",
     "interarrival_table",
     "label_events",
     "latency_histogram",

@@ -21,13 +21,14 @@ that previously open-coded temp+rename (:mod:`repro.core.runcache`,
 the golden-record blesser) all route through here, so the chaos
 harness's torn-write tests cover every one of them at once.
 
-**Chaos interception.**  :func:`install_write_fault` registers a
-process-local hook ``hook(path, data) -> data`` that may raise
+**Chaos interception.**  :func:`write_fault_scope` routes the writes
+of its block through a hook ``hook(path, data) -> data`` that may raise
 ``OSError`` (simulated ENOSPC) or return corrupted bytes (simulated
 torn content that *survives* the rename — the nastier failure, since
-the file then looks complete).  The hook is how
+the file then looks complete), and restores the enclosing scope's hook
+on exit, like the fast-forward and obs scopes.  The hook is how
 :class:`repro.chaos.engine.ChaosEngine` drives deterministic
-write-level faults inside workers; production code never installs one.
+write-level faults inside workers; production code never sets one.
 """
 
 from __future__ import annotations
@@ -35,34 +36,37 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from contextlib import contextmanager
+from contextvars import ContextVar
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 __all__ = [
     "atomic_write_json",
     "atomic_write_text",
-    "install_write_fault",
+    "write_fault_scope",
 ]
 
-#: Process-local write-fault hook (chaos injection only).  ``None`` in
-#: production.  Signature: ``hook(path: Path, data: str) -> str``; may
+WriteFault = Callable[[Path, str], str]
+
+#: Write-fault hook of the current scope (chaos injection only).  ``None``
+#: in production.  Signature: ``hook(path: Path, data: str) -> str``; may
 #: raise ``OSError`` to simulate a failed write.
-_write_fault: Optional[Callable[[Path, str], str]] = None
+_write_fault: ContextVar[Optional[WriteFault]] = ContextVar(
+    "write_fault", default=None
+)
 
 
-def install_write_fault(
-    hook: Optional[Callable[[Path, str], str]]
-) -> Optional[Callable[[Path, str], str]]:
-    """Install (or with ``None``, clear) the write-fault hook.
-
-    Returns the previously-installed hook so callers can restore it —
-    the chaos engine wraps one job's execution and must never leak its
-    hook into the next job of a sequential sweep.
-    """
-    global _write_fault
-    previous = _write_fault
-    _write_fault = hook
-    return previous
+@contextmanager
+def write_fault_scope(hook: Optional[WriteFault]) -> Iterator[None]:
+    """Pass every write in the block through ``hook`` (``None``: no
+    hook), then restore the enclosing scope's hook — so one job's chaos
+    never leaks into the next job of a sequential sweep."""
+    token = _write_fault.set(hook)
+    try:
+        yield
+    finally:
+        _write_fault.reset(token)
 
 
 def atomic_write_text(
@@ -81,12 +85,13 @@ def atomic_write_text(
     throwaway scratch output); atomicity is unaffected.
     """
     path = Path(path)
-    if _write_fault is not None:
+    hook = _write_fault.get()
+    if hook is not None:
         # The hook may raise (ENOSPC) or corrupt the payload (a torn
         # write that survives the rename).  Either way the *mechanism*
         # below stays atomic — that is exactly what the chaos tests
         # assert.
-        text = _write_fault(path, text)
+        text = hook(path, text)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:

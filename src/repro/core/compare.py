@@ -76,14 +76,11 @@ def run_comparison(
     app_factory: Callable,
     script: InputScript,
     seed: int = 0,
-    session_kwargs: Optional[dict] = None,
     run_kwargs: Optional[dict] = None,
 ) -> OSComparison:
     """Run one workload across several systems with identical settings."""
     comparison = OSComparison(workload=workload)
     for os_name in os_names:
-        session = MeasurementSession(
-            os_name, app_factory, seed=seed, **(session_kwargs or {})
-        )
+        session = MeasurementSession(os_name, app_factory, seed=seed)
         comparison.results[os_name] = session.run(script, **(run_kwargs or {}))
     return comparison

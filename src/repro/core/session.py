@@ -1,16 +1,20 @@
-"""Measurement sessions: one-call orchestration of a full experiment.
+"""The measurement rig, and one-call orchestration of a full experiment.
 
-A session assembles what the paper assembled for every benchmark run:
-a freshly booted system (cold caches, Section 5.2), the application
-under test, the replacement idle loop (Section 2.3), the message-API
-monitor (Section 2.4), the optional system-state probes (Section 6),
-and an input driver — runs the script, and extracts the latency
-profile.
+:func:`instrumented` assembles what the paper assembled for every
+benchmark run: a freshly booted system (cold caches, Section 5.2), the
+application under test in the foreground, the replacement idle loop
+(Section 2.3), the message-API monitor (Section 2.4) and, on request,
+the queue and sync-I/O probes (the "additional system support" of
+Section 6).  It is the one place that knows the attach order; every
+experiment, the fleet and the integrity probe start from it.
+
+:class:`MeasurementSession` adds an input driver on top of the rig:
+settle, run the script, and extract the latency profile.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from ..sim.timebase import ns_from_ms, sec_from_ns
@@ -18,15 +22,21 @@ from ..winsys import boot
 from ..winsys.system import WindowsSystem
 from ..workload.mstest import MsTestDriver
 from ..workload.script import InputScript
-from ..workload.typist import TypistDriver, TypistModel
+from ..workload.typist import TypistDriver
 from .extract import EventExtractor, ExtractionResult
 from .idleloop import IdleLoopInstrument
-from .latency import LatencyEvent, LatencyProfile
+from .latency import LatencyProfile
 from .msgmon import MessageApiMonitor
 from .probes import QueueProbe, SyncIoProbe
 from .samples import SampleTrace
 
-__all__ = ["SessionResult", "MeasurementSession", "label_events"]
+__all__ = [
+    "MeasurementSession",
+    "Rig",
+    "SessionResult",
+    "instrumented",
+    "label_events",
+]
 
 
 def label_events(
@@ -53,16 +63,68 @@ def label_events(
 
 
 @dataclass
-class SessionResult:
-    """Everything a completed session produced."""
+class Rig:
+    """A booted system with the app under test and the instruments on it.
+
+    ``io_probe`` and ``queue_probe`` are ``None`` unless the rig was
+    built with ``probes=True``.
+    """
 
     system: WindowsSystem
     app: object
-    driver: MsTestDriver
     instrument: IdleLoopInstrument
     monitor: MessageApiMonitor
-    io_probe: SyncIoProbe
-    queue_probe: QueueProbe
+    io_probe: Optional[SyncIoProbe]
+    queue_probe: Optional[QueueProbe]
+
+    def extract(
+        self, trace: Optional[SampleTrace] = None, **options
+    ) -> ExtractionResult:
+        """Extract events from ``trace`` (default: the whole idle-loop
+        trace so far) with the rig's monitor; ``options`` go to
+        :class:`~repro.core.extract.EventExtractor`."""
+        if trace is None:
+            trace = self.instrument.trace()
+        return EventExtractor(monitor=self.monitor, **options).extract(trace)
+
+
+def instrumented(
+    os_name: str,
+    app_factory: Callable[[WindowsSystem], object],
+    seed: int = 0,
+    probes: bool = False,
+    loop_ms: float = 1.0,
+    buffer_capacity: int = 2_000_000,
+) -> Rig:
+    """Boot ``os_name``, start the app in the foreground and attach the
+    idle loop, the monitor and (with ``probes``) the sync-I/O and queue
+    probes, in that order.  Simulated time does not advance: the caller
+    settles the system as its experiment requires."""
+    system = boot(os_name, seed=seed)
+    app = app_factory(system)
+    app.start(foreground=True)
+    instrument = IdleLoopInstrument(
+        system, loop_ms=loop_ms, buffer_capacity=buffer_capacity
+    )
+    instrument.install()
+    monitor = MessageApiMonitor(system, thread_name=app.name)
+    monitor.attach()
+    io_probe = queue_probe = None
+    if probes:
+        io_probe = SyncIoProbe(system)
+        io_probe.attach()
+        queue_probe = QueueProbe(system, app.thread)
+        queue_probe.attach()
+    return Rig(system, app, instrument, monitor, io_probe, queue_probe)
+
+
+@dataclass
+class SessionResult(Rig):
+    """Everything a completed session produced: the rig, the driver
+    that ran the script, and what was extracted from the script's
+    window."""
+
+    driver: MsTestDriver
     trace: SampleTrace
     extraction: ExtractionResult
     start_ns: int
@@ -84,21 +146,17 @@ class SessionResult:
 
 
 class MeasurementSession:
-    """Boot → instrument → drive → extract, with per-run overrides."""
+    """Rig → settle → drive → extract, with per-run overrides."""
 
     def __init__(
         self,
         os_name: str,
         app_factory: Callable[[WindowsSystem], object],
         seed: int = 0,
-        loop_ms: float = 1.0,
-        settle_ms: float = 200.0,
     ) -> None:
         self.os_name = os_name
         self.app_factory = app_factory
         self.seed = seed
-        self.loop_ms = loop_ms
-        self.settle_ms = settle_ms
 
     def run(
         self,
@@ -106,31 +164,14 @@ class MeasurementSession:
         driver_kind: str = "mstest",
         queuesync: bool = True,
         default_pause_ms: float = 150.0,
-        typist_model: Optional[TypistModel] = None,
-        merge_gap_ns: int = ns_from_ms(2),
-        use_io_probe: bool = True,
-        merge_timer_periods: bool = False,
         remove_queuesync: bool = False,
-        min_event_ns: int = 0,
         max_seconds: float = 3600.0,
-        label_from_marks: bool = True,
     ) -> SessionResult:
         """Execute the whole pipeline once and return the results."""
-        system = boot(self.os_name, seed=self.seed)
-        app = self.app_factory(system)
-        app.start(foreground=True)
-
-        instrument = IdleLoopInstrument(system, loop_ms=self.loop_ms)
-        instrument.install()
-        monitor = MessageApiMonitor(system, thread_name=app.name)
-        monitor.attach()
-        io_probe = SyncIoProbe(system)
-        io_probe.attach()
-        queue_probe = QueueProbe(system, app.thread)
-        queue_probe.attach()
-
+        rig = instrumented(self.os_name, self.app_factory, seed=self.seed, probes=True)
+        system = rig.system
         # Let boot-time activity settle before the script begins.
-        system.run_for(ns_from_ms(self.settle_ms))
+        system.run_for(ns_from_ms(200))
         start_ns = system.now
 
         if driver_kind == "mstest":
@@ -138,32 +179,22 @@ class MeasurementSession:
                 system, script, queuesync=queuesync, default_pause_ms=default_pause_ms
             )
         elif driver_kind == "typist":
-            driver = TypistDriver(system, script, model=typist_model)
+            driver = TypistDriver(system, script)
         else:
             raise ValueError(f"unknown driver kind {driver_kind!r}")
         end_ns = driver.run_to_completion(max_seconds=max_seconds)
 
-        trace = instrument.trace().slice(start_ns, system.now)
-        extractor = EventExtractor(
-            monitor=monitor,
-            merge_gap_ns=merge_gap_ns,
-            io_wait_spans=io_probe.busy_spans() if use_io_probe else None,
-            merge_timer_periods=merge_timer_periods,
+        trace = rig.instrument.trace().slice(start_ns, system.now)
+        extraction = rig.extract(
+            trace,
+            io_wait_spans=rig.io_probe.busy_spans(),
             remove_queuesync=remove_queuesync,
-            min_event_ns=min_event_ns,
-            name=f"{self.os_name}:{app.name}",
+            name=f"{self.os_name}:{rig.app.name}",
         )
-        extraction = extractor.extract(trace)
-        if label_from_marks:
-            label_events(extraction.profile, driver.marks)
+        label_events(extraction.profile, driver.marks)
         return SessionResult(
-            system=system,
-            app=app,
+            **vars(rig),
             driver=driver,
-            instrument=instrument,
-            monitor=monitor,
-            io_probe=io_probe,
-            queue_probe=queue_probe,
             trace=trace,
             extraction=extraction,
             start_ns=start_ns,

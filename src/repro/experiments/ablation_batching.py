@@ -18,10 +18,9 @@ import random
 import numpy as np
 
 from ..apps.notepad import NotepadApp
-from ..core import EventExtractor, IdleLoopInstrument, MessageApiMonitor
+from ..core import instrumented
 from ..core.report import TextTable
 from ..sim.timebase import ns_from_ms
-from ..winsys import boot
 from ..workload.mstest import MsTestDriver
 from ..workload.script import InputScript, type_text_actions
 from .common import ExperimentResult
@@ -31,15 +30,10 @@ TITLE = "Ablation: realistic vs infinitely-fast input (GDI batching)"
 
 
 def _drive(seed: int, text: str, pause_ms: float, batch_limit=None):
-    system = boot("nt40", seed=seed)
+    rig = instrumented("nt40", NotepadApp, seed=seed)
+    system = rig.system
     if batch_limit is not None:
         system.kernel.gdi_batch_limit_override = batch_limit
-    app = NotepadApp(system)
-    app.start(foreground=True)
-    instrument = IdleLoopInstrument(system)
-    instrument.install()
-    monitor = MessageApiMonitor(system, thread_name=app.name)
-    monitor.attach()
     system.run_for(ns_from_ms(200))
     start_ns = system.now
     driver = MsTestDriver(
@@ -50,10 +44,8 @@ def _drive(seed: int, text: str, pause_ms: float, batch_limit=None):
     )
     driver.run_to_completion(max_seconds=600)
     elapsed_s = (system.now - start_ns) / 1e9
-    extraction = EventExtractor(
-        monitor=monitor, merge_gap_ns=ns_from_ms(2)
-    ).extract(instrument.trace())
-    batch = system.kernel.gdi_batch(app.thread)
+    extraction = rig.extract()
+    batch = system.kernel.gdi_batch(rig.app.thread)
     latencies = extraction.profile.latencies_ms
     return {
         "elapsed_s": elapsed_s,

@@ -17,10 +17,9 @@ import random
 import numpy as np
 
 from ..apps.notepad import NotepadApp
-from ..core import EventExtractor, IdleLoopInstrument, MessageApiMonitor
+from ..core import instrumented
 from ..core.report import TextTable
 from ..sim.timebase import ns_from_ms
-from ..winsys import boot
 from ..workload.mstest import MsTestDriver
 from ..workload.script import InputScript, Key
 from .common import ExperimentResult
@@ -52,29 +51,21 @@ def run(seed: int = 0, chars: int = 120) -> ExperimentResult:
     )
     stats = {}
     for loop_ms in LOOP_SETTINGS_MS:
-        system = boot("nt40", seed=seed)
-        app = NotepadApp(system)
-        app.start(foreground=True)
-        instrument = IdleLoopInstrument(system, loop_ms=loop_ms)
-        instrument.install()
-        monitor = MessageApiMonitor(system, thread_name=app.name)
-        monitor.attach()
-        system.run_for(ns_from_ms(200))
+        rig = instrumented("nt40", NotepadApp, seed=seed, loop_ms=loop_ms)
+        rig.system.run_for(ns_from_ms(200))
         driver = MsTestDriver(
-            system,
+            rig.system,
             InputScript([Key(key, pause_ms=120.0) for key in keys]),
             queuesync=False,
             default_pause_ms=120.0,
         )
         end = driver.run_to_completion(max_seconds=600)
-        trace = instrument.trace()
-        extraction = EventExtractor(
-            monitor=monitor, merge_gap_ns=ns_from_ms(2)
-        ).extract(trace)
+        trace = rig.instrument.trace()
+        extraction = rig.extract(trace)
         latencies = extraction.profile.latencies_ms
         span_s = trace.total_span_ns() / 1e9
         stats[loop_ms] = {
-            "n_iterations": instrument.n_iterations,
+            "n_iterations": rig.instrument.n_iterations,
             "records": len(trace),
             "records_per_s": len(trace) / span_s if span_s else 0.0,
             "events": len(extraction.profile),
@@ -82,7 +73,7 @@ def run(seed: int = 0, chars: int = 120) -> ExperimentResult:
         }
         table.add_row(
             loop_ms,
-            instrument.n_iterations,
+            rig.instrument.n_iterations,
             len(trace),
             stats[loop_ms]["records_per_s"],
             len(extraction.profile),

@@ -15,10 +15,9 @@ event without a fragile gap constant.
 from __future__ import annotations
 
 from ..apps.shell import ShellApp
-from ..core import EventExtractor, IdleLoopInstrument, MessageApiMonitor
+from ..core import instrumented
 from ..core.report import TextTable
 from ..sim.timebase import ns_from_ms
-from ..winsys import boot
 from .common import ExperimentResult
 
 ID = "ablation-merge"
@@ -29,20 +28,15 @@ GAP_SETTINGS_MS = (0.0, 2.0, 12.0)
 
 def run(seed: int = 0) -> ExperimentResult:
     result = ExperimentResult(id=ID, title=TITLE)
-    system = boot("nt40", seed=seed)
-    app = ShellApp(system)
-    app.start(foreground=True)
-    instrument = IdleLoopInstrument(system)
-    instrument.install()
-    monitor = MessageApiMonitor(system, thread_name=app.name)
-    monitor.attach()
+    rig = instrumented("nt40", ShellApp, seed=seed)
+    system = rig.system
     system.run_for(ns_from_ms(100))
     system.post_command("maximize")
     system.run_for(ns_from_ms(900))
     # A second, unrelated keystroke ~300 ms later shows over-merging.
     system.machine.keyboard.keystroke("F5")
     system.run_for(ns_from_ms(300))
-    trace = instrument.trace()
+    trace = rig.instrument.trace()
 
     table = TextTable(
         ["policy", "user events", "background pieces", "largest event ms"],
@@ -50,8 +44,8 @@ def run(seed: int = 0) -> ExperimentResult:
     )
     stats = {}
 
-    def record(name: str, extractor: EventExtractor) -> None:
-        extraction = extractor.extract(trace)
+    def record(name: str, **options) -> None:
+        extraction = rig.extract(trace, **options)
         largest = max(
             (e.latency_ms for e in extraction.profile), default=0.0
         )
@@ -63,16 +57,8 @@ def run(seed: int = 0) -> ExperimentResult:
         table.add_row(name, len(extraction.profile), len(extraction.background), largest)
 
     for gap_ms in GAP_SETTINGS_MS:
-        record(
-            f"time gap {gap_ms:g} ms",
-            EventExtractor(monitor=monitor, merge_gap_ns=ns_from_ms(gap_ms)),
-        )
-    record(
-        "message-API (timer-aware)",
-        EventExtractor(
-            monitor=monitor, merge_gap_ns=ns_from_ms(2), merge_timer_periods=True
-        ),
-    )
+        record(f"time gap {gap_ms:g} ms", merge_gap_ns=ns_from_ms(gap_ms))
+    record("message-API (timer-aware)", merge_timer_periods=True)
     result.tables.append(table)
     result.data = stats
 

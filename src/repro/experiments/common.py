@@ -11,9 +11,11 @@ authors' 1996 testbed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, TypeVar
 
 from ..core.report import TextTable
+from ..obs.runtime import current
+from ..sim.engine import fast_forward_default
 from ..sim.timebase import ns_from_ms
 from ..winsys import boot
 from ..winsys.system import WindowsSystem
@@ -23,6 +25,7 @@ __all__ = [
     "NT_OS",
     "Check",
     "ExperimentResult",
+    "captured",
     "checks_table",
     "inject_keystroke",
     "inject_click",
@@ -91,6 +94,27 @@ def checks_table(result: ExperimentResult) -> TextTable:
     for check in result.checks:
         table.add_row(check.name, "PASS" if check.passed else "FAIL", check.detail)
     return table
+
+
+T = TypeVar("T")
+
+
+def captured(cache: dict, key: tuple, capture: Callable[[], T]) -> T:
+    """``capture()``, shared per process by the experiments that analyse
+    one captured run several ways.
+
+    The key gains the fast-forward setting, so the slow-path oracle
+    never reuses a fast-path run.  Inside an observed scope the run is
+    neither served from nor stored in ``cache``: its trace, metrics and
+    stage envelopes must come from its own boot, and storing it would
+    keep that scope's tracer alive.
+    """
+    if current() is not None:
+        return capture()
+    key = (*key, fast_forward_default())
+    if key not in cache:
+        cache[key] = capture()
+    return cache[key]
 
 
 # ----------------------------------------------------------------------

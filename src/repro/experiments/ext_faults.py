@@ -10,10 +10,11 @@ the unchanged measurement pipeline (idle-loop instrument, message-API
 monitor, event extraction) produces the same per-event latency series
 and cumulative curves as Figures 6–8, healthy vs degraded, per OS.
 
-The probe application autosaves every few keystrokes through
-*synchronous* write-through I/O, so an injected disk stall lands where
-Figure 2 says it must: in the outstanding-sync-I/O FSM input, i.e. in
-time the user visibly waits.
+The probe application is the fleet's ``editor`` profile
+(:class:`~repro.fleet.session.FleetSessionApp`): it autosaves every few
+keystrokes through *synchronous* write-through I/O, so an injected disk
+stall lands where Figure 2 says it must: in the outstanding-sync-I/O
+FSM input, i.e. in time the user visibly waits.
 
 Determinism: identical ``(seed, scenario)`` pairs replay identical
 fault sequences (checked below by re-running one OS and comparing the
@@ -23,19 +24,18 @@ comparable across code versions like any other experiment.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..apps.base import InteractiveApp
-from ..core import EventExtractor, IdleLoopInstrument, MessageApiMonitor
+from ..core import instrumented
 from ..core.report import TextTable
 from ..core.serialize import profile_from_dict, profile_to_dict
 from ..core.visualize import cumulative_latency_plot, event_time_series
 from ..faults import FaultInjector, get_scenario
+from ..fleet.population import APP_PROFILES
+from ..fleet.session import FleetSessionApp
 from ..sim.timebase import ns_from_ms
-from ..winsys import boot
-from ..winsys.syscalls import SyncWrite, Syscall
 from .common import ALL_OS, ExperimentResult, inject_keystroke
 
 ID = "ext-faults"
@@ -48,51 +48,16 @@ KEY_PERIOD_MS = 60.0
 DRAIN_MS = 400.0
 
 
-class FaultProbeApp(InteractiveApp):
-    """Editor-like probe: compute + draw per keystroke, periodic autosave.
-
-    The every-Nth-keystroke autosave is a *synchronous* write-through
-    write at scattered offsets, so the probe keeps live disk traffic in
-    flight for disk-stall faults to land on.
-    """
-
-    name = "faultprobe"
-    AUTOSAVE_EVERY = 4
-    AUTOSAVE_BYTES = 8 * 1024
-
-    def __init__(self, system) -> None:
-        super().__init__(system)
-        self.chars_handled = 0
-        self.autosaves = 0
-        self.scratch = system.filesystem.ensure(
-            "faultprobe-scratch.tmp", 2 * 1024 * 1024
-        )
-
-    def on_char(self, char: str) -> Iterator[Syscall]:
-        self.chars_handled += 1
-        yield self.app_compute(45_000, label="probe-edit")
-        yield self.draw(20_000, pixels=900, label="probe-echo")
-        if self.chars_handled % self.AUTOSAVE_EVERY == 0:
-            self.autosaves += 1
-            span = self.scratch.size_bytes - self.AUTOSAVE_BYTES
-            offset = (self.autosaves * 13 * self.AUTOSAVE_BYTES) % max(
-                span, self.AUTOSAVE_BYTES
-            )
-            yield self.app_compute(25_000, label="probe-serialize")
-            yield SyncWrite(self.scratch, offset, self.AUTOSAVE_BYTES)
-
-
 def _measure(
     os_name: str, seed: int, chars: int, scenario: Optional[str]
 ) -> Dict[str, object]:
     """One instrumented typing run; ``scenario=None`` means healthy."""
-    system = boot(os_name, seed=seed)
-    app = FaultProbeApp(system)
-    app.start(foreground=True)
-    instrument = IdleLoopInstrument(system)
-    instrument.install()
-    monitor = MessageApiMonitor(system, thread_name=app.name)
-    monitor.attach()
+    rig = instrumented(
+        os_name,
+        lambda system: FleetSessionApp(system, APP_PROFILES["editor"]),
+        seed=seed,
+    )
+    system = rig.system
     system.run_for(ns_from_ms(200))
     injector = None
     if scenario is not None:
@@ -101,10 +66,7 @@ def _measure(
         inject_keystroke(system, chr(ord("a") + index % 26))
         system.run_for(ns_from_ms(KEY_PERIOD_MS))
     system.run_for(ns_from_ms(DRAIN_MS))
-    extraction = EventExtractor(
-        monitor=monitor, merge_gap_ns=ns_from_ms(2)
-    ).extract(instrument.trace())
-    profile = extraction.profile.filter(
+    profile = rig.extract().profile.filter(
         lambda e: any("WM_KEYDOWN" in kind for kind in e.message_kinds)
     )
     latencies = profile.latencies_ms
@@ -115,7 +77,7 @@ def _measure(
         "p95_ms": float(np.percentile(latencies, 95)) if len(latencies) else 0.0,
         "total_ms": float(latencies.sum()) if len(latencies) else 0.0,
         "sync_wait_ms": system.iomgr.sync_wait_ns / 1e6,
-        "autosaves": app.autosaves,
+        "autosaves": rig.app.autosaves,
         "faults": injector.summary() if injector is not None else None,
     }
 

@@ -19,10 +19,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..apps.terminal import TerminalApp
-from ..core import EventExtractor, IdleLoopInstrument, MessageApiMonitor
+from ..core import instrumented
 from ..core.report import TextTable
 from ..sim.timebase import ns_from_ms
-from ..winsys import boot
 from ..workload.network import PacketSource
 from .common import ALL_OS, ExperimentResult
 
@@ -31,24 +30,15 @@ TITLE = "Extension: latency of network-packet events"
 
 
 def _measure(os_name: str, seed: int, packets: int):
-    system = boot(os_name, seed=seed)
-    app = TerminalApp(system)
-    app.start(foreground=True)
-    instrument = IdleLoopInstrument(system)
-    instrument.install()
-    monitor = MessageApiMonitor(system, thread_name=app.name)
-    monitor.attach()
-    system.run_for(ns_from_ms(200))
-    source = PacketSource(system, mean_interarrival_ms=150.0)
+    rig = instrumented(os_name, TerminalApp, seed=seed)
+    rig.system.run_for(ns_from_ms(200))
+    source = PacketSource(rig.system, mean_interarrival_ms=150.0)
     source.send_burst(packets)
     source.run_to_completion()
-    extraction = EventExtractor(
-        monitor=monitor, merge_gap_ns=ns_from_ms(2)
-    ).extract(instrument.trace())
-    socket_events = extraction.profile.filter(
+    socket_events = rig.extract().profile.filter(
         lambda e: any("WM_SOCKET" in kind for kind in e.message_kinds)
     )
-    return app, socket_events
+    return rig.app, socket_events
 
 
 def run(seed: int = 0, packets: int = 60) -> ExperimentResult:

@@ -14,11 +14,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..apps.echo import EchoApp
-from ..core import EventExtractor, IdleLoopInstrument, MessageApiMonitor
+from ..core import instrumented
 from ..core.report import TextTable
 from ..sim.timebase import ns_from_ms
-from ..winsys import boot
-from .common import Check, ExperimentResult, inject_keystroke
+from .common import ExperimentResult, inject_keystroke
 
 ID = "fig1"
 TITLE = "Idle-loop methodology validation (echo microbenchmark)"
@@ -30,23 +29,15 @@ PAPER_TIMESTAMP_MS = 7.42
 
 def run(seed: int = 0, os_name: str = "nt40", trials: int = 30) -> ExperimentResult:
     result = ExperimentResult(id=ID, title=TITLE)
-    system = boot(os_name, seed=seed)
-    app = EchoApp(system)
-    app.start(foreground=True)
-    instrument = IdleLoopInstrument(system)
-    instrument.install()
-    monitor = MessageApiMonitor(system, thread_name=app.name)
-    monitor.attach()
+    rig = instrumented(os_name, EchoApp, seed=seed)
+    system, app = rig.system, rig.app
     system.run_for(ns_from_ms(200))
 
     for _ in range(trials):
         inject_keystroke(system, "a")
         system.run_for(ns_from_ms(120))
 
-    extraction = EventExtractor(
-        monitor=monitor, merge_gap_ns=ns_from_ms(2)
-    ).extract(instrument.trace())
-    idle_ms = extraction.profile.latencies_ms
+    idle_ms = rig.extract().profile.latencies_ms
     stamp_ms = np.array(app.timestamp_latencies_ns, dtype=float) / 1e6
     # Drop the cold-cache first trial, as the paper does ("ignoring
     # cold cache cases").

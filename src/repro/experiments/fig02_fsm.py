@@ -14,18 +14,13 @@ from __future__ import annotations
 from ..apps.slides import SlidesApp
 from ..core import (
     EventExtractor,
-    IdleLoopInstrument,
-    MessageApiMonitor,
-    QueueProbe,
     StateInput,
-    SyncIoProbe,
-    UserState,
     classify_timeline,
+    instrumented,
     spans_to_transitions,
 )
 from ..core.report import TextTable
 from ..sim.timebase import ns_from_ms, sec_from_ns
-from ..winsys import boot
 from .common import ExperimentResult, post_command
 
 ID = "fig2"
@@ -34,17 +29,8 @@ TITLE = "Wait/think FSM over CPU, queue and sync-I/O state"
 
 def run(seed: int = 0, os_name: str = "nt40") -> ExperimentResult:
     result = ExperimentResult(id=ID, title=TITLE)
-    system = boot(os_name, seed=seed)
-    app = SlidesApp(system)
-    app.start(foreground=True)
-    instrument = IdleLoopInstrument(system)
-    instrument.install()
-    monitor = MessageApiMonitor(system, thread_name=app.name)
-    monitor.attach()
-    io_probe = SyncIoProbe(system)
-    io_probe.attach()
-    queue_probe = QueueProbe(system, app.thread)
-    queue_probe.attach()
+    rig = instrumented(os_name, SlidesApp, seed=seed, probes=True)
+    system = rig.system
     system.run_for(ns_from_ms(200))
 
     start_ns = system.now
@@ -54,14 +40,13 @@ def run(seed: int = 0, os_name: str = "nt40") -> ExperimentResult:
     system.run_for(ns_from_ms(1500))  # think time
     end_ns = system.now
 
-    trace = instrument.trace().slice(start_ns, end_ns)
-    extractor = EventExtractor(monitor=monitor, io_wait_spans=io_probe.busy_spans())
+    trace = rig.instrument.trace().slice(start_ns, end_ns)
     cpu_spans = [
         (period.start_ns, period.end_ns)
-        for period in extractor.busy_periods(trace)
+        for period in EventExtractor().busy_periods(trace)
     ]
-    io_spans = io_probe.busy_spans(until_ns=end_ns)
-    queue_spans = queue_probe.nonempty_spans(until_ns=end_ns)
+    io_spans = rig.io_probe.busy_spans(until_ns=end_ns)
+    queue_spans = rig.queue_probe.nonempty_spans(until_ns=end_ns)
     transitions = (
         spans_to_transitions(cpu_spans, StateInput.CPU)
         + spans_to_transitions(io_spans, StateInput.SYNC_IO)

@@ -12,14 +12,11 @@ using the message-API log.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..apps.shell import ShellApp
-from ..core import EventExtractor, IdleLoopInstrument, MessageApiMonitor
+from ..core import EventExtractor, instrumented
 from ..core.report import TextTable
 from ..core.visualize import utilization_profile
 from ..sim.timebase import ns_from_ms
-from ..winsys import boot
 from .common import ExperimentResult
 
 ID = "fig4"
@@ -28,19 +25,14 @@ TITLE = "Window-maximize CPU profile and animation segmentation"
 
 def run(seed: int = 0, os_name: str = "nt40") -> ExperimentResult:
     result = ExperimentResult(id=ID, title=TITLE)
-    system = boot(os_name, seed=seed)
-    app = ShellApp(system)
-    app.start(foreground=True)
-    instrument = IdleLoopInstrument(system)
-    instrument.install()
-    monitor = MessageApiMonitor(system, thread_name=app.name)
-    monitor.attach()
+    rig = instrumented(os_name, ShellApp, seed=seed)
+    system, app = rig.system, rig.app
     # The paper's trace starts at time zero with the event at ~100 ms.
     system.run_for(ns_from_ms(100))
     start_ns = system.now
     system.post_command("maximize")
     system.run_for(ns_from_ms(900))
-    trace = instrument.trace()
+    trace = rig.instrument.trace()
 
     times_1ms, util_1ms = trace.per_sample_utilization()
     window_starts, util_10ms = trace.utilization_windows(ns_from_ms(10))
@@ -56,14 +48,9 @@ def run(seed: int = 0, os_name: str = "nt40") -> ExperimentResult:
     )
 
     # Segmentation with and without timer-aware merging.
-    merged = EventExtractor(
-        monitor=monitor, merge_gap_ns=ns_from_ms(2), merge_timer_periods=True
-    ).extract(trace)
-    unmerged = EventExtractor(
-        monitor=monitor, merge_gap_ns=ns_from_ms(2), merge_timer_periods=False
-    ).extract(trace)
-    plain_extractor = EventExtractor(monitor=monitor, merge_gap_ns=ns_from_ms(2))
-    periods = plain_extractor.busy_periods(trace)
+    merged = rig.extract(trace, merge_timer_periods=True)
+    unmerged = rig.extract(trace)
+    periods = EventExtractor().busy_periods(trace)
     anim_periods = [
         p
         for p in periods

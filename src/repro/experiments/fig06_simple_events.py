@@ -16,11 +16,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..apps.shell import ShellApp
-from ..core import EventExtractor, IdleLoopInstrument, MessageApiMonitor
+from ..core import instrumented
 from ..core.report import TextTable
 from ..core.visualize import bar_chart
 from ..sim.timebase import ns_from_ms
-from ..winsys import boot
 from .common import ALL_OS, ExperimentResult, inject_click, inject_keystroke
 
 ID = "fig6"
@@ -30,13 +29,8 @@ PRESS_MS = 90.0
 
 
 def _measure(os_name: str, seed: int, trials: int):
-    system = boot(os_name, seed=seed)
-    app = ShellApp(system)
-    app.start(foreground=True)
-    instrument = IdleLoopInstrument(system)
-    instrument.install()
-    monitor = MessageApiMonitor(system, thread_name=app.name)
-    monitor.attach()
+    rig = instrumented(os_name, ShellApp, seed=seed)
+    system = rig.system
     system.run_for(ns_from_ms(200))
     for _ in range(trials):
         inject_keystroke(system, "F5")
@@ -44,9 +38,7 @@ def _measure(os_name: str, seed: int, trials: int):
     for _ in range(trials):
         inject_click(system, hold_ms=PRESS_MS)
         system.run_for(ns_from_ms(250))
-    extraction = EventExtractor(
-        monitor=monitor, merge_gap_ns=ns_from_ms(2)
-    ).extract(instrument.trace())
+    extraction = rig.extract()
     keys = np.array(
         [
             e.latency_ns / 1e6

@@ -3,18 +3,18 @@
 Table 1, Figure 8 and Figure 12 all analyse the same two benchmark runs
 (the Section 5.2 task on NT 3.51 and NT 4.0).  Runs are deterministic
 given the seed, so they are cached per process the way the paper's
-authors analysed one captured trace multiple ways.
+authors analysed one captured trace multiple ways (see
+:func:`~repro.experiments.common.captured`).
 """
 
 from __future__ import annotations
 
-import random
 from typing import Dict, Tuple
 
 from ..apps.slides import SlidesApp
 from ..core import MeasurementSession, SessionResult
 from ..workload.tasks import powerpoint_task
-from .common import NT_OS
+from .common import NT_OS, captured
 
 __all__ = [
     "powerpoint_session",
@@ -43,8 +43,8 @@ PAPER_TABLE1 = {
     "ole-edit-3": (2.697, 1.305),
 }
 
-_cache: Dict[Tuple[str, int], SessionResult] = {}
-_pair_cache: Dict[int, Dict[str, SessionResult]] = {}
+_cache: Dict[Tuple, SessionResult] = {}
+_pair_cache: Dict[Tuple, Dict[str, SessionResult]] = {}
 
 
 def powerpoint_session(os_name: str, seed: int = 0) -> SessionResult:
@@ -54,20 +54,20 @@ def powerpoint_session(os_name: str, seed: int = 0) -> SessionResult:
     resumed Table 1 run can skip the NT 3.51 session it already
     completed and measure only NT 4.0.
     """
-    key = (os_name, seed)
-    if key not in _cache:
-        spec = powerpoint_task()
+
+    def capture() -> SessionResult:
         session = MeasurementSession(os_name, SlidesApp, seed=seed)
-        _cache[key] = session.run(
-            spec.script, default_pause_ms=500.0, max_seconds=2400
+        return session.run(
+            powerpoint_task().script, default_pause_ms=500.0, max_seconds=2400
         )
-    return _cache[key]
+
+    return captured(_cache, (os_name, seed), capture)
 
 
 def powerpoint_sessions(seed: int = 0) -> Dict[str, SessionResult]:
     """The Section 5.2 task on both NTs (cold boot each), cached."""
-    if seed not in _pair_cache:
-        _pair_cache[seed] = {
-            os_name: powerpoint_session(os_name, seed) for os_name in NT_OS
-        }
-    return _pair_cache[seed]
+    return captured(
+        _pair_cache,
+        (seed,),
+        lambda: {os_name: powerpoint_session(os_name, seed) for os_name in NT_OS},
+    )

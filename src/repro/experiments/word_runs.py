@@ -2,7 +2,7 @@
 
 Figure 5, Figure 11, Table 2 and the Section 5.4 comparison all analyse
 Word-task runs; runs are deterministic given (os, driver, chars, seed)
-and cached per process.
+and cached per process (see :func:`~repro.experiments.common.captured`).
 """
 
 from __future__ import annotations
@@ -13,12 +13,13 @@ from typing import Dict, Tuple
 from ..apps.wordproc import WordApp
 from ..core import MeasurementSession, SessionResult
 from ..workload.tasks import word_task
+from .common import captured
 
 __all__ = ["word_session", "DEFAULT_CHARS"]
 
 DEFAULT_CHARS = 1000
 
-_cache: Dict[Tuple[str, str, int, int], SessionResult] = {}
+_cache: Dict[Tuple, SessionResult] = {}
 
 
 def word_session(
@@ -28,12 +29,10 @@ def word_session(
     seed: int = 0,
 ) -> SessionResult:
     """One Word-task run (Section 5.4 workload), cached."""
-    key = (os_name, driver_kind, chars, seed)
-    if key not in _cache:
-        rng = random.Random(seed + 1042)
-        spec = word_task(rng, chars=chars)
+
+    def capture() -> SessionResult:
+        spec = word_task(random.Random(seed + 1042), chars=chars)
         session = MeasurementSession(os_name, WordApp, seed=seed)
-        _cache[key] = session.run(
-            spec.script, driver_kind=driver_kind, max_seconds=7200
-        )
-    return _cache[key]
+        return session.run(spec.script, driver_kind=driver_kind, max_seconds=7200)
+
+    return captured(_cache, (os_name, driver_kind, chars, seed), capture)

@@ -35,8 +35,8 @@ __all__ = [
 #: Interactive application profiles a session can run, in the spirit of
 #: the paper's task mix (typing-centric, compute-heavy and draw-heavy
 #: workloads stress different pipeline stages).  Costs are CPU cycles
-#: per keystroke for the simulated app's handler, matching the scale
-#: used by :class:`repro.experiments.ext_faults.FaultProbeApp`.
+#: per keystroke for the simulated app's handler.  ``ext-faults`` runs
+#: the ``editor`` profile as its fault probe.
 APP_PROFILES: Dict[str, dict] = {
     # Light editor: cheap echo, frequent autosave (sync I/O exposure).
     "editor": {

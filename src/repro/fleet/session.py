@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..apps.base import InteractiveApp
-from ..core import EventExtractor, IdleLoopInstrument, MessageApiMonitor
+from ..core import instrumented
 from ..faults import FaultInjector, get_scenario
 from ..obs.runtime import observed
 from ..sim.timebase import ns_from_ms
@@ -42,11 +42,11 @@ _MIN_KEYSTROKE_MS = 120.0
 class FleetSessionApp(InteractiveApp):
     """Parameterized interactive probe driven by an app-profile dict.
 
-    Structure follows ``ext-faults``'s probe (compute + echo per
-    keystroke, periodic synchronous write-through autosave) with the
-    costs supplied by the session's :data:`~repro.fleet.population.APP_PROFILES`
-    entry, so ``editor``/``ide``/``terminal`` sessions stress the
-    latency pipeline differently.
+    Compute + echo per keystroke and a periodic synchronous
+    write-through autosave, with the costs supplied by the session's
+    :data:`~repro.fleet.population.APP_PROFILES` entry, so
+    ``editor``/``ide``/``terminal`` sessions stress the latency pipeline
+    differently.  ``ext-faults`` runs the ``editor`` profile.
     """
 
     name = "fleetapp"
@@ -212,16 +212,14 @@ def run_session(spec: SessionSpec) -> SessionResult:
 
 
 def _run_local_session(spec: SessionSpec) -> SessionResult:
-    system = boot(spec.os_name, seed=spec.seed)
+    profile = APP_PROFILES[spec.profile]
+    rig = instrumented(
+        spec.os_name, lambda system: FleetSessionApp(system, profile), seed=spec.seed
+    )
+    system = rig.system
     recorder = getattr(getattr(system, "obs", None), "envelopes", None)
     if recorder is not None:
         recorder.scenario = spec.scenario or "healthy"
-    app = FleetSessionApp(system, APP_PROFILES[spec.profile])
-    app.start(foreground=True)
-    instrument = IdleLoopInstrument(system)
-    instrument.install()
-    monitor = MessageApiMonitor(system, thread_name=app.name)
-    monitor.attach()
     system.run_for(ns_from_ms(_WARMUP_MS))
 
     injector = None
@@ -245,9 +243,7 @@ def _run_local_session(spec: SessionSpec) -> SessionResult:
     system.run_for(ns_from_ms(_DRAIN_MS))
     span_ms = (system.now - started_ns) / 1e6
 
-    extraction = EventExtractor(
-        monitor=monitor, merge_gap_ns=ns_from_ms(2)
-    ).extract(instrument.trace())
+    extraction = rig.extract()
     keystrokes = extraction.profile.filter(
         lambda e: any("WM_KEYDOWN" in kind for kind in e.message_kinds)
     )

@@ -18,16 +18,16 @@ __all__ = ["MouseEvent", "Mouse"]
 
 @dataclass(frozen=True)
 class MouseEvent:
-    """A button edge or movement sample at a screen position."""
+    """A button edge at a screen position."""
 
-    kind: str  # 'down' | 'up' | 'move'
+    kind: str  # 'down' | 'up'
     button: str
     position: Tuple[int, int]
     time_ns: int
 
 
 class Mouse:
-    """Raises one interrupt per button edge / movement sample."""
+    """Raises one interrupt per button edge."""
 
     VECTOR = "mouse"
 
@@ -50,10 +50,6 @@ class Mouse:
         self.events_raised += 1
         self._raise_interrupt(self.VECTOR, event)
         return event
-
-    def move(self, x: int, y: int) -> MouseEvent:
-        self.position = (x, y)
-        return self._raise("move", "none")
 
     def button_down(self, button: str = "left") -> MouseEvent:
         return self._raise("down", button)

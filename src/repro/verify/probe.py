@@ -11,22 +11,18 @@ checker.  One probe takes a few hundredths of a second, so the full
 
 The probe app autosaves through *synchronous* write-through I/O so that
 disk faults land in the outstanding-sync-I/O FSM input — the same
-design as the ``ext-faults`` experiment's probe, kept separate here so
-the verify layer never imports the experiments package.
+design as the fleet's editor app that ``ext-faults`` runs, with smaller
+costs and saves of its own.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from ..apps.base import InteractiveApp
-from ..core.extract import EventExtractor
-from ..core.idleloop import IdleLoopInstrument
-from ..core.msgmon import MessageApiMonitor
-from ..core.probes import QueueProbe, SyncIoProbe
+from ..core.session import instrumented
 from ..faults import FaultInjector, get_scenario
 from ..sim.timebase import ns_from_ms
-from ..winsys import boot
 from ..winsys.syscalls import SyncWrite, Syscall
 from .evidence import RunEvidence, build_evidence
 
@@ -80,17 +76,14 @@ def gather_probe_evidence(
     other simulated run.  ``buffer_capacity`` is exposed so tests can
     force a lossy (overflowing) trace.
     """
-    system = boot(os_name, seed=seed)
-    app = IntegrityProbeApp(system)
-    app.start(foreground=True)
-    instrument = IdleLoopInstrument(system, buffer_capacity=buffer_capacity)
-    instrument.install()
-    monitor = MessageApiMonitor(system, thread_name=app.name)
-    monitor.attach()
-    io_probe = SyncIoProbe(system)
-    io_probe.attach()
-    queue_probe = QueueProbe(system, app.thread)
-    queue_probe.attach()
+    rig = instrumented(
+        os_name,
+        IntegrityProbeApp,
+        seed=seed,
+        probes=True,
+        buffer_capacity=buffer_capacity,
+    )
+    system, app = rig.system, rig.app
     counters_before = dict(system.perf.snapshot())
 
     system.run_for(ns_from_ms(150.0))
@@ -103,25 +96,22 @@ def gather_probe_evidence(
     system.run_for(ns_from_ms(DRAIN_MS))
     end_ns = system.now
 
-    trace = instrument.trace().slice(start_ns, end_ns)
+    trace = rig.instrument.trace().slice(start_ns, end_ns)
     # Clip I/O spans to the accounted window so every extracted episode
     # lies inside [start, end] — the window the invariants reconcile.
     io_spans = [
         (max(lo, start_ns), min(hi, end_ns))
-        for lo, hi in io_probe.busy_spans(until_ns=end_ns)
+        for lo, hi in rig.io_probe.busy_spans(until_ns=end_ns)
         if min(hi, end_ns) > max(lo, start_ns)
     ]
-    extraction = EventExtractor(
-        monitor=monitor,
-        merge_gap_ns=ns_from_ms(2),
-        io_wait_spans=io_spans,
-        name=f"{os_name}:integrity-probe",
-    ).extract(trace)
+    extraction = rig.extract(
+        trace, io_wait_spans=io_spans, name=f"{os_name}:integrity-probe"
+    )
 
     # A full 'stop' buffer means the instrument halted mid-run (the
     # paper's while-space_left loop): the tail of the window is simply
     # unobserved, which is as lossy as wrapped/dropped records.
-    buffer = instrument.buffer
+    buffer = rig.instrument.buffer
     trace_lossy = buffer.lossy or buffer.full
 
     cpu_spans: List[Tuple[int, int]] = [
@@ -136,7 +126,7 @@ def gather_probe_evidence(
         record_times_ns=list(trace.times),
         extraction=extraction,
         cpu_spans=cpu_spans,
-        queue_spans=queue_probe.nonempty_spans(until_ns=end_ns),
+        queue_spans=rig.queue_probe.nonempty_spans(until_ns=end_ns),
         io_spans=io_spans,
         queue=app.thread.queue,
         trace_lossy=trace_lossy,

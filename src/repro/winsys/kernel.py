@@ -1018,11 +1018,7 @@ class Kernel:
     def _deliver_mouse(self, event: MouseEvent) -> None:
         if self.foreground is None:
             return
-        kind_to_wm = {
-            "down": WM.LBUTTONDOWN,
-            "up": WM.LBUTTONUP,
-            "move": WM.MOUSEMOVE,
-        }
+        kind_to_wm = {"down": WM.LBUTTONDOWN, "up": WM.LBUTTONUP}
         recorder = self.envelopes
         envelope = recorder.take_envelope(event) if recorder is not None else None
         self.post_to_foreground(

@@ -26,7 +26,6 @@ class WM(str, Enum):
     CHAR = "WM_CHAR"
     LBUTTONDOWN = "WM_LBUTTONDOWN"
     LBUTTONUP = "WM_LBUTTONUP"
-    MOUSEMOVE = "WM_MOUSEMOVE"
     PAINT = "WM_PAINT"
     TIMER = "WM_TIMER"
     COMMAND = "WM_COMMAND"

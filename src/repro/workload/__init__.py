@@ -4,7 +4,6 @@ from .mstest import MsTestDriver
 from .network import PacketSource
 from .script import (
     Action,
-    Click,
     Command,
     InputScript,
     Key,
@@ -19,7 +18,6 @@ from .typist import TypistDriver, TypistModel, humanize_script
 
 __all__ = [
     "Action",
-    "Click",
     "Command",
     "InputScript",
     "Key",

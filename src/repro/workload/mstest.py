@@ -23,7 +23,7 @@ from typing import List, Optional, Tuple
 
 from ..sim.timebase import ns_from_ms
 from ..winsys.system import WindowsSystem
-from .script import Click, Command, InputScript, Key, Mark, Pause, WaitIdle
+from .script import Command, InputScript, Key, Mark, Pause, WaitIdle
 
 __all__ = ["MsTestDriver"]
 
@@ -138,16 +138,6 @@ class MsTestDriver:
                 self.system.machine.keyboard.keystroke(action.key)
                 self._after_input(self._pause_after(action))
                 return
-            if isinstance(action, Click):
-                self.system.machine.mouse.move(action.x, action.y)
-                self.system.machine.mouse.click(
-                    button=action.button, hold_ns=ns_from_ms(action.hold_ms)
-                )
-                self._after_input(
-                    self._pause_after(action) + ns_from_ms(action.hold_ms),
-                    extra_delay_ns=ns_from_ms(action.hold_ms),
-                )
-                return
             if isinstance(action, Command):
                 self.system.post_command(action.payload)
                 self._after_input(self._pause_after(action))
@@ -157,7 +147,7 @@ class MsTestDriver:
         if self._stop_on_finish:
             self.system.sim.stop()
 
-    def _after_input(self, pause_ns: int, extra_delay_ns: int = 0) -> None:
+    def _after_input(self, pause_ns: int) -> None:
         self.events_injected += 1
         self.injection_times.append(self.system.now)
         if not self.queuesync:
@@ -173,12 +163,12 @@ class MsTestDriver:
             self.system.post_queuesync()
 
         self.system.sim.schedule(
-            self.QUEUESYNC_DELAY_NS + extra_delay_ns,
+            self.QUEUESYNC_DELAY_NS,
             post_and_arm,
             label="mstest-queuesync",
         )
         self.system.sim.schedule(
-            self.QUEUESYNC_TIMEOUT_NS + extra_delay_ns,
+            self.QUEUESYNC_TIMEOUT_NS,
             self._qs_timeout,
             label="mstest-qs-timeout",
         )

@@ -1,6 +1,6 @@
 """Input-script intermediate representation.
 
-A script is a flat sequence of actions — keystrokes, clicks, pauses,
+A script is a flat sequence of actions — keystrokes, pauses,
 menu commands, labels — consumed by a driver (the MS-Test analogue or
 the human-typist model).  Scripts are pure data: the same script driven
 by different drivers is how the Section 5.4 Test-vs-hand comparison is
@@ -10,11 +10,10 @@ expressed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Iterable, List, Optional, Union
 
 __all__ = [
     "Key",
-    "Click",
     "Pause",
     "Command",
     "Mark",
@@ -36,19 +35,6 @@ class Key:
     key: str
     #: Extra pause after this keystroke, in milliseconds (None = the
     #: driver's default inter-event gap).
-    pause_ms: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class Click:
-    """One mouse click at a screen position."""
-
-    x: int = 400
-    y: int = 300
-    button: str = "left"
-    #: How long the button is held (the press duration that the Win95
-    #: busy-wait turns into measured latency, Figure 6).
-    hold_ms: float = 90.0
     pause_ms: Optional[float] = None
 
 
@@ -87,7 +73,7 @@ class WaitIdle:
     settle_ms: float = 200.0
 
 
-Action = Union[Key, Click, Pause, Command, Mark, WaitIdle]
+Action = Union[Key, Pause, Command, Mark, WaitIdle]
 
 
 class InputScript:

@@ -14,16 +14,8 @@ import pytest
 from repro.core.atomicio import (
     atomic_write_json,
     atomic_write_text,
-    install_write_fault,
+    write_fault_scope,
 )
-
-
-@pytest.fixture(autouse=True)
-def _clean_hook():
-    """No test may leak a write-fault hook into the next."""
-    install_write_fault(None)
-    yield
-    install_write_fault(None)
 
 
 def test_writes_and_replaces(tmp_path):
@@ -59,10 +51,8 @@ def test_enospc_hook_preserves_previous_content(tmp_path):
     def refuse(path, text):
         raise OSError(28, f"chaos enospc: {path}")
 
-    install_write_fault(refuse)
-    with pytest.raises(OSError):
+    with write_fault_scope(refuse), pytest.raises(OSError):
         atomic_write_text(target, "lost")
-    install_write_fault(None)
     # The destination is exactly as it was, and nothing leaked.
     assert target.read_text() == "intact"
     assert os.listdir(tmp_path) == ["artifact.json"]
@@ -107,25 +97,37 @@ def test_corrupting_hook_survives_rename_but_is_complete(tmp_path):
     def tear(path, text):
         return text[: len(text) // 2] + "\x00<<torn>>"
 
-    install_write_fault(tear)
-    atomic_write_text(target, json.dumps({"digest": "abc", "data": [1] * 50}))
-    install_write_fault(None)
+    with write_fault_scope(tear):
+        atomic_write_text(target, json.dumps({"digest": "abc", "data": [1] * 50}))
     content = target.read_text()
     assert content.endswith("\x00<<torn>>")
     with pytest.raises(json.JSONDecodeError):
         json.loads(content)
 
 
-def test_install_returns_previous_hook():
-    def first(path, text):
-        return text
+def test_nested_scope_restores_the_outer_hook(tmp_path):
+    """An inner scope replaces the hook for its block only, and the
+    outer hook is back after it, whether the block returns or raises."""
+    target = tmp_path / "artifact.json"
 
-    def second(path, text):
-        return text
+    def outer(path, text):
+        return text + "+outer"
 
-    assert install_write_fault(first) is None
-    assert install_write_fault(second) is first
-    assert install_write_fault(None) is second
+    def inner(path, text):
+        return text + "+inner"
+
+    with write_fault_scope(outer):
+        with write_fault_scope(inner):
+            atomic_write_text(target, "a")
+            assert target.read_text() == "a+inner"
+        atomic_write_text(target, "b")
+        assert target.read_text() == "b+outer"
+        with pytest.raises(RuntimeError), write_fault_scope(inner):
+            raise RuntimeError("job failed")
+        atomic_write_text(target, "c")
+        assert target.read_text() == "c+outer"
+    atomic_write_text(target, "d")
+    assert target.read_text() == "d"
 
 
 def test_hook_scope_restoration_via_chaos_harness(tmp_path):

@@ -132,13 +132,6 @@ class TestMouse:
         sim.run()
         assert events == ["down", "up"]
 
-    def test_move_updates_position(self, sim):
-        events = []
-        mouse = Mouse(sim, lambda v, p: events.append(p))
-        mouse.move(10, 20)
-        assert mouse.position == (10, 20)
-        assert events[0].position == (10, 20)
-
     def test_hold_duration(self, sim):
         times = []
         mouse = Mouse(sim, lambda v, p: times.append((p.kind, sim.now)))

@@ -6,7 +6,7 @@ from repro.apps import NotepadApp
 from repro.sim.timebase import ns_from_ms
 from repro.winsys import WM, boot
 from repro.workload.mstest import MsTestDriver
-from repro.workload.script import Click, Command, InputScript, Key, Mark, Pause, WaitIdle
+from repro.workload.script import Command, InputScript, Key, Mark, Pause, WaitIdle
 from repro.workload.typist import TypistDriver, TypistModel, humanize_script
 
 
@@ -99,14 +99,6 @@ class TestMsTestDriver:
             nt40, InputScript([Command("hello")]), queuesync=False
         ).run_to_completion()
         assert got == ["hello"]
-
-    def test_click_action(self, nt40):
-        app_on(nt40)
-        driver = MsTestDriver(
-            nt40, InputScript([Click(hold_ms=30.0)]), queuesync=False
-        )
-        driver.run_to_completion()
-        assert nt40.machine.mouse.events_raised == 3  # move + down + up
 
     def test_timeout_raises(self, nt40):
         app_on(nt40)

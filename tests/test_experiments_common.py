@@ -94,6 +94,36 @@ class TestInjectionHelpers:
         assert app.maximizes_completed == 1
 
 
+def _word():
+    from repro.experiments.word_runs import word_session
+
+    return word_session("nt351", "mstest", chars=80, seed=0)
+
+
+def _powerpoint():
+    from repro.experiments.ppt_runs import powerpoint_session
+
+    return powerpoint_session("nt40", seed=0)
+
+
+def _powerpoint_pair():
+    from repro.experiments.ppt_runs import powerpoint_sessions
+
+    return powerpoint_sessions(seed=0)
+
+
+_CAPTURES = {
+    "word_session": _word,
+    "powerpoint_session": _powerpoint,
+    "powerpoint_sessions": _powerpoint_pair,
+}
+
+
+def _runs(captured):
+    """The session results of one capture call, in a fixed order."""
+    return list(captured.values()) if isinstance(captured, dict) else [captured]
+
+
 class TestSharedRunCaches:
     def test_word_runs_cached_per_key(self):
         from repro.experiments.word_runs import word_session
@@ -108,3 +138,28 @@ class TestSharedRunCaches:
         a = word_session("nt351", "mstest", chars=80, seed=0)
         b = word_session("nt351", "typist", chars=80, seed=0)
         assert a is not b
+
+    @pytest.mark.parametrize("capture", sorted(_CAPTURES))
+    def test_observed_scope_captures_its_own_run(self, capture):
+        from repro.obs.runtime import observed
+
+        run = _CAPTURES[capture]
+        plain = _runs(run())
+        with observed(trace=True, metrics=True) as session:
+            watched = _runs(run())
+        assert all(w is not p for w, p in zip(watched, plain))
+        # Its own boot: the scope's trace and stages see the run.
+        assert len(session.envelope_recorders) == len(watched)
+        # The observed run was not stored either.
+        assert all(a is b for a, b in zip(_runs(run()), plain))
+
+    @pytest.mark.parametrize("capture", sorted(_CAPTURES))
+    def test_slow_path_never_reuses_a_fast_capture(self, capture):
+        from repro.sim.engine import fast_forward_scope
+
+        run = _CAPTURES[capture]
+        fast = _runs(run())
+        with fast_forward_scope(False):
+            slow = _runs(run())
+        assert all(s is not f for s, f in zip(slow, fast))
+        assert [r.system.kernel.fast_forward for r in slow] == [False] * len(slow)

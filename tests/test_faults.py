@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from repro.apps.terminal import TerminalApp
 from repro.experiments.common import inject_keystroke
-from repro.experiments.ext_faults import FaultProbeApp
 from repro.faults import (
     FAULT_KINDS,
     FaultInjector,
@@ -26,6 +25,8 @@ from repro.faults import (
     get_scenario,
     scenario_names,
 )
+from repro.fleet.population import APP_PROFILES
+from repro.fleet.session import FleetSessionApp
 from repro.sim.timebase import ns_from_ms
 from repro.sim.work import HwEvent
 from repro.winsys import boot
@@ -125,7 +126,8 @@ class TestInjector:
         plan = _single(
             "disk-stall", params={"mean_period_ms": 20.0, "stall_ms": 30.0}
         )
-        system, injector = _typed_run("nt40", 0, plan, app_cls=FaultProbeApp)
+        editor = lambda system: FleetSessionApp(system, APP_PROFILES["editor"])
+        system, injector = _typed_run("nt40", 0, plan, app_cls=editor)
         assert injector.counts["f"] >= 1
         assert system.machine.disk.injected_service_ns > 0
         assert injector.summary()["disk_injected_ms"] > 0

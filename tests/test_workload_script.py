@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.workload.script import (
-    Click,
     Command,
     InputScript,
     Key,
