@@ -44,7 +44,11 @@ __all__ = [
 #: elongation, wait/think FSM, event extraction, NIC event class, and
 #: the remote lossy-link transport schedule), plus every other cheap
 #: experiment that attaches the measurement rig itself (simple events,
-#: faults under the editor profile, and the three ablations).
+#: faults under the editor profile, and the three ablations), and the
+#: cheap readers of the idle trace's every record or its slices
+#: (fig3's per-sample utilization, sec25's record hook over jumped
+#: runs, and the sliced session traces of ext-decompose and
+#: ext-refresh).
 GOLDEN_SET: Tuple[Tuple[str, int], ...] = (
     ("fig1", 0),
     ("fig2", 0),
@@ -56,6 +60,10 @@ GOLDEN_SET: Tuple[Tuple[str, int], ...] = (
     ("ablation-batching", 0),
     ("ablation-merge", 0),
     ("ablation-idle-n", 0),
+    ("fig3", 0),
+    ("sec25", 0),
+    ("ext-decompose", 0),
+    ("ext-refresh", 0),
 )
 
 _FORMAT_VERSION = 1
