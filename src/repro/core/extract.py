@@ -147,9 +147,9 @@ class EventExtractor:
     def pieces(self, trace: SampleTrace) -> List[BusyPeriod]:
         """Busy periods plus sync-I/O wait spans, time-ordered."""
         out = self.busy_periods(trace)
-        if self.io_wait_spans and len(trace.times):
-            t_lo = int(trace.times[0])
-            t_hi = int(trace.times[-1])
+        if self.io_wait_spans and len(trace):
+            t_lo = trace.first_ns
+            t_hi = trace.last_ns
             for span_start, span_end in self.io_wait_spans:
                 if span_end <= t_lo or span_start >= t_hi:
                     continue

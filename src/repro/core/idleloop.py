@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Callable, Iterator, Optional
 
 from ..sim.timebase import NS_PER_MS, ns_from_ms
-from ..sim.trace import IntTraceBuffer, TraceBuffer
+from ..sim.trace import IntTraceBuffer
 from ..winsys.syscalls import IdleCompute, Syscall
 from ..winsys.system import WindowsSystem
 from .samples import SampleTrace
@@ -49,7 +49,7 @@ class IdleLoopInstrument:
         self.loop_ns = ns_from_ms(loop_ms)
         #: Number of busy-wait iterations per record ("N" in the paper).
         self.n_iterations = self._calibrate()
-        self.buffer: TraceBuffer[int] = IntTraceBuffer(buffer_capacity, on_full="stop")
+        self.buffer = IntTraceBuffer(buffer_capacity)
         self.thread = None
         self._installed = False
         #: Optional per-record callback ``hook(timestamp_ns)``, invoked
@@ -90,7 +90,8 @@ class IdleLoopInstrument:
         The kernel answers each yield with ``None`` (the segment ran; its
         record is now) or with ``(start, count)`` ramps of the records a
         fast-forward jump completed in closed form (see
-        :class:`~repro.winsys.syscalls.IdleCompute`).  A ``record_hook``
+        :class:`~repro.winsys.syscalls.IdleCompute`), which the buffer
+        keeps as runs without writing their records out.  A ``record_hook``
         confines jumps to the segments before the next tick, because it
         reads state at each record's own time.
         """
@@ -124,18 +125,19 @@ class IdleLoopInstrument:
                 if hook is not None:
                     hook(now)
                 continue
-            for start, count in ramps:
-                buffer.extend_ramp(start, step_ns, count)
-                if hook is not None:
+            buffer.extend_ramps(ramps, step_ns)
+            if hook is not None:
+                for start, count in ramps:
                     for i in range(count):
                         hook(start + i * step_ns)
 
     def trace(self) -> SampleTrace:
-        """The trace collected so far, ready for analysis."""
+        """The trace collected so far, ready for analysis: the buffer's
+        runs, with no record copied or expanded."""
         from ..obs.runtime import record_trace_loss
 
         record_trace_loss(self.buffer, scope="idle-loop")
-        return SampleTrace(self.buffer.records(), loop_ns=self.loop_ns)
+        return SampleTrace.from_runs(*self.buffer.runs(), loop_ns=self.loop_ns)
 
     def reset(self) -> None:
         """Discard collected records (e.g. after a warm-up phase)."""

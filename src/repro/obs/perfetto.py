@@ -111,7 +111,6 @@ def chrome_trace(tracer: Tracer, label: str = "") -> dict:
             "generator": "repro.obs",
             "lossy": tracer.lossy,
             "dropped": tracer.dropped,
-            "overwritten": tracer.overwritten,
         },
     }
     if label:
@@ -127,7 +126,6 @@ def merge_chrome_traces(traces: Iterable[Optional[dict]]) -> dict:
     events: List[dict] = []
     lossy = False
     dropped = 0
-    overwritten = 0
     next_pid = 1
     for trace in traces:
         if not trace:
@@ -136,7 +134,6 @@ def merge_chrome_traces(traces: Iterable[Optional[dict]]) -> dict:
         other = trace.get("otherData", {})
         lossy = lossy or bool(other.get("lossy"))
         dropped += int(other.get("dropped", 0))
-        overwritten += int(other.get("overwritten", 0))
         pid_map: Dict[int, int] = {}
         for event in trace.get("traceEvents", []):
             pid = event.get("pid", 0)
@@ -162,7 +159,6 @@ def merge_chrome_traces(traces: Iterable[Optional[dict]]) -> dict:
             "generator": "repro.obs",
             "lossy": lossy,
             "dropped": dropped,
-            "overwritten": overwritten,
         },
     }
 

@@ -124,11 +124,10 @@ def observed(
 
 
 def record_trace_loss(buffer, scope: str, registry=None) -> None:
-    """Publish a trace buffer's ``dropped``/``overwritten`` counts as
-    gauges, so a lossy trace is visible in metrics and not only in
-    integrity skip-markers.  ``buffer`` is anything exposing
-    ``dropped``/``overwritten`` (TraceBuffer, Tracer).  No session and
-    no explicit registry → no-op.
+    """Publish a trace buffer's ``dropped`` count as a gauge, so a lossy
+    trace is visible in metrics and not only in integrity skip-markers.
+    ``buffer`` is anything exposing ``dropped`` (TraceBuffer, Tracer).
+    No session and no explicit registry → no-op.
     """
     if registry is None:
         session = current()
@@ -139,7 +138,3 @@ def record_trace_loss(buffer, scope: str, registry=None) -> None:
         "repro_trace_dropped_records",
         "Trace records dropped because a bounded buffer was full.",
     ).set_max(buffer.dropped, scope=scope)
-    registry.gauge(
-        "repro_trace_overwritten_records",
-        "Trace records overwritten by a wrapping bounded buffer.",
-    ).set_max(buffer.overwritten, scope=scope)

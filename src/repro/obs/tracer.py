@@ -63,7 +63,7 @@ class Tracer:
         capacity: int = DEFAULT_CAPACITY,
         wall_clock: Callable[[], int] = time.perf_counter_ns,
     ) -> None:
-        self._buffer: TraceBuffer[TraceEvent] = TraceBuffer(capacity, on_full="stop")
+        self._buffer: TraceBuffer[TraceEvent] = TraceBuffer(capacity)
         self._wall = wall_clock
         self._processes: Dict[int, str] = {}
         self._threads: Dict[Tuple[int, int], str] = {}
@@ -187,10 +187,6 @@ class Tracer:
         return self._buffer.dropped
 
     @property
-    def overwritten(self) -> int:
-        return self._buffer.overwritten
-
-    @property
     def lossy(self) -> bool:
         return self._buffer.lossy
 
@@ -200,7 +196,6 @@ class NullTracer:
 
     enabled = False
     dropped = 0
-    overwritten = 0
     lossy = False
 
     def register_process(self, name: str) -> int:

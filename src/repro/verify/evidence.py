@@ -185,7 +185,7 @@ def evidence_from_session(session, seed: int = 0) -> RunEvidence:
     trace = session.trace
     cpu_spans = [(s, e) for s, e, _busy in trace.elongated()]
     instrument_buffer = session.instrument.buffer
-    # A full 'stop' buffer halted the instrument mid-run: partial history.
+    # A full buffer halted the instrument mid-run: partial history.
     trace_lossy = instrument_buffer.lossy or instrument_buffer.full
     return build_evidence(
         os_name=session.system.personality.name,

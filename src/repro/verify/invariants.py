@@ -14,7 +14,7 @@ That separation is what lets a seeded corruption trip *exactly* its
 matching invariant — the contract the corruption-fixture tests assert.
 
 Invariants marked ``needs_full_history`` are meaningless over a lossy
-trace (a wrapped ring buffer or one that dropped records): over such
+trace (one whose buffer dropped records or filled up): over such
 evidence they report ``skipped``, never ``passed``.
 
 The catalog (paper anchor in parentheses):
@@ -170,7 +170,7 @@ class InvariantChecker:
                     InvariantReport(
                         name=name,
                         status="skipped",
-                        detail="trace is lossy (wrapped or dropped records); "
+                        detail="trace is lossy (dropped records or a full buffer); "
                         "full-history invariant not evaluable",
                         paper=spec.paper,
                     )

@@ -108,9 +108,9 @@ def gather_probe_evidence(
         trace, io_wait_spans=io_spans, name=f"{os_name}:integrity-probe"
     )
 
-    # A full 'stop' buffer means the instrument halted mid-run (the
+    # A full buffer means the instrument halted mid-run (the
     # paper's while-space_left loop): the tail of the window is simply
-    # unobserved, which is as lossy as wrapped/dropped records.
+    # unobserved, which is as lossy as dropped records.
     buffer = rig.instrument.buffer
     trace_lossy = buffer.lossy or buffer.full
 

@@ -149,6 +149,10 @@ class Kernel:
         #: :meth:`_try_fast_forward`).  Diagnostics only: no digest
         #: includes it.
         self.jump_stops: Counter = Counter()
+        #: Why each call that took no jump at all declined before
+        #: looking at the calendar (see :meth:`_decline_reason`).  With
+        #: ``jump_stops`` it accounts for every call.  Diagnostics only.
+        self.jump_declines: Counter = Counter()
         #: Engine ``next_seq`` where the last jump stopped.  The
         #: instrument yields again at once, and until something is
         #: scheduled a retry would stop at the same place.
@@ -559,7 +563,8 @@ class Kernel:
         or metrics registry is attached, the issuer reads state at each
         record (``tickless`` is False), the run has an ``until``
         predicate, or an application timer is armed.  ``jump_stops``
-        counts why each jump stopped.
+        counts why each jump stopped, and ``jump_declines`` why a call
+        declined before the window was asked for.
 
         The crossed events are accounted exactly: executed and sequence
         counters (a plain tick costs 3 events and 4 sequence numbers
@@ -584,11 +589,13 @@ class Kernel:
             or self.cpu.busy
             or self.scheduler.top >= 0
         ):
+            self.jump_declines[self._decline_reason(thread, space)] += 1
             return None
         cpu = self.cpu
         work = syscall.work
         step = cpu.duration_ns(work)
         if step <= 0:
+            self.jump_declines["zero-length segment"] += 1
             return None
         sim = self.sim
         clock = self.machine.clock
@@ -792,6 +799,24 @@ class Kernel:
         if self.obs is not None:
             self.obs.fast_forward(records, t - now)
         return ramps
+
+    def _decline_reason(self, thread: SimThread, space: int) -> str:
+        """The first precondition of :meth:`_try_fast_forward` that
+        failed, in the order it tests them."""
+        if space <= 0:
+            return "no buffer space"
+        if self.sim.next_seq == self._jump_stopped_at:
+            # Nothing was scheduled since the last jump stopped here.
+            return "futile retry"
+        if self._dpc_queue:
+            return "DPC queued"
+        if self._spin_active:
+            return "Win95 spin"
+        if self.running is not thread or thread.priority != IDLE_PRIORITY:
+            return "not the running idle thread"
+        if self.cpu.busy:
+            return "CPU busy"
+        return "ready thread"
 
     def _block_value(self, thread: SimThread, reason: str):
         """Block from inside a pending action (returns the sentinel)."""

@@ -542,6 +542,54 @@ class TestJumpDiagnostics:
         assert kernel.jump_stops["observer attached"] >= 49
         assert kernel.fast_forward_batches > 0
 
+    @pytest.mark.parametrize("os_name", PERSONALITIES)
+    def test_every_call_is_a_stop_or_a_decline(self, monkeypatch, os_name):
+        """``jump_stops`` and ``jump_declines`` account for every call
+        of the jump, each exactly once."""
+        from repro.fleet.population import SessionSpec
+        from repro.fleet.session import run_session
+
+        kernels, calls = [], []
+        init, attempt = Kernel.__init__, Kernel._try_fast_forward
+
+        def spy_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            kernels.append(self)
+
+        def spy_attempt(self, *args, **kwargs):
+            calls.append(self)
+            return attempt(self, *args, **kwargs)
+
+        monkeypatch.setattr(Kernel, "__init__", spy_init)
+        monkeypatch.setattr(Kernel, "_try_fast_forward", spy_attempt)
+        spec = SessionSpec(
+            index=0,
+            seed=5,
+            os_name=os_name,
+            profile="editor",
+            scenario=None,
+            wpm=40.0,
+            jitter=0.2,
+            think_mean_s=1.0,
+            chars=10,
+        )
+        run_session(spec)
+        (kernel,) = kernels
+        stops = sum(kernel.jump_stops.values())
+        declines = sum(kernel.jump_declines.values())
+        assert stops + declines == len(calls)
+        assert kernel.jump_declines["futile retry"] > 0
+        assert set(kernel.jump_declines) <= {
+            "futile retry",
+            "DPC queued",
+            "Win95 spin",
+            "not the running idle thread",
+            "CPU busy",
+            "ready thread",
+            "no buffer space",
+            "zero-length segment",
+        }
+
 
 class TestObservability:
     def test_fast_forward_and_calendar_metrics_surface(self):
