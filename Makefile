@@ -6,8 +6,11 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 SMOKE_OUT   := .smoke-out
 SMOKE_CACHE := .smoke-cache
+# Experiments that analyse a Word or PowerPoint capture another of them
+# made first (fig5 -> table2, fig8 -> table1 and fig12).
+SHARED_CAPTURES := fig5 table2 fig8 table1 fig12
 
-.PHONY: test benchmarks bench-json perf-gate perf-baseline profile-hotpath \
+.PHONY: test benchmarks bench-json perf-gate perf-baseline \
 	experiments experiments-smoke faults-smoke remote-smoke \
 	obs-smoke obs-overhead envelope-smoke fleet-smoke chaos-smoke \
 	chaos-stress docs-check verify-integrity exercised golden-check \
@@ -42,11 +45,6 @@ perf-baseline: bench-json
 	cp .bench-current.json BENCH_simulator.json
 	@echo "perf baseline updated: BENCH_simulator.json"
 
-# cProfile the engine hot paths (calendar churn + keystroke pipeline);
-# writes the top-20 cumulative report to .profile-hotpath.txt.
-profile-hotpath:
-	$(PYTHON) -m repro.profilehotpath -o .profile-hotpath.txt
-
 # The full paper reproduction (parallel, cached under ~/.cache/repro).
 experiments:
 	$(PYTHON) -m repro.experiments --save out/
@@ -55,7 +53,9 @@ experiments:
 # watchdog armed and an isolated cache, then validate the run manifest.
 # A --resume round trip into another directory then re-runs nothing:
 # every entry is preserved, with its archive copied next to the new
-# manifest.
+# manifest.  Last, reuse never changes an answer: the experiments that
+# share captures, run in one process, archive byte-identical results
+# to each run alone in its own process.
 experiments-smoke:
 	rm -rf $(SMOKE_OUT) $(SMOKE_CACHE)
 	$(PYTHON) -m repro.experiments fig1 fig4 --jobs 2 --timeout 300 \
@@ -78,6 +78,15 @@ experiments-smoke:
 	           if not os.path.exists('$(SMOKE_OUT)/resumed/%s' % e['saved'])]; \
 	assert not missing, missing; \
 	print('resume smoke ok: %d entries preserved with their archives' % len(m['experiments']))"
+	$(PYTHON) -m repro.experiments $(SHARED_CAPTURES) --jobs 1 --no-cache \
+		--save $(SMOKE_OUT)/shared --checks-only
+	for id in $(SHARED_CAPTURES); do \
+		$(PYTHON) -m repro.experiments $$id --jobs 1 --no-cache \
+			--save $(SMOKE_OUT)/alone-$$id --checks-only && \
+		cmp $(SMOKE_OUT)/shared/$$id-seed0.json \
+			$(SMOKE_OUT)/alone-$$id/$$id-seed0.json || exit 1; \
+	done
+	@echo "capture reuse smoke ok: $(SHARED_CAPTURES) archive the same in one process as alone"
 	rm -rf $(SMOKE_OUT) $(SMOKE_CACHE)
 
 # CI gate for the fault-injection subsystem: the tiny 'smoke' plan on

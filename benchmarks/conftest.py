@@ -8,9 +8,9 @@ doubles as the reproduction gate.
 
 Experiments sharing a captured run (the PowerPoint task feeds Table 1,
 Figure 8 and Figure 12; the Word task feeds Figures 5/11, Table 2 and
-the Section 5.4 comparison) reuse a per-process cache, mirroring how
-the paper analysed one trace multiple ways; the first benchmark to
-touch a workload pays its simulation cost.
+the Section 5.4 comparison) reuse the run's measurement from a
+per-process cache, mirroring how the paper analysed one trace multiple
+ways; the first benchmark to touch a workload pays its simulation cost.
 """
 
 from __future__ import annotations
@@ -20,10 +20,11 @@ import pytest
 from repro.experiments import run_experiment
 
 
-def run_and_check(benchmark, experiment_id: str, seed: int = 0, **kwargs):
-    """Time one experiment, print its report, enforce its checks."""
+def run_and_check(benchmark, experiment_id: str, seed: int = 0):
+    """Time one experiment at ``seed`` with its default arguments, print
+    its report, record its scalar data and enforce its checks."""
     result = benchmark.pedantic(
-        lambda: run_experiment(experiment_id, seed=seed, **kwargs),
+        lambda: run_experiment(experiment_id, seed=seed),
         rounds=1,
         iterations=1,
     )

@@ -13,7 +13,8 @@ Public surface:
   perception metrics, terminal visualization;
 * :func:`instrumented` — the measurement rig, attached in the paper's
   order; :class:`MeasurementSession` / :func:`run_comparison` — one-call
-  orchestration of complete benchmark runs.
+  orchestration of complete benchmark runs, each kept as a
+  :class:`Measurement`.
 """
 
 from .analysis import (
@@ -80,7 +81,14 @@ from .serialize import (
     trace_from_dict,
     trace_to_dict,
 )
-from .session import MeasurementSession, Rig, SessionResult, instrumented, label_events
+from .session import (
+    Measurement,
+    MeasurementSession,
+    Rig,
+    SessionResult,
+    instrumented,
+    label_events,
+)
 from .visualize import (
     bar_chart,
     cumulative_latency_plot,
@@ -110,6 +118,7 @@ __all__ = [
     "InterruptCostReport",
     "LatencyEvent",
     "LatencyProfile",
+    "Measurement",
     "MeasurementSession",
     "MessageApiMonitor",
     "OSComparison",

@@ -14,17 +14,17 @@ from ..workload.script import InputScript
 from .analysis import variance_summary
 from .latency import LatencyProfile
 from .report import TextTable
-from .session import MeasurementSession, SessionResult
+from .session import Measurement, MeasurementSession
 
 __all__ = ["OSComparison", "run_comparison"]
 
 
 @dataclass
 class OSComparison:
-    """Per-OS session results for one workload."""
+    """Per-OS measurements for one workload."""
 
     workload: str
-    results: Dict[str, SessionResult] = field(default_factory=dict)
+    results: Dict[str, Measurement] = field(default_factory=dict)
 
     @property
     def os_names(self) -> List[str]:
@@ -82,5 +82,7 @@ def run_comparison(
     comparison = OSComparison(workload=workload)
     for os_name in os_names:
         session = MeasurementSession(os_name, app_factory, seed=seed)
-        comparison.results[os_name] = session.run(script, **(run_kwargs or {}))
+        comparison.results[os_name] = session.run(
+            script, **(run_kwargs or {})
+        ).measurement()
     return comparison

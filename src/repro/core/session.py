@@ -9,7 +9,9 @@ Section 6).  It is the one place that knows the attach order; every
 experiment, the fleet and the integrity probe start from it.
 
 :class:`MeasurementSession` adds an input driver on top of the rig:
-settle, run the script, and extract the latency profile.
+settle, run the script, and extract the latency profile.  A run that
+outlives its session is kept as a :class:`Measurement`, which holds no
+booted system.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .probes import QueueProbe, SyncIoProbe
 from .samples import SampleTrace
 
 __all__ = [
+    "Measurement",
     "MeasurementSession",
     "Rig",
     "SessionResult",
@@ -62,7 +65,31 @@ def label_events(
                 break
 
 
-@dataclass
+@dataclass(frozen=True)
+class Measurement:
+    """A finished run: what was extracted from the script's window,
+    and the window itself."""
+
+    extraction: ExtractionResult
+    start_ns: int
+    end_ns: int
+
+    @property
+    def profile(self) -> LatencyProfile:
+        return self.extraction.profile
+
+    @property
+    def elapsed_ns(self) -> int:
+        """Wall time of the benchmark run (the bracketed numbers in the
+        paper's cumulative-latency figures)."""
+        return self.end_ns - self.start_ns
+
+    @property
+    def elapsed_s(self) -> float:
+        return sec_from_ns(self.elapsed_ns)
+
+
+@dataclass(frozen=True)
 class Rig:
     """A booted system with the app under test and the instruments on it.
 
@@ -118,31 +145,18 @@ def instrumented(
     return Rig(system, app, instrument, monitor, io_probe, queue_probe)
 
 
-@dataclass
-class SessionResult(Rig):
+@dataclass(frozen=True)
+class SessionResult(Rig, Measurement):
     """Everything a completed session produced: the rig, the driver
-    that ran the script, and what was extracted from the script's
-    window."""
+    that ran the script, the script window's trace, and the
+    :class:`Measurement` extracted from it."""
 
     driver: MsTestDriver
     trace: SampleTrace
-    extraction: ExtractionResult
-    start_ns: int
-    end_ns: int
 
-    @property
-    def profile(self) -> LatencyProfile:
-        return self.extraction.profile
-
-    @property
-    def elapsed_ns(self) -> int:
-        """Wall time of the benchmark run (the bracketed numbers in the
-        paper's cumulative-latency figures)."""
-        return self.end_ns - self.start_ns
-
-    @property
-    def elapsed_s(self) -> float:
-        return sec_from_ns(self.elapsed_ns)
+    def measurement(self) -> Measurement:
+        """The finished run without the rig, driver and trace."""
+        return Measurement(self.extraction, self.start_ns, self.end_ns)
 
 
 class MeasurementSession:

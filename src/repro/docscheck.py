@@ -21,6 +21,7 @@ issue text) are exempt.
 
 import io
 import re
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -150,6 +151,17 @@ def _help_text(
     return out.getvalue()
 
 
+def _perfbench_main(argv: List[str]) -> int:
+    """The benchmark's CLI, ``perfbench/run.py``, which is a script with
+    its own imports rather than a module of this package."""
+    script = _find_root() / "perfbench" / "run.py"
+    done = subprocess.run(
+        [sys.executable, str(script), *argv], capture_output=True, text=True
+    )
+    print(done.stdout)
+    return done.returncode
+
+
 def harvest_cli_flags() -> Set[str]:
     """Union of ``--flags`` accepted by every CLI in the repo, read
     from their live ``--help`` output so renames surface immediately."""
@@ -173,6 +185,7 @@ def harvest_cli_flags() -> Set[str]:
         (perfgate_main, ("check",)),
         (integrity_main, ()),
         (golden_main, ()),
+        (_perfbench_main, ()),
     )
     flags: Set[str] = set()
     for entry, prefix in entries:

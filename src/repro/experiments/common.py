@@ -106,8 +106,7 @@ def captured(cache: dict, key: tuple, capture: Callable[[], T]) -> T:
     The key gains the fast-forward setting, so the slow-path oracle
     never reuses a fast-path run.  Inside an observed scope the run is
     neither served from nor stored in ``cache``: its trace, metrics and
-    stage envelopes must come from its own boot, and storing it would
-    keep that scope's tracer alive.
+    stage envelopes must come from its own boot.
     """
     if current() is not None:
         return capture()

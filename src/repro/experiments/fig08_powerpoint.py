@@ -16,7 +16,7 @@ from ..core.analysis import cumulative_vs_events, latency_histogram
 from ..core.report import TextTable
 from ..core.visualize import curve_plot, log_histogram
 from .common import ExperimentResult, NT_OS
-from .ppt_runs import powerpoint_sessions
+from .ppt_runs import powerpoint_session
 
 ID = "fig8"
 TITLE = "PowerPoint event-latency summary (events >= 50 ms)"
@@ -24,7 +24,6 @@ TITLE = "PowerPoint event-latency summary (events >= 50 ms)"
 
 def run(seed: int = 0) -> ExperimentResult:
     result = ExperimentResult(id=ID, title=TITLE)
-    sessions = powerpoint_sessions(seed)
     stats = {}
     table = TextTable(
         [
@@ -39,7 +38,7 @@ def run(seed: int = 0) -> ExperimentResult:
         title="Figure 8 summary",
     )
     for os_name in NT_OS:
-        session = sessions[os_name]
+        session = powerpoint_session(os_name, seed)
         profile = session.profile.above(50.0)
         latencies = profile.latencies_ms
         long_profile = profile.above(1000.0)

@@ -15,7 +15,7 @@ import numpy as np
 from ..core.report import TextTable
 from ..core.visualize import event_time_series
 from .common import ExperimentResult, NT_OS
-from .ppt_runs import powerpoint_sessions
+from .ppt_runs import powerpoint_session
 
 ID = "fig12"
 TITLE = "Time series of long-latency PowerPoint events (>= 50 ms)"
@@ -23,14 +23,13 @@ TITLE = "Time series of long-latency PowerPoint events (>= 50 ms)"
 
 def run(seed: int = 0) -> ExperimentResult:
     result = ExperimentResult(id=ID, title=TITLE)
-    sessions = powerpoint_sessions(seed)
     stats = {}
     table = TextTable(
         ["system", "events >=50ms", "mean interarrival s", "std s", "run s"],
         title="Figure 12 long-event interarrivals",
     )
     for os_name in NT_OS:
-        session = sessions[os_name]
+        session = powerpoint_session(os_name, seed)
         profile = session.profile.above(50.0)
         starts = np.sort(profile.start_times_ns)
         gaps = np.diff(starts) / 1e9 if len(starts) > 1 else np.array([0.0])

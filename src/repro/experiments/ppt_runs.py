@@ -1,10 +1,12 @@
 """Shared PowerPoint task runs.
 
 Table 1, Figure 8 and Figure 12 all analyse the same two benchmark runs
-(the Section 5.2 task on NT 3.51 and NT 4.0).  Runs are deterministic
-given the seed, so they are cached per process the way the paper's
-authors analysed one captured trace multiple ways (see
-:func:`~repro.experiments.common.captured`).
+(the Section 5.2 task on NT 3.51 and NT 4.0).  A run is deterministic
+given (os, seed), so each is captured once per process, the way the
+paper's authors analysed one captured trace several ways, and kept as a
+:class:`~repro.core.session.Measurement`, which is all those analyses
+read; the booted system that made it is not kept (see
+:func:`~repro.experiments.common.captured` for when a run is reused).
 """
 
 from __future__ import annotations
@@ -12,13 +14,12 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from ..apps.slides import SlidesApp
-from ..core import MeasurementSession, SessionResult
+from ..core import Measurement, MeasurementSession
 from ..workload.tasks import powerpoint_task
-from .common import NT_OS, captured
+from .common import captured
 
 __all__ = [
     "powerpoint_session",
-    "powerpoint_sessions",
     "TABLE1_LABELS",
     "PAPER_TABLE1",
 ]
@@ -43,11 +44,10 @@ PAPER_TABLE1 = {
     "ole-edit-3": (2.697, 1.305),
 }
 
-_cache: Dict[Tuple, SessionResult] = {}
-_pair_cache: Dict[Tuple, Dict[str, SessionResult]] = {}
+_cache: Dict[Tuple, Measurement] = {}
 
 
-def powerpoint_session(os_name: str, seed: int = 0) -> SessionResult:
+def powerpoint_session(os_name: str, seed: int = 0) -> Measurement:
     """The Section 5.2 task on one OS (cold boot), cached per (os, seed).
 
     Single-OS granularity is what unit-level checkpointing needs: a
@@ -55,19 +55,10 @@ def powerpoint_session(os_name: str, seed: int = 0) -> SessionResult:
     completed and measure only NT 4.0.
     """
 
-    def capture() -> SessionResult:
+    def capture() -> Measurement:
         session = MeasurementSession(os_name, SlidesApp, seed=seed)
         return session.run(
             powerpoint_task().script, default_pause_ms=500.0, max_seconds=2400
-        )
+        ).measurement()
 
     return captured(_cache, (os_name, seed), capture)
-
-
-def powerpoint_sessions(seed: int = 0) -> Dict[str, SessionResult]:
-    """The Section 5.2 task on both NTs (cold boot each), cached."""
-    return captured(
-        _pair_cache,
-        (seed,),
-        lambda: {os_name: powerpoint_session(os_name, seed) for os_name in NT_OS},
-    )

@@ -108,8 +108,8 @@ def run_experiment(experiment_id: str, seed: int = 0, **kwargs) -> ExperimentRes
     the simulated run derives; the result is a deterministic function
     of ``(code, experiment_id, seed)`` — repeat calls return equal
     results bit-for-bit (see the module docstring for why).  Extra
-    keyword arguments are forwarded to the experiment driver (used by
-    the benchmark harness for shared-capture reuse).
+    keyword arguments are forwarded to the experiment driver (the
+    sweep's per-job options, such as a fault scenario or a checkpoint).
 
     This function is the picklable job entry point used by
     :func:`repro.experiments.parallel.execute_job` to fan runs out

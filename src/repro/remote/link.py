@@ -17,17 +17,13 @@ packet schedules — the property ``ext-remote`` pins with golden
 digests.  Flap windows are a pure function of simulated time (no
 draws), so degrading a link mid-run never perturbs unrelated streams.
 
-Configs are frozen pure data with ``to_dict``/``from_dict`` round-trips
-(property-tested with hypothesis) and a content ``fingerprint`` used in
-schedule digests and cache variants.
+Configs are frozen pure data, validated when they are built.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from typing import Callable, Optional
 
 from ..sim.timebase import ns_from_ms
 
@@ -62,27 +58,6 @@ class DirectionConfig:
             if not 0.0 <= value < 1.0:
                 raise ValueError(f"{name} must be in [0, 1): {value}")
 
-    def to_dict(self) -> dict:
-        return {
-            "bandwidth_kbps": self.bandwidth_kbps,
-            "delay_ms": self.delay_ms,
-            "jitter_ms": self.jitter_ms,
-            "loss": self.loss,
-            "reorder": self.reorder,
-            "reorder_ms": self.reorder_ms,
-        }
-
-    @staticmethod
-    def from_dict(data: Mapping[str, object]) -> "DirectionConfig":
-        return DirectionConfig(
-            bandwidth_kbps=float(data.get("bandwidth_kbps", 4_000.0)),
-            delay_ms=float(data.get("delay_ms", 20.0)),
-            jitter_ms=float(data.get("jitter_ms", 0.0)),
-            loss=float(data.get("loss", 0.0)),
-            reorder=float(data.get("reorder", 0.0)),
-            reorder_ms=float(data.get("reorder_ms", 4.0)),
-        )
-
 
 @dataclass(frozen=True)
 class LinkConfig:
@@ -114,33 +89,6 @@ class LinkConfig:
     @property
     def rtt_ms(self) -> float:
         return self.up.delay_ms + self.down.delay_ms
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "link-config",
-            "name": self.name,
-            "up": self.up.to_dict(),
-            "down": self.down.to_dict(),
-            "flap_period_ms": self.flap_period_ms,
-            "flap_down_ms": self.flap_down_ms,
-        }
-
-    @staticmethod
-    def from_dict(data: Mapping[str, object]) -> "LinkConfig":
-        if data.get("kind") != "link-config":
-            raise ValueError(f"not a link-config payload: {data.get('kind')!r}")
-        return LinkConfig(
-            name=str(data.get("name", "lan")),
-            up=DirectionConfig.from_dict(data.get("up") or {}),
-            down=DirectionConfig.from_dict(data.get("down") or {}),
-            flap_period_ms=float(data.get("flap_period_ms", 0.0)),
-            flap_down_ms=float(data.get("flap_down_ms", 0.0)),
-        )
-
-    def fingerprint(self) -> str:
-        """Stable content digest (schedule-digest and cache component)."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
     @staticmethod
     def symmetric(

@@ -29,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..sim.timebase import ns_from_ms
 
@@ -47,7 +47,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TransportConfig:
-    """Knobs of the resilient transport (pure data, round-trippable)."""
+    """Knobs of the resilient transport (pure data)."""
 
     input_bytes: int = 64            # upstream input-event packet size
     ack_bytes: int = 32              # downstream ack size
@@ -83,38 +83,6 @@ class TransportConfig:
             raise ValueError("predict_base_miss must be in [0, 1)")
         if self.rto_min_ms > self.rto_max_ms:
             raise ValueError("rto_min_ms must be <= rto_max_ms")
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "transport-config",
-            "input_bytes": self.input_bytes,
-            "ack_bytes": self.ack_bytes,
-            "frame_base_bytes": self.frame_base_bytes,
-            "frame_tick_bytes": self.frame_tick_bytes,
-            "frame_interval_ms": self.frame_interval_ms,
-            "jitter_buffer_ms": self.jitter_buffer_ms,
-            "degrade_backlog_ms": self.degrade_backlog_ms,
-            "skip_backlog_ms": self.skip_backlog_ms,
-            "rto_initial_ms": self.rto_initial_ms,
-            "rto_min_ms": self.rto_min_ms,
-            "rto_max_ms": self.rto_max_ms,
-            "rto_margin_ms": self.rto_margin_ms,
-            "retry_cap": self.retry_cap,
-            "hol_skip_ms": self.hol_skip_ms,
-            "prediction": self.prediction,
-            "predict_base_miss": self.predict_base_miss,
-        }
-
-    @staticmethod
-    def from_dict(data: Mapping[str, object]) -> "TransportConfig":
-        if data.get("kind") != "transport-config":
-            raise ValueError(f"not a transport-config payload: {data.get('kind')!r}")
-        fields = {k: v for k, v in data.items() if k != "kind"}
-        return TransportConfig(**fields)
-
-    def fingerprint(self) -> str:
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
 class TransportLog:

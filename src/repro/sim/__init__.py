@@ -19,14 +19,12 @@ from .timebase import (
     NS_PER_SEC,
     NS_PER_US,
     cycles_to_ns,
-    format_ns,
     ms_from_ns,
     ns_from_ms,
     ns_from_sec,
     ns_from_us,
     ns_to_cycles,
     sec_from_ns,
-    us_from_ns,
 )
 from .trace import TraceBuffer, TraceOverflow
 from .work import HwEvent, Work
@@ -61,12 +59,10 @@ __all__ = [
     "TraceOverflow",
     "Work",
     "cycles_to_ns",
-    "format_ns",
     "ms_from_ns",
     "ns_from_ms",
     "ns_from_sec",
     "ns_from_us",
     "ns_to_cycles",
     "sec_from_ns",
-    "us_from_ns",
 ]

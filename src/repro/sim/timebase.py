@@ -37,11 +37,6 @@ def ns_from_sec(sec: float) -> int:
     return round(sec * NS_PER_SEC)
 
 
-def us_from_ns(ns: int) -> float:
-    """Convert nanoseconds to (float) microseconds."""
-    return ns / NS_PER_US
-
-
 def ms_from_ns(ns: int) -> float:
     """Convert nanoseconds to (float) milliseconds."""
     return ns / NS_PER_MS
@@ -64,20 +59,3 @@ def cycles_to_ns(cycles: int, hz: int = DEFAULT_CPU_HZ) -> int:
 def ns_to_cycles(ns: int, hz: int = DEFAULT_CPU_HZ) -> int:
     """Number of whole CPU cycles elapsed in ``ns`` nanoseconds at ``hz``."""
     return (ns * hz) // NS_PER_SEC
-
-
-def format_ns(ns: int) -> str:
-    """Render a nanosecond duration in the most readable unit.
-
-    Used throughout the terminal visualizations; keeps three significant
-    decimals, like the paper's figures (e.g. ``10.76 ms``).
-    """
-    if ns < 0:
-        return "-" + format_ns(-ns)
-    if ns < NS_PER_US:
-        return f"{ns} ns"
-    if ns < NS_PER_MS:
-        return f"{ns / NS_PER_US:.2f} us"
-    if ns < NS_PER_SEC:
-        return f"{ns / NS_PER_MS:.2f} ms"
-    return f"{ns / NS_PER_SEC:.3f} s"

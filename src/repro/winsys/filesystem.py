@@ -180,8 +180,3 @@ class BufferCache:
     def flush(self) -> None:
         """Drop everything (models a cold boot without rebuilding the FS)."""
         self._lru.clear()
-
-    @property
-    def hit_ratio(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

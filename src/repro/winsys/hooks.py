@@ -62,6 +62,3 @@ class HookManager:
             callback(record)
         for callback in self._hooks.get("*", []):
             callback(record)
-
-    def has_hooks(self, api: str) -> bool:
-        return bool(self._hooks.get(api)) or bool(self._hooks.get("*"))

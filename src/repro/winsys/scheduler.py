@@ -112,9 +112,6 @@ class Scheduler:
             return True
         return False
 
-    def ready_count(self) -> int:
-        return sum(len(queue) for queue in self._ready.values())
-
     def __repr__(self) -> str:
         parts = [
             f"{priority}:{len(queue)}"

@@ -76,7 +76,7 @@ def test_harvest_covers_every_cli():
     flags = harvest_cli_flags()
     # One representative flag per CLI surface.
     assert {"--jobs", "--seed", "--budget-hours", "--windows",
-            "--baseline", "--update"} <= flags
+            "--baseline", "--update", "--trace"} <= flags
 
 
 def test_index_coverage(tmp_path):

@@ -1,5 +1,8 @@
 """Tests for the experiments framework itself."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.experiments.common import (
@@ -106,22 +109,24 @@ def _powerpoint():
     return powerpoint_session("nt40", seed=0)
 
 
-def _powerpoint_pair():
-    from repro.experiments.ppt_runs import powerpoint_sessions
-
-    return powerpoint_sessions(seed=0)
+_CAPTURES = {"word_session": _word, "powerpoint_session": _powerpoint}
 
 
-_CAPTURES = {
-    "word_session": _word,
-    "powerpoint_session": _powerpoint,
-    "powerpoint_sessions": _powerpoint_pair,
-}
+@pytest.fixture
+def kernels(monkeypatch):
+    """Every kernel booted during the test: a weak reference to it and
+    its fast-forward setting."""
+    from repro.winsys.kernel import Kernel
 
+    booted = []
+    init = Kernel.__init__
 
-def _runs(captured):
-    """The session results of one capture call, in a fixed order."""
-    return list(captured.values()) if isinstance(captured, dict) else [captured]
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        booted.append((weakref.ref(self), self.fast_forward))
+
+    monkeypatch.setattr(Kernel, "__init__", spy)
+    return booted
 
 
 class TestSharedRunCaches:
@@ -144,22 +149,53 @@ class TestSharedRunCaches:
         from repro.obs.runtime import observed
 
         run = _CAPTURES[capture]
-        plain = _runs(run())
+        plain = run()
         with observed(trace=True, metrics=True) as session:
-            watched = _runs(run())
-        assert all(w is not p for w, p in zip(watched, plain))
+            watched = run()
+        assert watched is not plain
         # Its own boot: the scope's trace and stages see the run.
-        assert len(session.envelope_recorders) == len(watched)
+        assert len(session.envelope_recorders) == 1
         # The observed run was not stored either.
-        assert all(a is b for a, b in zip(_runs(run()), plain))
+        assert run() is plain
 
     @pytest.mark.parametrize("capture", sorted(_CAPTURES))
-    def test_slow_path_never_reuses_a_fast_capture(self, capture):
+    def test_slow_path_never_reuses_a_fast_capture(self, capture, kernels):
+        from repro.core.serialize import profile_to_dict
         from repro.sim.engine import fast_forward_scope
 
         run = _CAPTURES[capture]
-        fast = _runs(run())
+        fast = run()
+        del kernels[:]
         with fast_forward_scope(False):
-            slow = _runs(run())
-        assert all(s is not f for s, f in zip(slow, fast))
-        assert [r.system.kernel.fast_forward for r in slow] == [False] * len(slow)
+            slow = run()
+        assert slow is not fast
+        assert [fast_forward for _, fast_forward in kernels] == [False]
+        # The slow path is the fast path's oracle: the same run.
+        assert profile_to_dict(slow.profile) == profile_to_dict(fast.profile)
+        assert slow.elapsed_ns == fast.elapsed_ns
+        assert (
+            slow.extraction.background.total_latency_ns
+            == fast.extraction.background.total_latency_ns
+        )
+
+    def test_kept_runs_hold_no_booted_system(self, kernels, monkeypatch):
+        from repro.apps import NotepadApp
+        from repro.core.compare import run_comparison
+        from repro.experiments import word_runs
+        from repro.workload.script import InputScript, Key
+
+        monkeypatch.setattr(word_runs, "_cache", {})
+        run = word_runs.word_session("nt351", "mstest", chars=20, seed=0)
+        comparison = run_comparison(
+            "tiny",
+            ("nt351", "nt40"),
+            NotepadApp,
+            InputScript([Key(c, pause_ms=120.0) for c in "hi"]),
+            run_kwargs=dict(max_seconds=60),
+        )
+        gc.collect()
+        assert len(kernels) == 3
+        assert [kernel() for kernel, _ in kernels] == [None] * 3
+        # What was kept still answers every analysis.
+        assert word_runs._cache and len(run.profile) > 0
+        assert [len(comparison.profile(o)) for o in ("nt351", "nt40")] == [2, 2]

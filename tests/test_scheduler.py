@@ -52,9 +52,12 @@ class TestScheduler:
     def test_top_priority(self):
         scheduler = Scheduler()
         assert scheduler.top_priority() is None
-        scheduler.make_ready(make_thread(priority=3))
-        scheduler.make_ready(make_thread(priority=9))
+        low, high = make_thread(priority=3), make_thread(priority=9)
+        scheduler.make_ready(low)
+        scheduler.make_ready(high)
         assert scheduler.top_priority() == 9
+        # Both threads are queued, best first.
+        assert [scheduler.pick(), scheduler.pick(), scheduler.pick()] == [high, low, None]
 
     def test_has_ready_at(self):
         scheduler = Scheduler()
@@ -69,12 +72,6 @@ class TestScheduler:
         assert scheduler.remove(thread)
         assert scheduler.pick() is None
         assert not scheduler.remove(thread)
-
-    def test_ready_count(self):
-        scheduler = Scheduler()
-        scheduler.make_ready(make_thread(priority=1))
-        scheduler.make_ready(make_thread(priority=2))
-        assert scheduler.ready_count() == 2
 
     def test_cannot_ready_done_thread(self):
         scheduler = Scheduler()

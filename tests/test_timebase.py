@@ -23,9 +23,6 @@ class TestConversions:
     def test_roundtrip_sec(self):
         assert tb.sec_from_ns(tb.ns_from_sec(7.5)) == pytest.approx(7.5)
 
-    def test_us_from_ns(self):
-        assert tb.us_from_ns(1_500) == pytest.approx(1.5)
-
 
 class TestCycles:
     def test_one_cycle_is_10ns_at_100mhz(self):
@@ -44,17 +41,3 @@ class TestCycles:
 
     def test_default_cpu_is_100mhz(self):
         assert tb.DEFAULT_CPU_HZ == 100_000_000
-
-
-class TestFormatting:
-    def test_format_ns_units(self):
-        assert tb.format_ns(500) == "500 ns"
-        assert "us" in tb.format_ns(5_000)
-        assert "ms" in tb.format_ns(5_000_000)
-        assert "s" in tb.format_ns(5_000_000_000)
-
-    def test_format_negative(self):
-        assert tb.format_ns(-1_000_000) == "-1.00 ms"
-
-    def test_format_values(self):
-        assert tb.format_ns(10_760_000) == "10.76 ms"
