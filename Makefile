@@ -116,7 +116,9 @@ faults-smoke:
 	rm -rf $(SMOKE_OUT) $(SMOKE_CACHE)
 
 # CI gate for the remote-interaction subsystem: the lossy-link
-# transport schedule must replay byte-identically, a network fault
+# transport schedule must replay byte-identically, the quiescent jump
+# must cross ticks and leave the schedule the slow path
+# (fast-forward off) produces, a network fault
 # scenario must compose with the configured link, a traced remote
 # session must emit a structurally valid (Perfetto-loadable) trace
 # with the per-direction net tracks present, and an archived
@@ -125,11 +127,22 @@ remote-smoke:
 	rm -rf $(SMOKE_OUT) $(SMOKE_CACHE)
 	$(PYTHON) -c "\
 	from repro.obs import observed, chrome_trace, validate_chrome_trace; \
-	from repro.remote import LinkConfig, TransportConfig, run_remote_session; \
+	from repro.remote import LinkConfig, RemoteSession, TransportConfig, run_remote_session; \
+	from repro.sim.engine import fast_forward_scope; \
+	from repro.winsys import boot; \
 	link = LinkConfig.symmetric('smoke', rtt_ms=60.0, jitter_ms=4.0, loss=0.25); \
 	runs = [run_remote_session('nt40', 0, link, TransportConfig(), chars=12) for _ in range(2)]; \
 	assert runs[0].schedule_digest == runs[1].schedule_digest, 'schedule not byte-identical'; \
 	assert runs[0].channel['retransmits'] > 0, runs[0].channel; \
+	system = boot('nt40', seed=0); \
+	fast = RemoteSession(system, link, TransportConfig()).run(chars=12); \
+	assert fast.schedule_digest == runs[0].schedule_digest, 'schedule not byte-identical'; \
+	assert system.kernel.ticks_crossed > 0, 'the quiescent jump crossed no tick'; \
+	slow_ctx = fast_forward_scope(False); \
+	slow_ctx.__enter__(); \
+	slow = run_remote_session('nt40', 0, link, TransportConfig(), chars=12); \
+	slow_ctx.__exit__(None, None, None); \
+	assert slow.schedule_digest == runs[0].schedule_digest, 'the slow path changed the schedule'; \
 	degraded = run_remote_session('nt40', 0, link, TransportConfig(), chars=12, scenario='net-congest'); \
 	assert degraded.schedule_digest != runs[0].schedule_digest, 'scenario did not compose'; \
 	session_ctx = observed(trace=True, metrics=True); \
@@ -142,9 +155,9 @@ remote-smoke:
 	assert any('net-' in str(e.get('args', {}).get('name', '')) \
 	           for e in trace['traceEvents'] if e.get('name') == 'thread_name'), \
 	       'net tracks missing from trace'; \
-	print('remote smoke ok: digest %s…, %d retransmits, %d trace events' % \
+	print('remote smoke ok: digest %s…, %d retransmits, %d ticks crossed, %d trace events' % \
 	      (runs[0].schedule_digest[:12], runs[0].channel['retransmits'], \
-	       len(trace['traceEvents'])))"
+	       system.kernel.ticks_crossed, len(trace['traceEvents'])))"
 	$(PYTHON) -m repro.experiments ext-remote --jobs 1 \
 		--save $(SMOKE_OUT) --cache-dir $(SMOKE_CACHE) --checks-only
 	$(PYTHON) -c "\

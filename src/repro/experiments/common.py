@@ -61,6 +61,10 @@ class ExperimentResult:
     figures: List[str] = field(default_factory=list)
     data: Dict[str, object] = field(default_factory=dict)
     checks: List[Check] = field(default_factory=list)
+    #: Host measurements of the run (wall-clock seconds), which are no
+    #: function of (code, seed): reported beside the payload, in the
+    #: job's manifest entry, and never archived in it.
+    host: Dict[str, object] = field(default_factory=dict)
 
     def check(self, name: str, passed: bool, detail: str = "") -> Check:
         result = Check(name=name, passed=bool(passed), detail=detail)

@@ -40,6 +40,7 @@ from ..fleet.report import (
     capacity_plan,
     capacity_table,
     fleet_data,
+    fleet_timing,
     stage_table,
     wait_table,
 )
@@ -135,6 +136,7 @@ def run(
         hedge=hedge,
     )
     data = fleet_data(fleet)
+    result.host = fleet_timing(fleet)
     result.tables.append(wait_table(data))
     result.tables.append(stage_table(data))
     result.tables.append(capacity_table(data, budget_hours))

@@ -175,6 +175,9 @@ class JobResult:
     #: budget alerts and sampling counters (observed runs only; see
     #: :meth:`repro.obs.runtime.ObsSession.stage_snapshot`).
     stages: Optional[dict] = None
+    #: The run's host measurements (:attr:`ExperimentResult.host`);
+    #: None for a cache hit, which ran nothing.
+    host: Optional[dict] = None
 
     def failed_checks(self) -> List[str]:
         return [c["name"] for c in self.checks if not c["passed"]]
@@ -395,6 +398,7 @@ def _execute_job_inner(
         trace=trace_dict,
         metrics=metrics_snapshot,
         stages=stages_snapshot,
+        host=dict(result.host) or None,
     )
 
 

@@ -216,11 +216,12 @@ def _entry_from_job(job: JobResult, saved: Optional[str]) -> dict:
         entry["faults"] = data["injected_faults"]
     # Surface fleet provenance (ext-fleet) the same way: the manifest
     # records the merged-sketch digest and per-group percentiles, while
-    # the raw sketches stay in the archived payload.
+    # the raw sketches stay in the archived payload, and the sweep's
+    # host timing, which the payload does not hold.
     if isinstance(data, dict) and "fleet" in data:
         from ..fleet.report import manifest_fleet_summary
 
-        entry["fleet"] = manifest_fleet_summary(data["fleet"])
+        entry["fleet"] = manifest_fleet_summary(data["fleet"], job.host)
     # Payload invariants run on every completed job (they are cheap):
     # the manifest records what passed, and any violation in full.
     if job.payload is not None:

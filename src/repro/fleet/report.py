@@ -37,6 +37,7 @@ __all__ = [
     "coverage_table",
     "fleet_data",
     "fleet_report_main",
+    "fleet_timing",
     "manifest_fleet_summary",
     "render_fleet_report",
     "stage_table",
@@ -48,6 +49,29 @@ log = get_logger("repro.fleet.report")
 #: Default capacity-planning budget window (hours of shard time).
 DEFAULT_BUDGET_HOURS = 1.0
 
+#: Per-batch fields and fleet metrics that measure host wall time: the
+#: :class:`~repro.fleet.shards.FleetResult` keeps them, the payload
+#: does not (see :func:`fleet_timing`).
+_HOST_FIELDS = ("wall_s", "queue_s")
+_HOST_METRICS = (
+    "repro_fleet_batch_wall_seconds",
+    "repro_fleet_makespan_seconds",
+    "repro_fleet_shard_utilization",
+)
+
+
+def fleet_timing(result) -> dict:
+    """The sweep's host timing: makespan and shard utilization.
+
+    Wall-clock seconds are no function of (code, seed), so they travel
+    beside the payload, in the job's manifest entry, as the job's own
+    ``wall_s`` does; :func:`fleet_data` leaves them out.
+    """
+    return {
+        "makespan_s": result.makespan_s,
+        "shard_utilization": result.shard_utilization(),
+    }
+
 
 def fleet_data(result) -> dict:
     """The ``fleet`` payload section for a :class:`~repro.fleet.shards.FleetResult`.
@@ -55,7 +79,8 @@ def fleet_data(result) -> dict:
     Self-contained and JSON-safe: the full aggregate (sketches included,
     still O(groups x buckets)), provenance, per-batch scheduling stats
     and the observability snapshot — everything the ``fleet-report``
-    verb and the ``stats`` subcommand need.
+    verb and the ``stats`` subcommand need.  It is a function of (code,
+    seed): host timing (:func:`fleet_timing`) stays out.
     """
     aggregate = result.aggregate
     groups = {}
@@ -76,24 +101,35 @@ def fleet_data(result) -> dict:
         "provenance": result.provenance(),
         "groups": groups,
         "coverage": result.group_coverage(),
-        "batches": result.batches,
+        "batches": [
+            {key: value for key, value in batch.items() if key not in _HOST_FIELDS}
+            for batch in result.batches
+        ],
         "failures": result.failures,
         "quarantined": result.quarantined,
         "skipped": result.skipped,
-        "makespan_s": result.makespan_s,
-        "shard_utilization": result.shard_utilization(),
-        "metrics": result.metrics,
+        "metrics": {
+            family: {
+                name: metric
+                for name, metric in metrics.items()
+                if name not in _HOST_METRICS
+            }
+            for family, metrics in (result.metrics or {}).items()
+        },
         "aggregate": aggregate.to_dict(),
     }
 
 
-def manifest_fleet_summary(fleet: Mapping) -> dict:
+def manifest_fleet_summary(fleet: Mapping, timing: Optional[Mapping] = None) -> dict:
     """Condensed fleet facts for a manifest entry.
 
     Manifests stay small: provenance plus one p50/p95/p99.9 row per
     group, *without* the raw sketch buckets (those live in the archived
-    payload, which ``fleet-report`` can always re-render).
+    payload, which ``fleet-report`` can always re-render).  ``timing``
+    is the run's :func:`fleet_timing`, None when it ran nothing (a cache
+    hit).
     """
+    timing = timing or {}
     provenance = dict(fleet.get("provenance") or {})
     groups = {}
     for key in sorted(fleet.get("groups") or {}):
@@ -119,8 +155,8 @@ def manifest_fleet_summary(fleet: Mapping) -> dict:
         "population_seed": provenance.get("population_seed"),
         "population_fingerprint": provenance.get("population_fingerprint"),
         "compression": provenance.get("compression"),
-        "shard_utilization": fleet.get("shard_utilization"),
-        "makespan_s": fleet.get("makespan_s"),
+        "shard_utilization": timing.get("shard_utilization"),
+        "makespan_s": timing.get("makespan_s"),
         "failures": len(fleet.get("failures") or []),
         "groups": groups,
     }
@@ -382,7 +418,16 @@ def _extract_fleet_sections(source: str) -> List[dict]:
                 continue
             data = payload.get("data")
             if isinstance(data, dict) and "fleet" in data:
-                sections.append(data["fleet"])
+                # The host timing sits in the manifest entry, beside
+                # the payload.
+                summary = entry.get("fleet") or {}
+                sections.append(
+                    dict(
+                        data["fleet"],
+                        makespan_s=summary.get("makespan_s"),
+                        shard_utilization=summary.get("shard_utilization"),
+                    )
+                )
         return sections
     return []
 

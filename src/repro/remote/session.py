@@ -35,6 +35,7 @@ from typing import Dict, Iterator, List, Optional
 
 from ..apps.base import InteractiveApp
 from ..faults import FaultInjector, get_scenario
+from ..sim.engine import Periodic
 from ..sim.timebase import ns_from_ms
 from ..winsys import boot
 from ..winsys.syscalls import Syscall
@@ -59,8 +60,16 @@ _WARMUP_MS = 150.0
 _DRAIN_MS = 2_500.0
 
 
-class RemoteServer:
-    """Far-side input applier and frame producer (event-level model)."""
+class RemoteServer(Periodic):
+    """Far-side input applier and frame producer (event-level model).
+
+    The frame tick is the server's :class:`~repro.sim.engine.Periodic`
+    kind entry, every ``frame_interval_ms``.  A tick with nothing dirty
+    and its repeat frames spent only re-arms (:meth:`idle`), so the
+    client kernel's quiescent jump crosses and re-keys it; the first
+    packet that dirties the screen is a live event, and it ends the
+    jump's window.
+    """
 
     def __init__(
         self,
@@ -68,12 +77,15 @@ class RemoteServer:
         config: TransportConfig,
         log: TransportLog,
         on_ack,
+        on_frame,
     ) -> None:
+        super().__init__(link.sim, self._tick, ns_from_ms(config.frame_interval_ms))
+        link.system.kernel.periodic.append(self)
         self.link = link
-        self.sim = link.sim
         self.config = config
         self._log = log
         self._on_ack = on_ack
+        self._on_frame = on_frame
         self.next_apply = 1
         self._buffer: Dict[int, InputPacket] = {}
         self._skipped = set()
@@ -89,21 +101,16 @@ class RemoteServer:
         self._repeats_left = 0
         self._coalesced_run = 0
         self._hol_timer = None
-        self._tick_event = None
         self._running = False
 
     # ------------------------------------------------------------------
     def start(self) -> None:
         self._running = True
-        self._tick_event = self.sim.schedule(
-            ns_from_ms(self.config.frame_interval_ms), self._tick, label="frame-tick"
-        )
+        self.arm_at(self.sim.now + self.period_ns)
 
     def stop(self) -> None:
         self._running = False
-        if self._tick_event is not None:
-            self._tick_event.cancel()
-            self._tick_event = None
+        self.disarm()
         if self._hol_timer is not None:
             self._hol_timer.cancel()
             self._hol_timer = None
@@ -192,14 +199,16 @@ class RemoteServer:
     # ------------------------------------------------------------------
     # Downstream frames
     # ------------------------------------------------------------------
+    @property
+    def idle(self) -> bool:
+        """Nothing on screen changed and the repeat frames are spent:
+        the next frame tick only re-arms."""
+        return not self._dirty and self._repeats_left <= 0
+
     def _tick(self) -> None:
-        if not self._running:
+        self.arm_at(self.sim.now + self.period_ns)
+        if self.idle:
             return
-        self._tick_event = self.sim.schedule(
-            ns_from_ms(self.config.frame_interval_ms), self._tick, label="frame-tick"
-        )
-        if not self._dirty and self._repeats_left <= 0:
-            return  # idle tick: nothing on screen changed
         obs = self.link.system.kernel.obs
         backlog_ns = self.link.backlog_ns("down")
         if backlog_ns > ns_from_ms(self.config.skip_backlog_ms):
@@ -236,13 +245,9 @@ class RemoteServer:
         if obs is not None:
             obs.remote_frame("degraded" if degraded else "full")
         self.link.send(
-            "down", size, lambda frame=frame: self._frame_out(frame),
+            "down", size, lambda frame=frame: self._on_frame(frame),
             label=f"frame:{frame.fseq}",
         )
-
-    def _frame_out(self, frame: FramePacket) -> None:
-        """Set by the session: delivery callback into the jitter buffer."""
-        raise NotImplementedError  # pragma: no cover - rebound in session
 
     def counters(self) -> dict:
         return {
@@ -370,9 +375,12 @@ class RemoteSession:
         self.log = TransportLog()
         self.link = LossyLink(system, link_config, log=self.log)
         self.server = RemoteServer(
-            self.link, self.transport, self.log, on_ack=self._ack_arrived
+            self.link,
+            self.transport,
+            self.log,
+            on_ack=self._ack_arrived,
+            on_frame=self._frame_arrived,
         )
-        self.server._frame_out = self._frame_arrived
         self.channel = InputChannel(
             self.link,
             self.transport,

@@ -48,19 +48,20 @@ change the pop order.  No experiment cancels enough handles to compact
 today: compaction is the bound that keeps a long run with many
 cancelled timers from growing the heap without limit.
 
-The engine also carries what the idle fast-forward jump (see
-:meth:`repro.winsys.kernel.Kernel._try_fast_forward` and
-``docs/performance.md``) needs to stay bit-identical to ordinary
-execution.  :meth:`Simulator.jump_window` says how far a jump may go:
-strictly before the next live entry other than the periodic ones the
-caller crosses in closed form (the clock tick, the Win95 idle
-background), and no further than the run horizon; a run with an
-``until`` predicate, a ``max_events`` bound or a stop request narrows
-or forbids it.  :meth:`Simulator.fast_forward` then advances the clock
-*and* the sequence/executed counters exactly as executing the crossed
-events one by one would have, pops the periodic entries it crossed and
-re-arms each at the ``(time, seq)`` key the slow path would have given
-its successor.
+The engine also carries what the kernel's quiescent jumps (see
+:class:`repro.winsys.kernel.Kernel` and ``docs/performance.md``) need
+to stay bit-identical to ordinary execution.  A :class:`Periodic` is a
+kind entry that re-arms itself on a fixed period (the clock tick, the
+Win95 idle background, the remote server's frame tick) and keeps its
+``(time, seq)`` key.  :meth:`Simulator.jump_window` says how far a jump
+may go: strictly before the next live entry other than the periodic
+ones the caller crosses in closed form, and no further than the run
+horizon; a run with an ``until`` predicate, a ``max_events`` bound or a
+stop request narrows or forbids it.  :meth:`Simulator.fast_forward`
+then advances the clock *and* the sequence/executed counters exactly as
+executing the crossed events one by one would have, pops the periodic
+entries it crossed and re-arms each at the ``(time, seq)`` key the slow
+path would have given its successor.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ from heapq import heappop as _heappop, heappush as _heappush
 from typing import Any, Callable, Collection, Iterable, Iterator, List, Optional, Tuple
 
 __all__ = [
+    "Periodic",
     "ScheduledEvent",
     "Simulator",
     "SimulationError",
@@ -135,6 +137,47 @@ class ScheduledEvent:
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
         return f"<ScheduledEvent {self.label!r} @{self.time}ns {state}>"
+
+
+class Periodic:
+    """A kind entry that re-arms itself every ``period_ns``, in the one
+    shape the kernel's quiescent jumps cross in closed form.
+
+    ``pending`` is the armed entry's ``(time, seq)`` key, or None while
+    disarmed; ``hid`` is its handler id.  A jump passes the key to
+    :meth:`Simulator.jump_window`, crosses occurrences while ``idle``
+    holds, re-keys the entry through :meth:`Simulator.fast_forward` and
+    hands the new key to :meth:`credit`.  Owners make ``idle`` a
+    property when an occurrence can do more than the jump models, and
+    override :meth:`credit` when they count occurrences (the ones
+    crossed are ``(pending[0] - self.pending[0]) // period_ns``).
+    """
+
+    #: Whether a jump may cross the next occurrence in closed form.
+    idle = True
+
+    def __init__(
+        self, sim: "Simulator", handler: Callable[[], None], period_ns: int
+    ) -> None:
+        self.sim = sim
+        self.period_ns = period_ns
+        self.hid = sim.register_handler(handler)
+        self.pending: Optional[Tuple[int, int]] = None
+
+    def arm_at(self, time_ns: int) -> None:
+        """Arm the entry at absolute time ``time_ns``."""
+        self.pending = (time_ns, self.sim.schedule_kind_at(time_ns, self.hid))
+
+    def disarm(self) -> None:
+        """Withdraw the armed entry, if any."""
+        if self.pending is not None:
+            self.sim.cancel_kind(self.pending[1])
+            self.pending = None
+
+    def credit(self, pending: Tuple[int, int]) -> None:
+        """Account the occurrences a jump crossed; ``pending`` is the key
+        it gave the re-armed entry."""
+        self.pending = pending
 
 
 class Simulator:
@@ -543,6 +586,18 @@ class Simulator:
         """The ``seq`` the next scheduled entry will receive."""
         return self._seq
 
+    @property
+    def horizon(self) -> Optional[int]:
+        """The active run's ``until_ns``, or None."""
+        return self._horizon
+
+    @property
+    def periodic_crossable(self) -> bool:
+        """False while the active run forbids crossing periodic entries:
+        under an ``until`` predicate or a ``max_events`` bound (see
+        :meth:`jump_window`)."""
+        return self._ff_allowed and not self._until_active
+
     def jump_window(self, periodic: Collection[int] = ()) -> Tuple[Optional[int], str]:
         """The latest instant a fast-forward jump may reach, and what sets it.
 
@@ -649,51 +704,55 @@ class Simulator:
                 f"fast-forward to {target} ns crosses run horizon "
                 f"{self._horizon} ns"
             )
-        moved = tuple(moved)
         base = self._seq
-        for old_seq, time_ns, seq, _hid in moved:
-            if time_ns <= target or not base <= seq < base + seqs:
+        top = base + seqs
+        withdrawn = set()
+        successors = []
+        for old_seq, time_ns, seq, hid in moved:
+            if time_ns <= target or not base <= seq < top:
                 raise SimulationError(
                     f"cannot re-key entry {old_seq} to ({time_ns}, {seq})"
                 )
+            withdrawn.add(old_seq)
+            successors.append((time_ns, seq, hid))
         # Pop everything the jump crosses, exactly as the slow path would
         # have: dead entries, and the withdrawn periodic entries.  Any
-        # other live entry inside the jump is an error.
-        withdrawn = {old_seq for old_seq, _time, _seq, _hid in moved}
+        # other live entry inside the jump is an error.  The slot entry
+        # precedes the whole heap.
         queue = self._queue
-        kc = self._kind_cancelled
-        while True:
-            nxt = self._next
-            head = nxt if nxt is not None else (queue[0] if queue else None)
-            if head is None or head[0] > target:
-                break
-            payload = head[2]
-            if payload.__class__ is ScheduledEvent and payload.cancelled:
+        head = self._next
+        if head is not None:
+            if head[0] > target:
+                head = None
+            else:
+                self._next = None
+        elif queue and queue[0][0] <= target:
+            head = _heappop(queue)
+        while head is not None:
+            head_seq = head[1]
+            if head_seq in withdrawn:
+                withdrawn.discard(head_seq)
+            elif head[2].__class__ is ScheduledEvent and head[2].cancelled:
                 self._cancelled -= 1
-            elif head[1] in kc:
-                kc.discard(head[1])
-            elif head[1] in withdrawn:
-                withdrawn.discard(head[1])
+            elif head_seq in self._kind_cancelled:
+                self._kind_cancelled.discard(head_seq)
             else:
                 raise SimulationError(
                     f"fast-forward to {target} ns crosses pending event "
                     f"at {head[0]} ns"
                 )
-            if nxt is not None:
-                self._next = None
-            else:
-                _heappop(queue)
+            head = _heappop(queue) if queue and queue[0][0] <= target else None
         if withdrawn:
             raise SimulationError(
                 f"fast-forward to {target} ns does not cross entries "
                 f"{sorted(withdrawn)}"
             )
         self._now = target
-        self._seq = base + seqs
+        self._seq = top
         self.events_executed += events
         self.events_fast_forwarded += events
-        for _old, time_ns, seq, hid in moved:
-            self._insert((time_ns, seq, hid))
+        for entry in successors:
+            self._insert(entry)
 
     def _insert(self, entry: tuple) -> None:
         """Place an entry with a preassigned key on the calendar."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from .cpu import CPU
-from .engine import Simulator
+from .engine import Periodic, Simulator
 from .timebase import ns_from_ms
 from .work import HwEvent, Work
 
@@ -133,12 +133,14 @@ class InterruptController:
         return duration
 
 
-class PeriodicClock:
+class PeriodicClock(Periodic):
     """The 10 ms hardware timer interrupt (Section 2.5).
 
     Fires on a fixed period from simulated time zero so that animation
     steps and scheduler ticks land on the same 10 ms boundaries the
-    paper observed.
+    paper observed.  ``pending`` holds the armed tick's ``(time, seq)``
+    key; the kernel's quiescent jumps cross ticks in closed form and
+    re-key it (:meth:`credit`).
     """
 
     VECTOR = "clock"
@@ -150,20 +152,13 @@ class PeriodicClock:
         period_ns: int = ns_from_ms(10),
         isr_work: Optional[Work] = None,
     ) -> None:
-        self.sim = sim
         self.controller = controller
-        self.period_ns = period_ns
         self.ticks = 0
-        #: ``(time, seq)`` of the armed tick entry, or None before
-        #: :meth:`start`.  The kernel's quiescent jump crosses ticks in
-        #: closed form and re-keys this entry (:meth:`credit`).
-        self.pending: Optional[Tuple[int, int]] = None
         controller.register(
             self.VECTOR,
             isr_work if isr_work is not None else Work(400, label="clock-isr"),
         )
-        #: Engine handler id for the tick re-arm (no-argument kind).
-        self.tick_hid = sim.register_handler(self._tick)
+        super().__init__(sim, self._tick, period_ns)
 
     def start(self) -> None:
         """Begin ticking; the first tick lands on the next period boundary."""
@@ -172,19 +167,20 @@ class PeriodicClock:
 
     def _schedule_next(self) -> None:
         next_tick = ((self.sim.now // self.period_ns) + 1) * self.period_ns
-        self.pending = (next_tick, self.sim.schedule_kind_at(next_tick, self.tick_hid))
+        self.pending = (next_tick, self.sim.schedule_kind_at(next_tick, self.hid))
 
     def _tick(self) -> None:
         self.ticks += 1
         self.controller.raise_interrupt(self.VECTOR, payload=self.ticks)
         self._schedule_next()
 
-    def credit(self, count: int, pending: Tuple[int, int]) -> None:
-        """Account ``count`` ticks a quiescent jump crossed.
+    def credit(self, pending: Tuple[int, int]) -> None:
+        """Account the ticks a quiescent jump crossed.
 
         ``pending`` is the ``(time, seq)`` key the jump gave the re-armed
         tick entry (see :meth:`repro.sim.engine.Simulator.fast_forward`).
         """
+        count = (pending[0] - self.pending[0]) // self.period_ns
         self.ticks += count
         self.controller.credit(self.VECTOR, count)
         self.pending = pending

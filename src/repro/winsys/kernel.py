@@ -29,7 +29,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 from ..sim.devices.disk import DiskRequest
 from ..sim.devices.keyboard import KeyEvent
 from ..sim.devices.mouse import MouseEvent
-from ..sim.engine import fast_forward_default
+from ..sim.engine import Periodic, fast_forward_default
 from ..sim.machine import Machine
 from ..sim.work import Work
 from .filesystem import BufferCache, FileSystem
@@ -140,18 +140,19 @@ class Kernel:
         # Diagnostics.
         self.context_switches = 0
         self.dpcs_run = 0
-        #: Fast-forward jumps taken, the records they completed in closed
-        #: form, and the clock ticks they crossed.
+        #: Instrumented jumps taken and the records they completed in
+        #: closed form, and the clock ticks either jump crossed.
         self.fast_forward_batches = 0
         self.fast_forward_segments = 0
         self.ticks_crossed = 0
         #: Why each jump stopped, or declined to cross a tick (see
-        #: :meth:`_try_fast_forward`).  Diagnostics only: no digest
-        #: includes it.
+        #: :meth:`_try_fast_forward` and :meth:`_try_quiescent_jump`).
+        #: Diagnostics only: no digest includes it.
         self.jump_stops: Counter = Counter()
         #: Why each call that took no jump at all declined before
-        #: looking at the calendar (see :meth:`_decline_reason`).  With
-        #: ``jump_stops`` it accounts for every call.  Diagnostics only.
+        #: looking at the calendar (see :meth:`_decline_reason` and
+        #: :meth:`_try_quiescent_jump`).  With ``jump_stops`` it
+        #: accounts for every call of either jump.  Diagnostics only.
         self.jump_declines: Counter = Counter()
         #: Engine ``next_seq`` where the last jump stopped.  The
         #: instrument yields again at once, and until something is
@@ -168,10 +169,25 @@ class Kernel:
         # events: one heap tuple each, no handle/closure/label per
         # occurrence (docs/performance.md, "inner loop").
         self._dispatch_hid = self.sim.register_handler(self._dispatch)
-        self._idle_bg_hid = self.sim.register_handler(self._idle_background_tick)
-        #: ``(time, seq)`` of the armed idle-background entry (Windows 95),
-        #: which the quiescent jump crosses and re-keys like a tick.
-        self._idle_bg_pending: Optional[Tuple[int, int]] = None
+        #: The Windows 95 idle background, armed at boot when the
+        #: personality has one; the quiescent jumps cross and re-key it
+        #: like a tick.
+        self._idle_bg = Periodic(
+            self.sim,
+            self._idle_background_tick,
+            personality.idle_background_period_ns,
+        )
+        #: Durations of the clock ISR, the housekeeping DPC and the idle
+        #: background DPC, for the jump without the instrument.
+        self._chain_ns = (
+            self.cpu.duration_ns(personality.clock_isr_work),
+            self.cpu.duration_ns(personality.housekeeping_work),
+            self.cpu.duration_ns(personality.idle_background_work),
+        )
+        #: Other components' periodic entries that touch nothing on this
+        #: machine while their ``idle`` holds (the remote server's frame
+        #: tick): the jump without the instrument crosses them too.
+        self.periodic: List[Periodic] = []
         # Precompiled syscall dispatch table: concrete syscall class →
         # bound perform method, so the steady state is one dict hit per
         # syscall instead of an isinstance chain.  A class missing here
@@ -211,7 +227,10 @@ class Kernel:
         interrupts.set_handler("disk", self._on_disk)
         interrupts.set_handler("nic", self._on_packet)
         self.machine.power_on()
-        if personality.idle_background_period_ns > 0:
+        if (
+            personality.idle_background_period_ns > 0
+            and personality.idle_background_cycles > 0
+        ):
             self._arm_idle_background()
 
     # ------------------------------------------------------------------
@@ -294,6 +313,8 @@ class Kernel:
             thread = self.scheduler.pick()
             if thread is not None:
                 self._run_thread(thread)
+            elif self.fast_forward:
+                self._try_quiescent_jump()
 
     def _preempt_running_thread(self) -> None:
         thread = self.running
@@ -600,10 +621,9 @@ class Kernel:
         sim = self.sim
         clock = self.machine.clock
         personality = self.personality
-        tick_at, tick_seq = clock.pending or (None, None)
-        bg_at = bg_seq = None
-        if personality.idle_background_cycles > 0 and self._idle_bg_pending:
-            bg_at, bg_seq = self._idle_bg_pending
+        bg = self._idle_bg
+        tick_at, tick_seq = clock.pending
+        bg_at, bg_seq = bg.pending or (None, None)
         limit, bound = sim.jump_window((tick_seq, bg_seq))
         if limit is None:
             self.jump_stops[bound] += 1
@@ -779,19 +799,14 @@ class Kernel:
             ramps.append((ramp_start, ramp_count))
         if not ramps:
             return None
-        moved = []
+        thread.quantum_ticks_used += crossed
+        self.ticks_crossed += crossed
+        rekeyed = []
         if new_tick is not None:
-            moved.append((tick_seq, new_tick[0], new_tick[1], clock.tick_hid))
+            rekeyed.append((clock, new_tick))
         if new_bg is not None:
-            moved.append((bg_seq, new_bg[0], new_bg[1], self._idle_bg_hid))
-        sim.fast_forward(t - now, events, seqs, moved)
-        self._jump_stopped_at = sim.next_seq
-        if crossed:
-            clock.credit(crossed, new_tick)
-            thread.quantum_ticks_used += crossed
-            self.ticks_crossed += crossed
-        if new_bg is not None:
-            self._idle_bg_pending = new_bg
+            rekeyed.append((bg, new_bg))
+        self._commit_jump(t - now, events, seqs, rekeyed)
         cpu.credit(work, whole)
         records = sum(count for _start, count in ramps)
         self.fast_forward_batches += 1
@@ -817,6 +832,220 @@ class Kernel:
         if self.cpu.busy:
             return "CPU busy"
         return "ready thread"
+
+    def _try_quiescent_jump(self) -> None:
+        """Cross a quiescent machine's periodic events in closed form
+        when no instrument runs (``docs/performance.md`` §1).
+
+        Tried where the machine goes quiescent: from a dispatch that
+        finds nothing to run and from the ISR return of a tick that
+        queued no DPC (a link delivery to the far side wakes nothing
+        here, so the dispatch alone would miss its windows).  It
+        declines, before any heap walk, while another component's
+        :attr:`periodic` entry is busy, when a live tracer or metrics
+        registry is attached, the run has an ``until`` predicate or a
+        ``max_events`` bound, the horizon comes before the next tick,
+        nothing was scheduled since the last jump stopped, or the
+        machine is not quiescent: the CPU busy, a DPC queued, a thread
+        ready or an application timer armed.
+
+        Otherwise it merges the clock tick (with its housekeeping DPC),
+        the Win95 idle background and the idle :attr:`periodic` entries
+        in the calendar's ``(time, seq)`` order, and crosses each
+        occurrence whose events all land within the window: a plain
+        tick is 2 events, a housekeeping tick 5, an idle background 4
+        and another component's idle occurrence 1, and each of these
+        events makes one schedule.  The idle background with a tick
+        behind it at the same instant (Windows 95, every 110 ms) is
+        crossed as one pair.  It stops before the window's bound and
+        before an occurrence whose events would interleave with
+        another's.  Every crossed event is a whole credit: ISRs and DPCs
+        charge no fractional residual.  ``jump_stops`` and
+        ``jump_declines`` count every call.
+        """
+        # Another component's busy entry (a remote server sending
+        # frames) wakes the machine within a few ticks, itself or by the
+        # traffic it causes, and a jump would cost more than it crosses.
+        for entry in self.periodic:
+            if entry.pending is not None and not entry.idle:
+                self.jump_declines["periodic entry busy"] += 1
+                return
+        sim = self.sim
+        clock = self.machine.clock
+        tick = clock.pending
+        horizon = sim.horizon
+        if self.obs is not None:
+            reason = "observer attached"
+        elif not sim.periodic_crossable:
+            reason = "until/max_events run"
+        elif horizon is not None and horizon < tick[0]:
+            reason = "horizon before the next tick"
+        elif sim.next_seq == self._jump_stopped_at:
+            reason = "futile retry"
+        elif self.running is not None or self.cpu.busy:
+            reason = "CPU busy"
+        elif self._dpc_queue:
+            reason = "DPC queued"
+        elif self.scheduler.top >= 0:
+            reason = "ready thread"
+        elif self._timers:
+            reason = "timer armed"
+        else:
+            reason = None
+        if reason is not None:
+            self.jump_declines[reason] += 1
+            return
+        # Ticks are crossed in runs between the occurrences of the other
+        # entries: the idle background, when armed, and every armed
+        # entry of another component.
+        bg = self._idle_bg
+        others = [bg] if bg.pending is not None else []
+        others += [entry for entry in self.periodic if entry.pending is not None]
+        keys = [entry.pending for entry in others]
+        limit, bound = sim.jump_window([tick[1]] + [key[1] for key in keys])
+        if limit is None:
+            self.jump_stops[bound] += 1
+            return
+        isr_ns, housekeeping_ns, bg_ns = self._chain_ns
+        every = self.personality.housekeeping_period_ticks
+        period = clock.period_ns
+        ticks = number = clock.ticks
+        housekeeping = 0
+        now = end = sim.now
+        base = sim.next_seq
+        events = 0
+        # Crossed one-event occurrences at the latest ``end``, to undo
+        # if an uncrossed entry ties with them (see below).
+        tail = []
+        while True:
+            key = min(keys) if keys else None
+            # The run of ticks whose events all land before ``key`` and
+            # within the window.  A plain tick is 2 events, from the tick
+            # to its ISR return, and a housekeeping tick 5, up to the
+            # dispatch after its DPC; each re-arms with its second
+            # schedule.  Only the last tick of a run can be a
+            # housekeeping tick that no longer fits.
+            edge = limit if key is None or key[0] > limit else key[0] - 1
+            run = (edge - isr_ns - tick[0]) // period + 1
+            if run > 0:
+                top = number + run
+                last_at = tick[0] + (run - 1) * period
+                if not top % every and last_at + isr_ns + housekeeping_ns > edge:
+                    run -= 1
+                    top -= 1
+                    last_at -= period
+                if run:
+                    due = top // every - number // every
+                    closing = 5 if not top % every else 2
+                    # The last tick re-arms after every schedule of the
+                    # run's others and its own ISR return's.
+                    before = events + 2 * run + 3 * due - closing
+                    tick = (last_at + period, base + before + 1)
+                    events += 2 * run + 3 * due
+                    housekeeping += due
+                    number = top
+                    end = last_at + isr_ns + (housekeeping_ns if closing == 5 else 0)
+                    tail.clear()
+            if key is None or tick < key:
+                # The next tick comes first, and does not fit.
+                due = not (number + 1) % every
+                last = tick[0] + isr_ns + (housekeeping_ns if due else 0)
+                reason = bound if last > limit else "periodic events share a span"
+                break
+            i = keys.index(key)
+            entry = others[i]
+            at = key[0]
+            rekeyed = (tick, key)
+            tie = False
+            if entry is not bg:
+                # Another component's idle occurrence: 1 event, which
+                # re-arms first of all.
+                n_events, last = 1, at
+                keys[i] = (at + entry.period_ns, base + events)
+            elif tick[0] != at or bg_ns <= isr_ns:
+                # The idle background: 4 events, up to the dispatch after
+                # its DPC; it re-arms with its second schedule.
+                n_events, last = 4, at + bg_ns
+                keys[i] = (at + entry.period_ns, base + events + 1)
+            else:
+                # The idle background with a tick right behind it at the
+                # same instant: the tick fires before the DPC starts and
+                # its ISR returns during the DPC, so the tick re-arms
+                # with the pair's fourth schedule and its housekeeping
+                # DPC, if due, follows the background's.
+                tie = True
+                due = not (number + 1) % every
+                n_events = 9 if due else 6
+                last = at + bg_ns + (housekeeping_ns if due else 0)
+                keys[i] = (at + entry.period_ns, base + events + 1)
+                tick = (at + period, base + events + 3)
+                number += 1
+                housekeeping += due
+            if last > limit or (
+                last > at and (tick[0] <= last or min(keys)[0] <= last)
+            ):
+                # Past the window, or something else, its own successor
+                # included, lands among its events.
+                tick, keys[i] = rekeyed
+                if tie:
+                    number -= 1
+                    housekeeping -= due
+                reason = bound if last > limit else "periodic events share a span"
+                break
+            if last > at:
+                tail.clear()
+            else:
+                tail.append((i, key, end))
+            events += n_events
+            end = last
+        # The slow path may stop between a one-event occurrence and an
+        # uncrossed entry at the same instant; no jump can end there.
+        while tail and min(tick, *keys)[0] == end:
+            i, keys[i], end = tail.pop()
+            events -= 1
+        self.jump_stops[reason] += 1
+        if not events:
+            return
+        crossed = [(clock, tick)] if number > ticks else []
+        for entry, key in zip(others, keys):
+            if key is not entry.pending:
+                crossed.append((entry, key))
+        background = 0
+        if bg.pending is not None:
+            background = (keys[0][0] - bg.pending[0]) // bg.period_ns
+        self._commit_jump(end - now, events, events, crossed)
+        cpu = self.cpu
+        if housekeeping:
+            cpu.credit(self.personality.housekeeping_work, housekeeping)
+        if background:
+            cpu.credit(self.personality.idle_background_work, background)
+        self.dpcs_run += housekeeping + background
+        self.ticks_crossed += number - ticks
+
+    def _commit_jump(
+        self,
+        delta_ns: int,
+        events: int,
+        seqs: int,
+        crossed: List[Tuple[Periodic, Tuple[int, int]]],
+    ) -> None:
+        """Advance the engine past a jump of ``delta_ns``, standing for
+        ``events`` callbacks and ``seqs`` schedules, and re-key and
+        credit each periodic entry it crossed: ``(entry, key)`` gives
+        the key of its successor."""
+        sim = self.sim
+        sim.fast_forward(
+            delta_ns,
+            events,
+            seqs,
+            [
+                (entry.pending[1], key[0], key[1], entry.hid)
+                for entry, key in crossed
+            ],
+        )
+        self._jump_stopped_at = sim.next_seq
+        for entry, key in crossed:
+            entry.credit(key)
 
     def _block_value(self, thread: SimThread, reason: str):
         """Block from inside a pending action (returns the sentinel)."""
@@ -949,10 +1178,11 @@ class Kernel:
         )
         if tick_has_work:
             self.queue_dpc(self.personality.tick_dpc_work, label="tick")
-        if (
+        housekeeping = (
             self.machine.clock.ticks % self.personality.housekeeping_period_ticks
             == 0
-        ):
+        )
+        if housekeeping:
             self.queue_dpc(self.personality.housekeeping_work, label="housekeeping")
         # Quantum round-robin among equal priorities.  The counter lives
         # on the thread so the tick DPC's own brief preemption does not
@@ -975,6 +1205,10 @@ class Kernel:
                         self.obs.context_switch("quantum")
                     self.scheduler.make_ready(thread, front=False)
                     self._request_dispatch()
+        elif not (tick_has_work or housekeeping) and self.fast_forward:
+            # The tick queued no DPC: quiescent, unless something else
+            # holds the machine.
+            self._try_quiescent_jump()
 
     def _on_keyboard(self, event: KeyEvent) -> None:
         if self.envelopes is not None:
@@ -1133,14 +1367,8 @@ class Kernel:
 
     def _idle_background_tick(self) -> None:
         """Windows 95's extra idle-time activity (Figure 3)."""
-        personality = self.personality
-        if personality.idle_background_cycles > 0:
-            self.queue_dpc(personality.idle_background_work, label="idle-bg")
+        self.queue_dpc(self.personality.idle_background_work, label="idle-bg")
         self._arm_idle_background()
 
     def _arm_idle_background(self) -> None:
-        period = self.personality.idle_background_period_ns
-        self._idle_bg_pending = (
-            self.sim.now + period,
-            self.sim.schedule_kind(period, self._idle_bg_hid),
-        )
+        self._idle_bg.arm_at(self.sim.now + self.personality.idle_background_period_ns)

@@ -284,7 +284,9 @@ class TestEngineFastForward:
 
 
 def _pending(sim):
-    """The live calendar entries as sorted (time, seq, handler) keys."""
+    """The live calendar entries as sorted (time, seq, name) keys: a
+    generic event's label, or the handler a kind entry calls (such as
+    ``RemoteServer._tick``, the frame tick)."""
     entries = ([sim._next] if sim._next is not None else []) + list(sim._queue)
     live = []
     for entry in entries:
@@ -293,7 +295,8 @@ def _pending(sim):
             if not payload.cancelled:
                 live.append((entry[0], entry[1], payload.label))
         elif entry[1] not in sim._kind_cancelled:
-            live.append((entry[0], entry[1], payload))
+            name = sim._handler_fns[payload].__qualname__
+            live.append((entry[0], entry[1], name))
     return sorted(live)
 
 
@@ -397,6 +400,19 @@ def _idle_run(os_name, loop_ms, chunk_ms, sim_ms=10_000.0):
     return scenario
 
 
+def _idle_viewer(os_name):
+    """A remote viewer after its 150 ms warm-up, with no instrument and
+    its server started and idle."""
+    from repro.remote import LinkConfig, RemoteSession
+
+    system = boot(os_name)
+    session = RemoteSession(system, LinkConfig.symmetric("lan", rtt_ms=10.0))
+    session.app.start(foreground=True)
+    system.run_for(ns_from_ms(150))
+    session.server.start()
+    return system
+
+
 def _typed_run(os_name, keys=8, gap_ms=300.0, tail_ms=1000.0):
     """An editor taking a keystroke every ``gap_ms``, idle-traced."""
 
@@ -478,6 +494,73 @@ class TestTicklessOracle:
         assert kernel.ticks_crossed == 0
         assert kernel.jump_stops["record hook"] > 0
 
+    @pytest.mark.parametrize("scenario", [None, "smoke"])
+    @pytest.mark.parametrize("os_name", PERSONALITIES)
+    def test_fleet_remote_session(self, pauses, os_name, scenario):
+        """A fleet remote session: no instrument, keystrokes over the
+        lossy link, and the frame tick crossed while the server idles."""
+        from repro.fleet.population import SessionSpec
+        from repro.fleet.session import run_session
+
+        spec = SessionSpec(
+            index=0,
+            seed=11,
+            os_name=os_name,
+            profile="remote",
+            scenario=scenario,
+            wpm=40.0,
+            jitter=0.2,
+            think_mean_s=1.0,
+            chars=6,
+        )
+        kernel, on, off = _on_and_off(pauses, lambda: run_session(spec))
+        assert on == off
+        assert on.envelope_events > 0
+        assert kernel.ticks_crossed > 0
+
+    def test_predicted_remote_session(self, pauses):
+        from repro.remote import LinkConfig, TransportConfig, run_remote_session
+
+        link = LinkConfig.symmetric("wan", rtt_ms=60.0, jitter_ms=3.0, loss=0.08)
+
+        def scenario():
+            return run_remote_session(
+                "nt40", 3, link, TransportConfig(prediction=True), chars=6
+            )
+
+        kernel, on, off = _on_and_off(pauses, scenario)
+        assert on.to_dict() == off.to_dict()
+        assert on.predictions > 0
+        assert kernel.ticks_crossed > 0
+
+    @pytest.mark.parametrize("os_name", PERSONALITIES)
+    def test_idle_remote_viewer(self, pauses, os_name):
+        """An idle remote viewer in 37 ms chunks: every pause point
+        compares the re-keyed tick, idle-background and frame-tick
+        entries."""
+
+        def scenario():
+            system = _idle_viewer(os_name)
+            for _chunk in range(60):
+                system.run_for(ns_from_ms(37))
+
+        kernel = _on_and_off(pauses, scenario)[0]
+        assert kernel.ticks_crossed > 100
+
+    def test_remote_tie_on_the_horizon(self, pauses):
+        """A frame tick and a clock tick at one instant on the run's
+        horizon: the slow path runs both there, so the jump must stop
+        before the frame tick it could otherwise cross."""
+
+        def scenario():
+            system = _idle_viewer("nt40")
+            # The frame cadence starts at 150 ms: its tenth tick is 480 ms.
+            system.run_for(ns_from_ms(330))
+            system.run_for(ns_from_ms(100))
+
+        kernel = _on_and_off(pauses, scenario)[0]
+        assert kernel.ticks_crossed > 0
+
     @pytest.mark.parametrize("os_name", PERSONALITIES)
     def test_run_until_quiescent(self, pauses, os_name):
         def scenario():
@@ -495,10 +578,9 @@ class TestTicklessOracle:
 
 
 class TestExactWork:
-    """Ten idle simulated seconds, with only the instrument installed:
-    the events executed outside the jump are pinned exactly.  The
-    counts carry no timing noise, so a jump that stops engaging fails
-    here on any host."""
+    """Ten idle simulated seconds: the events executed outside the jump
+    are pinned exactly.  The counts carry no timing noise, so a jump
+    that stops engaging fails here on any host."""
 
     @pytest.mark.parametrize(
         "os_name, outside", [("nt351", 2), ("nt40", 2), ("win95", 920)]
@@ -519,6 +601,32 @@ class TestExactWork:
         assert system.machine.clock.ticks - ticks == 1000
         assert records == runs[False][1]
         assert sim.events_executed == runs[False][0].sim.events_executed
+
+    @pytest.mark.parametrize("os_name", PERSONALITIES)
+    def test_ten_idle_seconds_of_a_remote_viewer(self, os_name):
+        """No instrument: the viewer waits on its queue and the server
+        idles, so the jump crosses every tick, housekeeping DPC, idle
+        background and frame tick."""
+        runs = {}
+        for fast_forward in (True, False):
+            with fast_forward_scope(fast_forward):
+                system = _idle_viewer(os_name)
+            sim, kernel = system.sim, system.kernel
+            ticks = system.machine.clock.ticks
+            run = sim.events_executed - sim.events_fast_forwarded
+            crossed = kernel.ticks_crossed
+            system.run_for(ns_from_ms(10_000))
+            outside = sim.events_executed - sim.events_fast_forwarded - run
+            crossed = kernel.ticks_crossed - crossed
+            runs[fast_forward] = (system, outside, crossed, _pending(sim))
+        system, outside, crossed, pending = runs[True]
+        # Outside the jump: the ISR return of the tick that ended the
+        # warm-up, and the tick on the horizon (its ISR return is past it).
+        assert outside == 2
+        assert system.machine.clock.ticks - ticks == 1000
+        assert crossed == 999
+        assert pending == runs[False][3]
+        assert system.sim.events_executed == runs[False][0].sim.events_executed
 
 
 class TestJumpDiagnostics:
@@ -545,50 +653,64 @@ class TestJumpDiagnostics:
     @pytest.mark.parametrize("os_name", PERSONALITIES)
     def test_every_call_is_a_stop_or_a_decline(self, monkeypatch, os_name):
         """``jump_stops`` and ``jump_declines`` account for every call
-        of the jump, each exactly once."""
+        of either jump, each exactly once: the instrumented one in an
+        editor session, the one without the instrument in a remote
+        session."""
         from repro.fleet.population import SessionSpec
         from repro.fleet.session import run_session
 
         kernels, calls = [], []
-        init, attempt = Kernel.__init__, Kernel._try_fast_forward
+        init = Kernel.__init__
 
         def spy_init(self, *args, **kwargs):
             init(self, *args, **kwargs)
             kernels.append(self)
 
-        def spy_attempt(self, *args, **kwargs):
-            calls.append(self)
-            return attempt(self, *args, **kwargs)
-
         monkeypatch.setattr(Kernel, "__init__", spy_init)
-        monkeypatch.setattr(Kernel, "_try_fast_forward", spy_attempt)
-        spec = SessionSpec(
-            index=0,
-            seed=5,
-            os_name=os_name,
-            profile="editor",
-            scenario=None,
-            wpm=40.0,
-            jitter=0.2,
-            think_mean_s=1.0,
-            chars=10,
-        )
-        run_session(spec)
-        (kernel,) = kernels
-        stops = sum(kernel.jump_stops.values())
-        declines = sum(kernel.jump_declines.values())
-        assert stops + declines == len(calls)
-        assert kernel.jump_declines["futile retry"] > 0
-        assert set(kernel.jump_declines) <= {
-            "futile retry",
-            "DPC queued",
-            "Win95 spin",
-            "not the running idle thread",
-            "CPU busy",
-            "ready thread",
-            "no buffer space",
-            "zero-length segment",
-        }
+        for name in ("_try_fast_forward", "_try_quiescent_jump"):
+            attempt = getattr(Kernel, name)
+
+            def spy_attempt(self, *args, _attempt=attempt, **kwargs):
+                calls.append(self)
+                return _attempt(self, *args, **kwargs)
+
+            monkeypatch.setattr(Kernel, name, spy_attempt)
+        for profile in ("editor", "remote"):
+            spec = SessionSpec(
+                index=0,
+                seed=5,
+                os_name=os_name,
+                profile=profile,
+                scenario=None,
+                wpm=40.0,
+                jitter=0.2,
+                think_mean_s=1.0,
+                chars=10,
+            )
+            run_session(spec)
+        editor, remote = kernels
+        for kernel in kernels:
+            stops = sum(kernel.jump_stops.values())
+            declines = sum(kernel.jump_declines.values())
+            assert stops + declines == calls.count(kernel)
+            assert set(kernel.jump_declines) <= {
+                "futile retry",
+                "DPC queued",
+                "Win95 spin",
+                "not the running idle thread",
+                "CPU busy",
+                "ready thread",
+                "no buffer space",
+                "zero-length segment",
+                "periodic entry busy",
+                "observer attached",
+                "until/max_events run",
+                "horizon before the next tick",
+                "timer armed",
+            }
+        assert editor.jump_declines["futile retry"] > 0
+        assert remote.jump_declines["periodic entry busy"] > 0
+        assert remote.ticks_crossed > 0
 
 
 class TestObservability:

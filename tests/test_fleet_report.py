@@ -216,3 +216,51 @@ def test_ext_fleet_experiment_checks_pass_small():
     )
     assert all(row["rel_err"] <= row["bound"] + 1e-9 for row in data["accuracy"])
     assert data["capacity"], "capacity plan must not be empty"
+
+
+def test_ext_fleet_payload_is_a_function_of_code_and_seed():
+    """Host wall time travels beside the payload, so two runs of the
+    same code and seed archive the same bytes."""
+    from repro.core.serialize import experiment_to_dict
+    from repro.experiments import run_experiment
+    from repro.verify.golden import payload_digest
+
+    runs = [
+        run_experiment("ext-fleet", seed=0, sessions=8, sub_sessions=6)
+        for _ in range(2)
+    ]
+    digests = [payload_digest(experiment_to_dict(run)) for run in runs]
+    assert digests[0] == digests[1]
+    fleet = runs[0].data["fleet"]
+    assert "makespan_s" not in fleet and "shard_utilization" not in fleet
+    assert all("wall_s" not in batch for batch in fleet["batches"])
+    assert "repro_fleet_makespan_seconds" not in fleet["metrics"]["gauges"]
+    assert set(runs[0].host) == {"makespan_s", "shard_utilization"}
+
+
+def test_host_timing_reaches_the_manifest_stats_and_report(
+    tmp_path, capsys, fleet, fleet_section
+):
+    from repro.experiments.parallel import JobResult
+    from repro.experiments.runner import _entry_from_job
+    from repro.experiments.stats import render_stats
+    from repro.fleet.report import fleet_timing
+
+    timing = fleet_timing(fleet)
+    job = JobResult(
+        experiment_id="ext-fleet",
+        seed=0,
+        payload={"id": "ext-fleet", "data": {"fleet": fleet_section}},
+        host=timing,
+    )
+    entry = _entry_from_job(job, saved="ext-fleet-seed0.json")
+    assert entry["fleet"]["makespan_s"] == timing["makespan_s"]
+    assert entry["fleet"]["shard_utilization"] == timing["shard_utilization"]
+    utilization = f"shard utilization {timing['shard_utilization']:.1%}"
+    manifest = {"experiments": [entry], "jobs": 1, "code_version": "deadbeef"}
+    assert utilization in render_stats(manifest)
+    save_json(job.payload, tmp_path / "ext-fleet-seed0.json")
+    save_json(dict(manifest, kind="run-manifest"), tmp_path / "manifest.json")
+    assert fleet_report_main([str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert f"makespan {timing['makespan_s']:.2f}s, {utilization}" in out
