@@ -48,7 +48,8 @@ __all__ = [
 #: cheap readers of the idle trace's every record or its slices
 #: (fig3's per-sample utilization, sec25's record hook over jumped
 #: runs, and the sliced session traces of ext-decompose and
-#: ext-refresh).
+#: ext-refresh), and fig9, whose OLE edits keep a thread busy across
+#: thousands of clock ticks under ``run_until_quiescent``.
 GOLDEN_SET: Tuple[Tuple[str, int], ...] = (
     ("fig1", 0),
     ("fig2", 0),
@@ -64,6 +65,7 @@ GOLDEN_SET: Tuple[Tuple[str, int], ...] = (
     ("sec25", 0),
     ("ext-decompose", 0),
     ("ext-refresh", 0),
+    ("fig9", 0),
 )
 
 _FORMAT_VERSION = 1
