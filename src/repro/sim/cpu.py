@@ -110,6 +110,31 @@ class CPU:
         self._completion_ns = now + duration
         self._completion_seq = sim.schedule_kind(duration, self._complete_hid)
 
+    def withdraw(self) -> None:
+        """Cancel the in-flight segment's completion entry, ahead of a
+        jump that re-keys it with :meth:`restart`."""
+        self.sim.cancel_kind(self._completion_seq)
+
+    def restart(self, work: Work, seq: int) -> None:
+        """Run ``work`` for the in-flight context from now, leaving the
+        state :meth:`start` would.
+
+        The kernel's busy jump crosses a segment's preemptions in closed
+        form, where the slow path cancels and re-schedules the
+        completion entry on every one: the jump places it once, at
+        ``seq``, the key of the slow path's last start.
+        """
+        sim = self.sim
+        now = sim._now
+        duration = (work.cycles * NS_PER_SEC) // self.hz
+        self._work = work
+        self._start_ns = now
+        self._stolen_ns = 0
+        self._duration_ns = duration
+        self._completion_ns = now + duration
+        self._completion_seq = seq
+        sim.place_kind(now + duration, seq, self._complete_hid)
+
     def _executed_ns(self) -> int:
         """Nanoseconds of actual progress on the current segment."""
         elapsed = self.sim.now - self._start_ns

@@ -54,14 +54,18 @@ to stay bit-identical to ordinary execution.  A :class:`Periodic` is a
 kind entry that re-arms itself on a fixed period (the clock tick, the
 Win95 idle background, the remote server's frame tick) and keeps its
 ``(time, seq)`` key.  :meth:`Simulator.jump_window` says how far a jump
-may go: strictly before the next live entry other than the periodic
-ones the caller crosses in closed form, and no further than the run
-horizon; a run with an ``until`` predicate, a ``max_events`` bound or a
-stop request narrows or forbids it.  :meth:`Simulator.fast_forward`
+may go: strictly before the next live entry other than the ones the
+caller crosses or re-keys in closed form, and no further than the run
+horizon; a ``max_events`` bound or a stop request forbids it.  The
+active run's ``until`` predicate is :attr:`Simulator.until`: the
+kernel, which owns the predicate it recognises, decides whether a jump
+may cross periodic entries under it.  :meth:`Simulator.fast_forward`
 then advances the clock *and* the sequence/executed counters exactly as
 executing the crossed events one by one would have, pops the periodic
 entries it crossed and re-arms each at the ``(time, seq)`` key the slow
-path would have given its successor.
+path would have given its successor; :meth:`Simulator.place_kind` puts
+an entry the jump re-keyed rather than crossed (the CPU's segment
+completion) at its reserved key.
 """
 
 from __future__ import annotations
@@ -197,7 +201,7 @@ class Simulator:
         "_stop_requested",
         "_horizon",
         "_ff_allowed",
-        "_until_active",
+        "_until",
         "_cancelled",
         "_handler_fns",
         "_kind_cancelled",
@@ -225,10 +229,8 @@ class Simulator:
         #: False while a ``max_events``-bounded run is active — fast
         #: forward would execute segments the bound should count.
         self._ff_allowed = True
-        #: True while an ``until``-predicate run is active — the slow
-        #: path re-checks the predicate after every event, so a jump may
-        #: not cross the periodic entries (see :meth:`jump_window`).
-        self._until_active = False
+        #: The active run's ``until`` predicate, or None (see :attr:`until`).
+        self._until: Optional[Callable[[], bool]] = None
         #: Cancelled ScheduledEvent entries still on the calendar (lazy
         #: deletion; the slot entry counts here too).
         self._cancelled = 0
@@ -592,41 +594,37 @@ class Simulator:
         return self._horizon
 
     @property
-    def periodic_crossable(self) -> bool:
-        """False while the active run forbids crossing periodic entries:
-        under an ``until`` predicate or a ``max_events`` bound (see
-        :meth:`jump_window`)."""
-        return self._ff_allowed and not self._until_active
+    def until(self) -> Optional[Callable[[], bool]]:
+        """The active run's ``until`` predicate: None outside a run and
+        in a run without one.  The slow path tests it after every event,
+        so a jump may cross events only where the test cannot change."""
+        return self._until
 
     def jump_window(self, periodic: Collection[int] = ()) -> Tuple[Optional[int], str]:
         """The latest instant a fast-forward jump may reach, and what sets it.
 
         A jump must end strictly before the earliest live entry other
         than the kind entries whose seqs are in ``periodic`` (the caller
-        crosses those in closed form and re-keys them through
-        :meth:`fast_forward`), and at or before the active run horizon
-        (the slow path executes events at the horizon itself).  Returns
-        ``(limit_ns, reason)``, where ``reason`` names the nearer bound:
-        ``"next event"`` or ``"horizon"``.  Under a run with an ``until``
-        predicate, which re-checks it after every event, the periodic
-        entries bound the jump like any other, and when one of them is
-        the nearer bound the reason is ``"until/max_events run"``.
-        ``limit_ns`` is None when no jump is allowed at all: under a
-        ``max_events`` run (skipped events would count against the
-        bound), after a stop request, or when nothing bounds the jump
-        (empty calendar, no horizon).
+        crosses those in closed form, or re-keys them, through
+        :meth:`fast_forward` and :meth:`place_kind`), and at or before
+        the active run horizon (the slow path executes events at the
+        horizon itself).  Returns ``(limit_ns, reason)``, where
+        ``reason`` names the nearer bound: ``"next event"`` or
+        ``"horizon"``.  ``limit_ns`` is None when no jump is allowed at
+        all: under a ``max_events`` run (skipped events would count
+        against the bound), after a stop request, or when nothing bounds
+        the jump (empty calendar, no horizon).
         """
         if not self._ff_allowed:
-            return None, "until/max_events run"
+            return None, "max_events run"
         if self._stop_requested:
             return None, "stop requested"
-        skip = () if self._until_active else periodic
         self._discard_cancelled()
         kc = self._kind_cancelled
         event_cls = ScheduledEvent
         nearest = None
         nxt = self._next
-        if nxt is not None and nxt[1] not in skip:
+        if nxt is not None and nxt[1] not in periodic:
             nearest = nxt
         else:
             # Walk the heap from the root, descending only through
@@ -645,7 +643,7 @@ class Simulator:
                     dead = payload.cancelled
                 else:
                     dead = entry[1] in kc
-                if dead or entry[1] in skip:
+                if dead or entry[1] in periodic:
                     child = 2 * index + 1
                     if child < size:
                         stack.append(child)
@@ -661,8 +659,6 @@ class Simulator:
         limit = nearest[0] - 1
         if horizon is not None and horizon <= limit:
             return horizon, "horizon"
-        if nearest[1] in periodic:
-            return limit, "until/max_events run"
         return limit, "next event"
 
     def fast_forward(
@@ -754,6 +750,18 @@ class Simulator:
         for entry in successors:
             self._insert(entry)
 
+    def place_kind(self, time_ns: int, seq: int, hid: int) -> None:
+        """Schedule handler ``hid`` at a key a jump reserved.
+
+        ``seq`` must lie below :attr:`next_seq` (inside the sequence
+        range a :meth:`fast_forward` consumed) and ``time_ns`` must not
+        lie in the past: the entry gets the exact ``(time, seq)`` key
+        the slow path's last schedule of it would have.
+        """
+        if time_ns < self._now or seq >= self._seq:
+            raise SimulationError(f"cannot place entry at ({time_ns}, {seq})")
+        self._insert((time_ns, seq, hid))
+
     def _insert(self, entry: tuple) -> None:
         """Place an entry with a preassigned key on the calendar."""
         queue = self._queue
@@ -797,7 +805,7 @@ class Simulator:
         self._stop_requested = False
         self._horizon = until_ns
         self._ff_allowed = max_events is None
-        self._until_active = until is not None
+        self._until = until
         executed = 0
         heap_done = 0  # deferred events_executed increments, flushed below
         # The hot loop: local bindings, no per-event peek indirection.  The
@@ -870,5 +878,5 @@ class Simulator:
             self._running = False
             self._horizon = None
             self._ff_allowed = True
-            self._until_active = False
+            self._until = None
         return self._now

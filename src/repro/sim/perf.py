@@ -94,9 +94,24 @@ class PerfCounters:
                     else:
                         self.charge(event, count)
             return
+        # charge() inlined: a preemption's split charges every event
+        # kind of its segment, once per preemption, with the same
+        # float operations in the same order.
+        tally = self._tally
+        residual = self._residual
         for event, count in events.items():
             if count:
-                self.charge(event, count * fraction)
+                scaled = count * fraction
+                whole = int(scaled)
+                frac = scaled - whole
+                tally[event] += whole
+                if frac:
+                    left = residual[event] + frac
+                    if left >= 1.0:
+                        spill = int(left)
+                        tally[event] += spill
+                        left -= spill
+                    residual[event] = left
 
     def charge_events_whole(self, events: Dict[HwEvent, int], times: int = 1) -> None:
         """Charge integer event annotations ``times`` times over, exactly.

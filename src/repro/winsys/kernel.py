@@ -31,6 +31,7 @@ from ..sim.devices.keyboard import KeyEvent
 from ..sim.devices.mouse import MouseEvent
 from ..sim.engine import Periodic, fast_forward_default
 from ..sim.machine import Machine
+from ..sim.timebase import NS_PER_SEC
 from ..sim.work import Work
 from .filesystem import BufferCache, FileSystem
 from .gdi import GdiBatch
@@ -146,13 +147,15 @@ class Kernel:
         self.fast_forward_segments = 0
         self.ticks_crossed = 0
         #: Why each jump stopped, or declined to cross a tick (see
-        #: :meth:`_try_fast_forward` and :meth:`_try_quiescent_jump`).
-        #: Diagnostics only: no digest includes it.
+        #: :meth:`_try_fast_forward`, :meth:`_try_quiescent_jump` and
+        #: :meth:`_try_busy_jump`).  Diagnostics only: no digest
+        #: includes it.
         self.jump_stops: Counter = Counter()
         #: Why each call that took no jump at all declined before
-        #: looking at the calendar (see :meth:`_decline_reason` and
-        #: :meth:`_try_quiescent_jump`).  With ``jump_stops`` it
-        #: accounts for every call of either jump.  Diagnostics only.
+        #: looking at the calendar (see :meth:`_decline_reason`,
+        #: :meth:`_try_quiescent_jump` and :meth:`_try_busy_jump`).  With
+        #: ``jump_stops`` it accounts for every call of the three jumps.
+        #: Diagnostics only.
         self.jump_declines: Counter = Counter()
         #: Engine ``next_seq`` where the last jump stopped.  The
         #: instrument yields again at once, and until something is
@@ -170,19 +173,26 @@ class Kernel:
         # occurrence (docs/performance.md, "inner loop").
         self._dispatch_hid = self.sim.register_handler(self._dispatch)
         #: The Windows 95 idle background, armed at boot when the
-        #: personality has one; the quiescent jumps cross and re-key it
-        #: like a tick.
+        #: personality has one; the jumps cross and re-key it like a
+        #: tick.
         self._idle_bg = Periodic(
             self.sim,
             self._idle_background_tick,
             personality.idle_background_period_ns,
         )
-        #: Durations of the clock ISR, the housekeeping DPC and the idle
-        #: background DPC, for the jump without the instrument.
+        #: Durations of the clock ISR, the tick DPC, the housekeeping DPC
+        #: and the idle background DPC, for the jumps that cross them
+        #: without the instrument.
         self._chain_ns = (
             self.cpu.duration_ns(personality.clock_isr_work),
+            self.cpu.duration_ns(personality.tick_dpc_work),
             self.cpu.duration_ns(personality.housekeeping_work),
             self.cpu.duration_ns(personality.idle_background_work),
+        )
+        #: The fewest cycles a segment needs to last one tick period: the
+        #: busy jump declines every shorter segment at once.
+        self._tick_cycles = -(
+            -machine.clock.period_ns * self.cpu.hz // NS_PER_SEC
         )
         #: Other components' periodic entries that touch nothing on this
         #: machine while their ``idle`` holds (the remote server's frame
@@ -340,6 +350,8 @@ class Kernel:
             work = thread.pending_work
             thread.pending_work = None
             self.cpu.start(work, thread, self._work_done)
+            if self.fast_forward and thread.priority > IDLE_PRIORITY:
+                self._try_busy_jump(thread, work)
             return
         resume = thread.resume_value
         thread.resume_value = None
@@ -410,6 +422,8 @@ class Kernel:
             thread.pending_action = outcome[2]
             thread.pending_action_arg = outcome[3]
             self.cpu.start(outcome[1], thread, self._work_done)
+            if self.fast_forward and thread.priority > IDLE_PRIORITY:
+                self._try_busy_jump(thread, outcome[1])
             return
 
     def _finish_thread(self, thread: SimThread) -> None:
@@ -427,6 +441,49 @@ class Kernel:
         thread.quantum_ticks_used = 0  # fresh quantum after blocking
         self.scheduler.make_ready(thread)
         self._request_dispatch()
+
+    def quiescent(self) -> bool:
+        """No thread above idle priority running or ready, no DPC queued
+        or running, no Win95 spin, no timer armed, no pending I/O and no
+        message queued for a thread above idle priority.
+
+        ``WindowsSystem.run_until_quiescent`` runs the calendar with this
+        test as its ``until`` predicate, which the jumps recognise (see
+        :meth:`_until_hold`).
+        """
+        if self._dpc_queue or self._spin_active or self._active_dpc or self._timers:
+            return False
+        running = self.running
+        if running is not None and (
+            not isinstance(running, SimThread) or running.priority > IDLE_PRIORITY
+        ):
+            return False
+        top = self.scheduler.top_priority()
+        if (top is not None and top > IDLE_PRIORITY) or self.iomgr.pending_ops:
+            return False
+        for thread in self.threads:
+            if thread.priority > IDLE_PRIORITY and len(thread.queue) and not thread.done:
+                return False
+        return True
+
+    def _until_hold(self) -> Optional[str]:
+        """Why the active run's ``until`` predicate forbids a jump to
+        cross periodic entries, or None when it does not.
+
+        The slow path tests the predicate after every event.  When it
+        is the kernel's own test, :meth:`quiescent`, and the test is
+        False at the jump's start, it is False because of a busy
+        thread, a DPC queued or running, pending I/O, or messages queued
+        for a blocked thread (an armed timer holds every jump anyway).
+        No crossed tick, DPC or idle background changes any of these,
+        so the test stays False through the jump and the run stops at
+        the slow path's event.  Any other predicate, or the test True,
+        holds.
+        """
+        until = self.sim.until
+        if until is None or (until == self.quiescent and not self.quiescent()):
+            return None
+        return "until run"
 
     # ------------------------------------------------------------------
     # Syscall execution
@@ -582,10 +639,11 @@ class Kernel:
         two periodic events in one segment's span).  It crosses no
         periodic event at all — the zero-tick batch — when a live tracer
         or metrics registry is attached, the issuer reads state at each
-        record (``tickless`` is False), the run has an ``until``
-        predicate, or an application timer is armed.  ``jump_stops``
-        counts why each jump stopped, and ``jump_declines`` why a call
-        declined before the window was asked for.
+        record (``tickless`` is False), an application timer is armed,
+        or the run's ``until`` predicate holds it (:meth:`_until_hold`).
+        ``jump_stops`` counts why each jump stopped, and
+        ``jump_declines`` why a call declined before the window was
+        asked for.
 
         The crossed events are accounted exactly: executed and sequence
         counters (a plain tick costs 3 events and 4 sequence numbers
@@ -636,7 +694,7 @@ class Kernel:
         elif self._timers:
             hold = "timer armed"
         else:
-            hold = None
+            hold = self._until_hold()
         period = clock.period_ns
         isr_ns = cpu.duration_ns(personality.clock_isr_work)
         ticks = clock.ticks
@@ -774,16 +832,12 @@ class Kernel:
             whole += completes
             if dpc is not None:
                 if preempts:
-                    cpu.charge_split(work, fraction, executed)
+                    self._cross_dpc_turn(thread, work, fraction, executed)
                     cpu.credit(rest)
-                    self.context_switches += 1
+                else:
+                    self._cross_dpc_turn(thread)
                 cpu.credit(dpc)
                 self.dpcs_run += 1
-                thread.dispatches += 1
-                # Requeued at the front (replaying any requeue-jitter
-                # draw), then dispatched once the DPC retires.
-                self.scheduler.make_ready(thread, front=True)
-                self.scheduler.pick()
             events += n_events
             seqs += n_seqs
             if ramp_count:
@@ -815,6 +869,30 @@ class Kernel:
             self.obs.fast_forward(records, t - now)
         return ramps
 
+    def _cross_dpc_turn(
+        self,
+        thread: SimThread,
+        work: Optional[Work] = None,
+        fraction: float = 0.0,
+        executed_ns: int = 0,
+    ) -> None:
+        """Account, without the calendar, one turn in which DPCs take
+        the processor from ``thread`` and a dispatch hands it back.
+
+        When the DPCs preempted the thread (``work`` given), the executed
+        part of ``work`` is charged as :meth:`CPU.preempt` charges it,
+        through the fractional residual, and the preemption counts a
+        context switch.  The residual is order-dependent, so each turn is
+        charged in the calendar's order.  The thread is then requeued at
+        the front, replaying any requeue-jitter draw, and dispatched.
+        """
+        if work is not None:
+            self.cpu.charge_split(work, fraction, executed_ns)
+            self.context_switches += 1
+        thread.dispatches += 1
+        self.scheduler.make_ready(thread, front=True)
+        self.scheduler.pick()
+
     def _decline_reason(self, thread: SimThread, space: int) -> str:
         """The first precondition of :meth:`_try_fast_forward` that
         failed, in the order it tests them."""
@@ -843,11 +921,11 @@ class Kernel:
         here, so the dispatch alone would miss its windows).  It
         declines, before any heap walk, while another component's
         :attr:`periodic` entry is busy, when a live tracer or metrics
-        registry is attached, the run has an ``until`` predicate or a
-        ``max_events`` bound, the horizon comes before the next tick,
-        nothing was scheduled since the last jump stopped, or the
-        machine is not quiescent: the CPU busy, a DPC queued, a thread
-        ready or an application timer armed.
+        registry is attached, the horizon comes before the next tick,
+        nothing was scheduled since the last jump stopped, the machine
+        is not quiescent (the CPU busy, a DPC queued, a thread ready or
+        an application timer armed), or the run's ``until`` predicate
+        holds it (:meth:`_until_hold`).
 
         Otherwise it merges the clock tick (with its housekeeping DPC),
         the Win95 idle background and the idle :attr:`periodic` entries
@@ -876,8 +954,6 @@ class Kernel:
         horizon = sim.horizon
         if self.obs is not None:
             reason = "observer attached"
-        elif not sim.periodic_crossable:
-            reason = "until/max_events run"
         elif horizon is not None and horizon < tick[0]:
             reason = "horizon before the next tick"
         elif sim.next_seq == self._jump_stopped_at:
@@ -891,7 +967,7 @@ class Kernel:
         elif self._timers:
             reason = "timer armed"
         else:
-            reason = None
+            reason = self._until_hold()
         if reason is not None:
             self.jump_declines[reason] += 1
             return
@@ -906,7 +982,7 @@ class Kernel:
         if limit is None:
             self.jump_stops[bound] += 1
             return
-        isr_ns, housekeeping_ns, bg_ns = self._chain_ns
+        isr_ns, _dpc_ns, housekeeping_ns, bg_ns = self._chain_ns
         every = self.personality.housekeeping_period_ticks
         period = clock.period_ns
         ticks = number = clock.ticks
@@ -1021,6 +1097,182 @@ class Kernel:
             cpu.credit(self.personality.idle_background_work, background)
         self.dpcs_run += housekeeping + background
         self.ticks_crossed += number - ticks
+
+    def _try_busy_jump(self, thread: SimThread, work: Work) -> None:
+        """Cross the clock ticks that preempt a long compute segment in
+        closed form (``docs/performance.md`` §1, "The jump for a busy
+        thread").
+
+        Tried as the last act of the event in which ``thread``, above
+        idle priority, starts or resumes ``work`` on the CPU.  It
+        declines at once when ``work`` lasts less than one tick period,
+        and before any heap walk when a live tracer or metrics registry
+        is attached, an application timer is armed, another thread is
+        ready at the thread's priority (its quantum could expire), or
+        the run's ``until`` predicate holds it (:meth:`_until_hold`).
+
+        Otherwise it crosses, in the calendar's ``(time, seq)`` order,
+        each chain of events that preempts the segment and hands it
+        back, and the schedules each chain makes:
+
+        * a clock tick: the tick, its ISR return, the dispatch that
+          preempts the segment for the tick DPC, the DPC's completion
+          and the dispatch that resumes the remainder, 5 events and 7
+          schedules (7 and 9 with the housekeeping DPC);
+        * the Win95 idle background: the event, the dispatch that
+          preempts for its DPC, the DPC's completion and the resuming
+          dispatch, 4 events and 5 schedules;
+        * the idle background with a tick right behind it at the same
+          instant (every 110 ms): the tick's ISR steals before the
+          preemption and returns during the background's DPC, when the
+          thread uses no quantum tick, and the tick DPC runs second, 9
+          events and 11 schedules (11 and 13 with housekeeping).
+
+        Each preemption splits the piece of the segment then running as
+        :meth:`CPU.split` and :meth:`CPU.charge_split` round it, per
+        chain and in order, and replays the requeue and pick
+        (:meth:`_cross_dpc_turn`).  The jump ends right after the
+        dispatch that resumes the remainder: before a chain that would
+        pass the window (the next live entry or the horizon), before an
+        occurrence at or after the remainder's completion, before a
+        split that leaves nothing, and before periodic events that
+        share a span any other way.  It commits through
+        :meth:`_commit_jump`, which re-keys the tick and the idle
+        background; ISR and DPC work is credited whole, and the CPU's
+        completion entry is placed once, at the key of the slow path's
+        last start (:meth:`CPU.restart`).  ``jump_stops`` and
+        ``jump_declines`` count every call.
+        """
+        if work.cycles < self._tick_cycles:
+            self.jump_declines["short segment"] += 1
+            return
+        if self.obs is not None:
+            reason = "observer attached"
+        elif self._timers:
+            reason = "timer armed"
+        elif self.scheduler.top >= thread.priority:
+            reason = "ready thread"
+        else:
+            reason = self._until_hold()
+        if reason is not None:
+            self.jump_declines[reason] += 1
+            return
+        sim = self.sim
+        clock = self.machine.clock
+        bg = self._idle_bg
+        tick = clock.pending
+        background = bg.pending
+        base = sim.next_seq
+        # The segment's completion, which cpu.start just scheduled, is
+        # re-keyed rather than crossed: it does not bound the window.
+        skip = [tick[1], base - 1]
+        if background is not None:
+            skip.append(background[1])
+        limit, bound = sim.jump_window(skip)
+        if limit is None:
+            self.jump_stops[bound] += 1
+            return
+        cpu = self.cpu
+        isr_ns, dpc_ns, housekeeping_ns, bg_ns = self._chain_ns
+        every = self.personality.housekeeping_period_ticks
+        period = clock.period_ns
+        number = clock.ticks
+        now = start = sim.now
+        completes = now + cpu.duration_ns(work)
+        events = seqs = resumed = 0
+        housekeeping = backgrounds = quantum = 0
+        while True:
+            # ``last`` is the offset, among the chain's schedules, of the
+            # remainder's start; ``ticked``, ``used`` and ``ran`` say
+            # whether a tick fires, the thread uses a quantum tick and the
+            # idle background's DPC runs.
+            if background is None or tick < background:
+                # A clock tick: it pushes the completion back, schedules
+                # its ISR return and re-arms; the ISR return requests the
+                # dispatch, which starts the tick DPC; its completion
+                # requests the dispatch that resumes the remainder.
+                at = tick[0]
+                executed = at - start
+                due = not (number + 1) % every
+                end = at + isr_ns + dpc_ns + (housekeeping_ns if due else 0)
+                n_events, last = (7, 8) if due else (5, 6)
+                next_tick, next_bg = (at + period, base + seqs + 2), background
+                ticked = used = 1
+                ran = 0
+            elif background[0] != tick[0]:
+                # The idle background: it requests the dispatch and
+                # re-arms; the dispatch starts its DPC, whose completion
+                # requests the dispatch that resumes the remainder.
+                at = background[0]
+                executed = at - start
+                due = False
+                end = at + bg_ns
+                n_events, last = 4, 4
+                next_tick, next_bg = tick, (at + bg.period_ns, base + seqs + 1)
+                ticked = used = 0
+                ran = 1
+            elif isr_ns < bg_ns:
+                # The idle background with a tick behind it: the tick
+                # fires before the dispatch, so the split leaves out its
+                # stolen ISR, and re-arms with the pair's fifth schedule.
+                at = tick[0]
+                executed = max(0, at - start - isr_ns)
+                due = not (number + 1) % every
+                end = at + bg_ns + dpc_ns + (housekeeping_ns if due else 0)
+                n_events, last = (11, 12) if due else (9, 10)
+                next_tick = (at + period, base + seqs + 4)
+                next_bg = (at + bg.period_ns, base + seqs + 1)
+                ticked = ran = 1
+                used = 0
+            else:
+                reason = "periodic events share a span"
+                break
+            if at >= completes:
+                reason = "segment completes"
+                break
+            if end > limit:
+                reason = bound
+                break
+            if next_tick[0] <= end or (next_bg is not None and next_bg[0] <= end):
+                reason = "periodic events share a span"
+                break
+            fraction, rest = cpu.split(work, executed)
+            if rest is None:
+                reason = "nothing remains"
+                break
+            self._cross_dpc_turn(thread, work, fraction, executed)
+            number += ticked
+            quantum += used
+            housekeeping += due
+            backgrounds += ran
+            events += n_events
+            resumed = seqs + last
+            seqs = resumed + 1
+            tick, background = next_tick, next_bg
+            work, start = rest, end
+            completes = end + cpu.duration_ns(rest)
+        self.jump_stops[reason] += 1
+        if not events:
+            return
+        ticks = number - clock.ticks
+        rekeyed = []
+        if ticks:
+            rekeyed.append((clock, tick))
+        if backgrounds:
+            rekeyed.append((bg, background))
+        cpu.withdraw()
+        self._commit_jump(start - now, events, seqs, rekeyed)
+        cpu.restart(work, base + resumed)
+        personality = self.personality
+        if ticks:
+            cpu.credit(personality.tick_dpc_work, ticks)
+        if housekeeping:
+            cpu.credit(personality.housekeeping_work, housekeeping)
+        if backgrounds:
+            cpu.credit(personality.idle_background_work, backgrounds)
+        self.dpcs_run += ticks + housekeeping + backgrounds
+        self.ticks_crossed += ticks
+        thread.quantum_ticks_used += quantum
 
     def _commit_jump(
         self,

@@ -117,27 +117,9 @@ class WindowsSystem:
         return self.machine.run_for(duration_ns)
 
     def quiescent(self) -> bool:
-        """No non-idle thread runnable, no DPC, no pending I/O, empty queues."""
-        kernel = self.kernel
-        if kernel._dpc_queue or kernel._spin_active or kernel._active_dpc:
-            return False
-        if kernel._timers:
-            return False  # an armed timer means periodic work is coming
-        running = kernel.running
-        if running is not None:
-            if not isinstance(running, SimThread):
-                return False
-            if running.priority > IDLE_PRIORITY:
-                return False
-        top = kernel.scheduler.top_priority()
-        if top is not None and top > IDLE_PRIORITY:
-            return False
-        if kernel.iomgr.pending_ops:
-            return False
-        for thread in kernel.threads:
-            if not thread.done and thread.priority > IDLE_PRIORITY and len(thread.queue):
-                return False
-        return True
+        """No non-idle thread runnable, no DPC, no pending I/O, empty
+        queues (:meth:`Kernel.quiescent`)."""
+        return self.kernel.quiescent()
 
     def run_until_quiescent(
         self,
@@ -157,15 +139,18 @@ class WindowsSystem:
         which quiescence was confirmed.
         """
         deadline = max_ns if max_ns is not None else self.now + 120 * 10**9
+        # The kernel's own test as the predicate: the jumps recognise it
+        # and may cross periodic events while it cannot change.
+        quiescent = self.kernel.quiescent
         while self.now < deadline:
-            if not self.quiescent():
-                self.sim.run(until=self.quiescent, until_ns=deadline)
+            if not quiescent():
+                self.sim.run(until=quiescent, until_ns=deadline)
                 continue
             confirm_until = min(self.now + confirm_ns, deadline)
             held = True
             while self.now < confirm_until:
                 self.run_for(min(confirm_step_ns, confirm_until - self.now))
-                if not self.quiescent():
+                if not quiescent():
                     held = False
                     break
             if held:

@@ -19,8 +19,10 @@ from repro.sim.engine import (
     fast_forward_scope,
 )
 from repro.sim.timebase import ns_from_ms
+from repro.sim.work import HwEvent, Work
 from repro.winsys import boot
 from repro.winsys.kernel import Kernel
+from repro.winsys.syscalls import Compute
 
 PERSONALITIES = ("nt351", "nt40", "win95")
 
@@ -238,19 +240,23 @@ class TestEngineFastForward:
         assert sim.jump_window() == (99, "next event")
         assert sim.jump_window((tick,)) == (999, "next event")
 
-    def test_window_under_until_is_bounded_by_periodic_entries(self):
+    def test_until_reports_the_active_predicate(self):
+        """The kernel decides whether a jump may cross periodic entries
+        under a run's ``until`` predicate; the engine reports it."""
         sim = Simulator()
-        hid = sim.register_handler(lambda: None)
-        tick = sim.schedule_kind(100, hid)
+        assert sim.until is None
         seen = []
-        sim.schedule(10, lambda: seen.append(sim.jump_window((tick,))))
-        sim.run(until=lambda: bool(seen), until_ns=5000)
-        assert seen == [(99, "until/max_events run")]
-        sim.schedule(10, lambda: seen.append(sim.jump_window((tick,))))
-        sim.run(until_ns=5000)
-        # After the tick fired its successor is unknown to the window,
-        # so only the horizon bounds it.
-        assert seen[1] == (5000, "horizon")
+
+        def done():
+            return bool(seen)
+
+        sim.schedule(10, lambda: seen.append(sim.until))
+        sim.run(until=done, until_ns=5000)
+        assert seen == [done]
+        assert sim.until is None
+        sim.schedule(10, lambda: seen.append(sim.until))
+        sim.run()
+        assert seen[1] is None
 
     def test_fast_forward_rekeys_crossed_entries(self):
         sim = Simulator()
@@ -300,6 +306,23 @@ def _pending(sim):
     return sorted(live)
 
 
+def _in_flight(cpu):
+    """The CPU's in-flight segment as ``CPU.start`` and ``CPU.steal``
+    leave it, or None when the CPU is free."""
+    if not cpu.busy:
+        return None
+    work = cpu._work
+    return (
+        work.cycles,
+        dict(work.events),
+        cpu._start_ns,
+        cpu._stolen_ns,
+        cpu._duration_ns,
+        cpu._completion_ns,
+        cpu._completion_seq,
+    )
+
+
 def _machine_state(kernel, instrument):
     """Everything a fast-forward jump must leave exactly as the slow path
     leaves it.  Trace records are compared by count and last value here
@@ -314,6 +337,7 @@ def _machine_state(kernel, instrument):
         "pending": _pending(sim),
         "busy_ns": machine.cpu.busy_ns,
         "cpu_busy": machine.cpu.busy,
+        "in_flight": _in_flight(machine.cpu),
         "tally": dict(machine.perf._tally),
         "residual": dict(machine.perf._residual),
         "ticks": machine.clock.ticks,
@@ -428,6 +452,81 @@ def _typed_run(os_name, keys=8, gap_ms=300.0, tail_ms=1000.0):
         system.run_for(ns_from_ms(tail_ms))
 
     return scenario
+
+
+def _compute(work):
+    yield Compute(work)
+
+
+def _busy_work(cycles):
+    """A segment of ``cycles`` with six hardware event kinds in odd
+    proportions, so every split charges six fractional residuals."""
+    return Work(
+        cycles,
+        events={
+            HwEvent.INSTRUCTIONS: cycles * 2 // 3 + 1,
+            HwEvent.DATA_REFS: cycles // 3 + 7,
+            HwEvent.ITLB_MISS: cycles // 1733,
+            HwEvent.DTLB_MISS: cycles // 611,
+            HwEvent.SEGMENT_LOADS: cycles // 911,
+            HwEvent.UNALIGNED_ACCESS: cycles // 4649,
+        },
+        label="busy",
+    )
+
+
+#: About 2.13 s of computation: some 213 ticks, 38 Win95 idle
+#: backgrounds and 19 of their ties with a tick.
+BUSY_CYCLES = 213_456_789
+
+
+def _busy_run(os_name, chunk_ms=None, scenario=None, instrument=False):
+    """A thread above idle priority computes one long segment from boot,
+    for 2.5 simulated seconds, in one ``run_for`` or in ``chunk_ms``
+    chunks; optionally under a fault scenario or with an idle-loop
+    instrument ready at idle priority.  Returns the injected fault
+    counts: a requeue-jitter draw the jump failed to replay shifts every
+    later demotion."""
+
+    def scenario_run():
+        from repro.faults import FaultInjector, get_scenario
+
+        system = boot(os_name)
+        counts = None
+        if scenario is not None:
+            counts = FaultInjector(system, get_scenario(scenario)).install().counts
+        if instrument:
+            IdleLoopInstrument(system).install()
+        system.spawn("busy", _compute(_busy_work(BUSY_CYCLES)))
+        end = ns_from_ms(2500)
+        step = end if chunk_ms is None else ns_from_ms(chunk_ms)
+        while system.now < end:
+            system.run_for(min(step, end - system.now))
+        return dict(counts) if counts is not None else None
+
+    return scenario_run
+
+
+def _ole_edit(os_name, instrument=False):
+    """fig10's OLE edit: a warmed PowerPoint, then the cold activation
+    and one hot trial, each under ``run_until_quiescent``; optionally
+    with an idle-loop instrument, as fig8 traces PowerPoint."""
+
+    def scenario_run():
+        from repro.experiments.counter_runs import (
+            ole_edit_operation,
+            warmed_powerpoint,
+        )
+
+        system, app, _sampler = warmed_powerpoint(os_name)
+        if instrument:
+            IdleLoopInstrument(system).install()
+        prepare, operation = ole_edit_operation(system, app)
+        for _trial in range(2):
+            prepare()
+            operation()
+
+    return scenario_run
 
 
 class TestTicklessOracle:
@@ -576,6 +675,56 @@ class TestTicklessOracle:
         assert on == off
         assert kernel.ticks_crossed > 0
 
+    @pytest.mark.parametrize(
+        "chunk_ms, scenario, instrument",
+        [(None, None, False), (37.0, None, False), (None, "sched-jitter", False),
+         (None, None, True)],
+        ids=["one-run", "chunks", "sched-jitter", "instrument-ready"],
+    )
+    @pytest.mark.parametrize("os_name", PERSONALITIES)
+    def test_busy_segment(self, pauses, os_name, chunk_ms, scenario, instrument):
+        """A thread above idle priority computes for over 2 s: the busy
+        jump crosses the ticks, housekeeping DPCs and Win95 idle
+        backgrounds that preempt it, whether horizons cut the chain,
+        requeue draws are replayed or an instrument waits at idle
+        priority."""
+        run = _busy_run(os_name, chunk_ms, scenario, instrument)
+        kernel, on, off = _on_and_off(pauses, run)
+        assert on == off
+        assert kernel.ticks_crossed > 150
+        if scenario is not None:
+            assert on["requeue-demotion"] > 0
+
+    @pytest.mark.parametrize("instrument", [False, True], ids=["bare", "instrument"])
+    @pytest.mark.parametrize("os_name", PERSONALITIES)
+    def test_ole_edit(self, pauses, os_name, instrument):
+        """fig10's OLE edit under ``run_until_quiescent``: the busy jump
+        crosses the edit's ticks, and while the cold activation waits on
+        the disk the quiescent jump crosses them, or the instrumented
+        one when an instrument runs."""
+        kernel = _on_and_off(pauses, _ole_edit(os_name, instrument))[0]
+        assert kernel.jump_stops["segment completes"] > 0
+        assert kernel.ticks_crossed > 300
+        if instrument:
+            assert kernel.fast_forward_batches > 0
+
+    @pytest.mark.parametrize("os_name", PERSONALITIES)
+    def test_foreign_until_crosses_no_tick(self, pauses, os_name):
+        """Under an ``until`` predicate that is not the kernel's own
+        test, the slow path's stop cannot be predicted: no jump crosses
+        a periodic event."""
+
+        def scenario():
+            system = boot(os_name)
+            thread = system.spawn("busy", _compute(_busy_work(BUSY_CYCLES)))
+            system.sim.run(until=lambda: thread.done, until_ns=ns_from_ms(2500))
+            return system.now
+
+        kernel, on, off = _on_and_off(pauses, scenario)
+        assert on == off
+        assert kernel.ticks_crossed == 0
+        assert kernel.jump_declines["until run"] > 0
+
 
 class TestExactWork:
     """Ten idle simulated seconds: the events executed outside the jump
@@ -628,6 +777,30 @@ class TestExactWork:
         assert pending == runs[False][3]
         assert system.sim.events_executed == runs[False][0].sim.events_executed
 
+    @pytest.mark.parametrize("os_name", PERSONALITIES)
+    def test_ten_busy_seconds(self, os_name):
+        """A thread above idle priority computes through ten seconds:
+        the busy jump crosses every tick chain, housekeeping DPC and
+        Win95 idle background from the segment's start to the
+        horizon."""
+        runs = {}
+        for fast_forward in (True, False):
+            with fast_forward_scope(fast_forward):
+                system = boot(os_name)
+            system.spawn("busy", _compute(_busy_work(1_213_456_789)))
+            sim, kernel = system.sim, system.kernel
+            run = sim.events_executed - sim.events_fast_forwarded
+            system.run_for(ns_from_ms(10_000))
+            outside = sim.events_executed - sim.events_fast_forwarded - run
+            runs[fast_forward] = (system, outside, _machine_state(kernel, None))
+        system, outside, state = runs[True]
+        # Outside the jump: the dispatch that starts the segment, and the
+        # tick on the horizon (its ISR return is past it).
+        assert outside == 2
+        assert system.machine.clock.ticks == 1000
+        assert system.kernel.ticks_crossed == 999
+        assert state == runs[False][2]
+
 
 class TestJumpDiagnostics:
     def test_idle_nt40_stops_only_at_the_horizon(self):
@@ -653,9 +826,9 @@ class TestJumpDiagnostics:
     @pytest.mark.parametrize("os_name", PERSONALITIES)
     def test_every_call_is_a_stop_or_a_decline(self, monkeypatch, os_name):
         """``jump_stops`` and ``jump_declines`` account for every call
-        of either jump, each exactly once: the instrumented one in an
-        editor session, the one without the instrument in a remote
-        session."""
+        of the three jumps, each exactly once: the instrumented one in
+        an editor session, the one without the instrument in a remote
+        session, and the busy one in fig10's OLE edit."""
         from repro.fleet.population import SessionSpec
         from repro.fleet.session import run_session
 
@@ -667,7 +840,7 @@ class TestJumpDiagnostics:
             kernels.append(self)
 
         monkeypatch.setattr(Kernel, "__init__", spy_init)
-        for name in ("_try_fast_forward", "_try_quiescent_jump"):
+        for name in ("_try_fast_forward", "_try_quiescent_jump", "_try_busy_jump"):
             attempt = getattr(Kernel, name)
 
             def spy_attempt(self, *args, _attempt=attempt, **kwargs):
@@ -688,7 +861,8 @@ class TestJumpDiagnostics:
                 chars=10,
             )
             run_session(spec)
-        editor, remote = kernels
+        _ole_edit(os_name)()
+        editor, remote, busy = kernels
         for kernel in kernels:
             stops = sum(kernel.jump_stops.values())
             declines = sum(kernel.jump_declines.values())
@@ -704,13 +878,16 @@ class TestJumpDiagnostics:
                 "zero-length segment",
                 "periodic entry busy",
                 "observer attached",
-                "until/max_events run",
+                "until run",
                 "horizon before the next tick",
                 "timer armed",
+                "short segment",
             }
         assert editor.jump_declines["futile retry"] > 0
         assert remote.jump_declines["periodic entry busy"] > 0
         assert remote.ticks_crossed > 0
+        assert busy.jump_declines["short segment"] > 0
+        assert busy.jump_stops["segment completes"] > 0
 
 
 class TestObservability:
