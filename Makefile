@@ -55,10 +55,13 @@ experiments:
 # every entry is preserved, with its archive copied next to the new
 # manifest.  Reuse never changes an answer: the experiments that share
 # captures, run in one process, archive byte-identical results to each
-# run alone in its own process.  Last, fig9 and fig10, whose OLE edits
-# keep a thread busy across thousands of clock ticks, archive the same
-# payload digests with fast-forward on and off (--no-fast-forward, the
-# slow path; each with --no-cache, since the cache key omits the flag).
+# run alone in its own process.  Last, fig7, whose Win95 idle traces
+# cross about 1,400 idle backgrounds tied with a clock tick, and fig9
+# and fig10, whose OLE edits keep a thread busy across thousands of
+# clock ticks, archive the same payload digests with fast-forward on and
+# off (--no-fast-forward, the slow path; each with --no-cache, since the
+# cache key omits the flag).  fig7 has no golden record, so this is its
+# only fast/slow check.
 experiments-smoke:
 	rm -rf $(SMOKE_OUT) $(SMOKE_CACHE)
 	$(PYTHON) -m repro.experiments fig1 fig4 --jobs 2 --timeout 300 \
@@ -90,18 +93,19 @@ experiments-smoke:
 			$(SMOKE_OUT)/alone-$$id/$$id-seed0.json || exit 1; \
 	done
 	@echo "capture reuse smoke ok: $(SHARED_CAPTURES) archive the same in one process as alone"
-	$(PYTHON) -m repro.experiments fig9 fig10 --jobs 1 --no-cache \
+	$(PYTHON) -m repro.experiments fig7 fig9 fig10 --jobs 1 --no-cache \
 		--save $(SMOKE_OUT)/busy --checks-only
-	$(PYTHON) -m repro.experiments fig9 fig10 --jobs 1 --no-cache \
+	$(PYTHON) -m repro.experiments fig7 fig9 fig10 --jobs 1 --no-cache \
 		--no-fast-forward --save $(SMOKE_OUT)/busy-slow --checks-only
 	$(PYTHON) -c "\
 	from repro.core.serialize import load_json; \
 	from repro.verify.golden import payload_digest; \
+	ids = ('fig7', 'fig9', 'fig10'); \
 	digest = lambda d, e: payload_digest(load_json('$(SMOKE_OUT)/%s/%s-seed0.json' % (d, e))); \
-	differ = [e for e in ('fig9', 'fig10') if digest('busy', e) != digest('busy-slow', e)]; \
+	differ = [e for e in ids if digest('busy', e) != digest('busy-slow', e)]; \
 	assert not differ, ('the slow path changed the payload digest', differ); \
-	print('busy smoke ok: fig9 %s and fig10 %s on both paths' % \
-	      (digest('busy', 'fig9')[7:23], digest('busy', 'fig10')[7:23]))"
+	print('fast/slow smoke ok on both paths: ' + ', '.join( \
+	      '%s %s' % (e, digest('busy', e)[7:23]) for e in ids))"
 	rm -rf $(SMOKE_OUT) $(SMOKE_CACHE)
 
 # CI gate for the fault-injection subsystem: the tiny 'smoke' plan on

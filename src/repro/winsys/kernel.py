@@ -181,8 +181,7 @@ class Kernel:
             personality.idle_background_period_ns,
         )
         #: Durations of the clock ISR, the tick DPC, the housekeeping DPC
-        #: and the idle background DPC, for the jumps that cross them
-        #: without the instrument.
+        #: and the idle background DPC, for the jumps that cross them.
         self._chain_ns = (
             self.cpu.duration_ns(personality.clock_isr_work),
             self.cpu.duration_ns(personality.tick_dpc_work),
@@ -631,12 +630,14 @@ class Kernel:
         segment is crossed with the elongation, preemption split
         (:meth:`CPU.split`, as a real preemption rounds it) and charges
         the slow path would produce — also when it lands on the
-        segment's end, in the order the calendar runs it.  It ends at a
+        segment's end, in the order the calendar runs it.  The idle
+        background with a tick right behind it at the same instant
+        (every 110 ms) is one chain, :meth:`_tie`'s.  It ends at a
         segment completion, where the slow path resumes the instrument:
         before the next other live event, at the run horizon, at a full
         trace buffer, or before a segment it does not model (a periodic
         event on the segment's start, a preemption that leaves nothing,
-        two periodic events in one segment's span).  It crosses no
+        periodic events whose chains share a span).  It crosses no
         periodic event at all — the zero-tick batch — when a live tracer
         or metrics registry is attached, the issuer reads state at each
         record (``tickless`` is False), an application timer is armed,
@@ -647,11 +648,12 @@ class Kernel:
 
         The crossed events are accounted exactly: executed and sequence
         counters (a plain tick costs 3 events and 4 sequence numbers
-        with its segment, a housekeeping tick 6 and 8), re-keyed tick
-        and idle-background entries, ticks and deliveries, busy time,
-        hardware events and fractional residuals, context switches, DPCs
-        run, the thread's dispatches and quantum ticks, and the
-        scheduler requeue (which replays any requeue-jitter draw).
+        with its segment, a housekeeping tick 6 and 8, a tie 10 and 12),
+        re-keyed tick and idle-background entries, ticks and deliveries,
+        busy time, hardware events and fractional residuals, context
+        switches, DPCs run, the thread's dispatches and quantum ticks (a
+        tied tick returns during a DPC and uses none), and the scheduler
+        requeue (which replays any requeue-jitter draw).
         Returns the records as ``(start, count)`` ramps (see
         :class:`~repro.winsys.syscalls.IdleCompute`), or None when no
         segment completed; ``tests/test_fastforward.py`` compares every
@@ -678,11 +680,12 @@ class Kernel:
             return None
         sim = self.sim
         clock = self.machine.clock
-        personality = self.personality
         bg = self._idle_bg
-        tick_at, tick_seq = clock.pending
-        bg_at, bg_seq = bg.pending or (None, None)
-        limit, bound = sim.jump_window((tick_seq, bg_seq))
+        tick = clock.pending
+        background = bg.pending
+        limit, bound = sim.jump_window(
+            (tick[1],) if background is None else (tick[1], background[1])
+        )
         if limit is None:
             self.jump_stops[bound] += 1
             return None
@@ -696,27 +699,23 @@ class Kernel:
         else:
             hold = self._until_hold()
         period = clock.period_ns
-        isr_ns = cpu.duration_ns(personality.clock_isr_work)
+        isr_ns, _dpc_ns, housekeeping_ns, bg_ns = self._chain_ns
         ticks = clock.ticks
-        housekeeping_every = personality.housekeeping_period_ticks
-        housekeeping = personality.housekeeping_work
-        idle_bg = personality.idle_background_work
-        idle_bg_period = personality.idle_background_period_ns
+        every = self.personality.housekeeping_period_ticks
 
         now = t = sim.now
         base = sim.next_seq
-        events = seqs = crossed = whole = 0
+        events = seqs = crossed = ties = whole = 0
+        housekeeping = backgrounds = 0
         ramps: List[Tuple[int, int]] = []
         ramp_start = ramp_count = 0
-        new_tick = new_bg = None
         while True:
-            if tick_at is not None and (bg_at is None or tick_at <= bg_at):
-                nxt = tick_at
-            else:
-                nxt = bg_at
+            # The next periodic event in the calendar's (time, seq) order.
+            is_tick = background is None or tick < background
+            nxt = tick[0] if is_tick else background[0]
             # Uncontended segments: each completes strictly before the
             # next periodic event and within the window.
-            edge = limit if nxt is None or nxt > limit else nxt - 1
+            edge = limit if nxt > limit else nxt - 1
             k = min((edge - t) // step, space)
             if k > 0:
                 if not ramp_count:
@@ -730,7 +729,7 @@ class Kernel:
             if not space:
                 reason = "buffer full"
                 break
-            if nxt is None or nxt > limit:
+            if nxt > limit:
                 reason = bound
                 break
             if hold is not None:
@@ -740,104 +739,138 @@ class Kernel:
                 reason = "periodic event on a segment edge"
                 break
             # The segment [t, t + step] holds the periodic event at nxt.
-            # Work out the record it leaves and what the crossed events
-            # cost; commit only if nothing else lands in that span.
-            is_tick = nxt == tick_at
-            if is_tick:
-                rearm, other = nxt + period, bg_at
-                number = ticks + crossed + 1
-                dpc = housekeeping if number % housekeeping_every == 0 else None
-                # The tick and its ISR return; the segment's start and the
-                # tick's three schedules (pushed completion, ISR return,
-                # next tick).
-                n_events, n_seqs = 2, 4
-            else:
-                rearm, other, dpc = nxt + idle_bg_period, tick_at, idle_bg
-                # The event; the segment's start, its dispatch request and
-                # its re-arm.
-                n_events, n_seqs = 1, 3
+            # Work out the record it leaves, what the crossed events cost
+            # and the keys they re-arm with; commit only if nothing else
+            # lands in that span.  ``ticked``, ``due`` and ``ran`` say
+            # whether a tick fires, its housekeeping DPC runs and the idle
+            # background's DPC runs; ``preempts`` whether a DPC turn
+            # preempts the segment (None: no DPC runs).
             on_end = nxt == t + step
-            if on_end and step >= rearm - nxt:
-                # Armed after the segment started: the segment completes
-                # first and the event lands on the next one's start.
-                reason = "periodic event on a segment edge"
-                break
+            tie = not is_tick and tick[0] == nxt
             first = rest = None
             executed = 0
-            preempts = dpc is not None
+            fraction = 0.0
             completes = 0  # the segment itself completes whole
-            if dpc is None:
-                # A plain tick: the ISR steals its duration, so the segment
-                # completes that much later (on its end too: the tick was
-                # armed first).
-                record = t + step + isr_ns
-                n_events += 1
-                completes = 1
-            elif not on_end:
-                # The DPC preempts the segment when it is queued (the ISR
-                # return, or the event itself), runs, and the remainder
-                # completes: dispatch, DPC completion, dispatch, remainder
-                # completion; the ISR return's dispatch request, the DPC's
-                # start and completion request, the remainder's start.
-                executed = nxt - t
+            if tie:
+                # The idle background with a tick right behind it at the
+                # same instant (on the segment's end too: both were armed
+                # before it started).  The tick's ISR steals before the
+                # background's dispatch preempts the segment, so the split
+                # leaves the stolen ISR out; the tick DPC and any
+                # housekeeping DPC follow the background's, and the
+                # remainder completes.
+                if isr_ns >= bg_ns:
+                    reason = "periodic events share a span"
+                    break
+                due, resume, n_events, last, next_tick, next_bg = self._tie(
+                    nxt, ticks + crossed + 1, base + seqs + 1
+                )
+                executed = max(0, nxt - t - isr_ns)
                 fraction, rest = cpu.split(work, executed)
                 if rest is None:
-                    # Within half a cycle of the end: nothing remains.
                     reason = "periodic event on a segment edge"
                     break
-                record = (
-                    nxt
-                    + (isr_ns if is_tick else 0)
-                    + cpu.duration_ns(dpc)
-                    + cpu.duration_ns(rest)
-                )
-                n_events += 4
-                n_seqs += 3 + is_tick
-            elif is_tick:
-                # Housekeeping on the segment's end: the segment completes
-                # ISR-late before the ISR return queues the DPC, which then
-                # preempts the next segment before it makes progress.
-                if space < 2:
-                    reason = "buffer full"
-                    break
-                first = t + step + isr_ns
-                completes = 1
-                fraction, rest = cpu.split(work, 0)
-                record = first + cpu.duration_ns(dpc) + cpu.duration_ns(rest)
-                n_events += 5
-                n_seqs += 5
+                record = resume + cpu.duration_ns(rest)
+                # The remainder's completion; the segment's start and the
+                # chain's schedules up to the remainder's start.
+                n_events += 1
+                n_seqs = last + 2
+                ticked = ran = preempts = True
             else:
-                # The idle background on the segment's end: its DPC is
-                # queued first, so the completed segment yields to it and
-                # the record lands when the DPC retires; nothing is
-                # preempted.
-                completes = 1
-                preempts = False
-                record = nxt + cpu.duration_ns(dpc)
-                n_events += 4
-                n_seqs += 2
-            if rearm <= record or (other is not None and other <= record):
-                reason = "periodic events share a segment"
+                if is_tick:
+                    next_tick = (nxt + period, base + seqs + 3)
+                    next_bg = background
+                    due = not (ticks + crossed + 1) % every
+                    ticked, ran = True, False
+                    dpc_ns = housekeeping_ns
+                    # The tick and its ISR return; the segment's start and
+                    # the tick's three schedules (pushed completion, ISR
+                    # return, next tick).
+                    n_events, n_seqs = 2, 4
+                else:
+                    next_tick = tick
+                    next_bg = (nxt + bg.period_ns, base + seqs + 2)
+                    due = ticked = False
+                    ran = True
+                    dpc_ns = bg_ns
+                    # The event; the segment's start, its dispatch request
+                    # and its re-arm.
+                    n_events, n_seqs = 1, 3
+                rearm = (next_tick if is_tick else next_bg)[0]
+                if on_end and step >= rearm - nxt:
+                    # Armed after the segment started: the segment completes
+                    # first and the event lands on the next one's start.
+                    reason = "periodic event on a segment edge"
+                    break
+                preempts = True
+                if is_tick and not due:
+                    # A plain tick: the ISR steals its duration, so the
+                    # segment completes that much later (on its end too: the
+                    # tick was armed first).
+                    record = t + step + isr_ns
+                    n_events += 1
+                    completes = 1
+                    preempts = None
+                elif not on_end:
+                    # The DPC preempts the segment when it is queued (the
+                    # ISR return, or the event itself), runs, and the
+                    # remainder completes: dispatch, DPC completion,
+                    # dispatch, remainder completion; the ISR return's
+                    # dispatch request, the DPC's start and completion
+                    # request, the remainder's start.
+                    executed = nxt - t
+                    fraction, rest = cpu.split(work, executed)
+                    if rest is None:
+                        # Within half a cycle of the end: nothing remains.
+                        reason = "periodic event on a segment edge"
+                        break
+                    record = nxt + (isr_ns if is_tick else 0) + dpc_ns
+                    record += cpu.duration_ns(rest)
+                    n_events += 4
+                    n_seqs += 3 + is_tick
+                elif is_tick:
+                    # Housekeeping on the segment's end: the segment
+                    # completes ISR-late before the ISR return queues the
+                    # DPC, which then preempts the next segment before it
+                    # makes progress.
+                    if space < 2:
+                        reason = "buffer full"
+                        break
+                    first = t + step + isr_ns
+                    completes = 1
+                    fraction, rest = cpu.split(work, 0)
+                    record = first + dpc_ns + cpu.duration_ns(rest)
+                    n_events += 5
+                    n_seqs += 5
+                else:
+                    # The idle background on the segment's end: its DPC is
+                    # queued first, so the completed segment yields to it
+                    # and the record lands when the DPC retires; nothing is
+                    # preempted.
+                    completes = 1
+                    preempts = False
+                    record = nxt + dpc_ns
+                    n_events += 4
+                    n_seqs += 2
+            if next_tick[0] <= record or (
+                next_bg is not None and next_bg[0] <= record
+            ):
+                reason = "periodic events share a span"
                 break
             if record > limit:
                 reason = bound
                 break
-            if is_tick:
-                new_tick = (rearm, base + seqs + 3)
-                tick_at = rearm
-                crossed += 1
-            else:
-                new_bg = (rearm, base + seqs + 2)
-                bg_at = rearm
+            tick, background = next_tick, next_bg
+            crossed += ticked
+            ties += tie
+            housekeeping += due
+            backgrounds += ran
             whole += completes
-            if dpc is not None:
-                if preempts:
-                    self._cross_dpc_turn(thread, work, fraction, executed)
-                    cpu.credit(rest)
-                else:
-                    self._cross_dpc_turn(thread)
-                cpu.credit(dpc)
-                self.dpcs_run += 1
+            if preempts:
+                self._cross_dpc_turn(thread, work, fraction, executed)
+                cpu.credit(rest)
+            elif preempts is not None:
+                self._cross_dpc_turn(thread)
             events += n_events
             seqs += n_seqs
             if ramp_count:
@@ -853,15 +886,17 @@ class Kernel:
             ramps.append((ramp_start, ramp_count))
         if not ramps:
             return None
-        thread.quantum_ticks_used += crossed
+        # The tied ticks return while a DPC runs: no quantum tick.
+        thread.quantum_ticks_used += crossed - ties
         self.ticks_crossed += crossed
         rekeyed = []
-        if new_tick is not None:
-            rekeyed.append((clock, new_tick))
-        if new_bg is not None:
-            rekeyed.append((bg, new_bg))
+        if crossed:
+            rekeyed.append((clock, tick))
+        if backgrounds:
+            rekeyed.append((bg, background))
         self._commit_jump(t - now, events, seqs, rekeyed)
         cpu.credit(work, whole)
+        self._credit_dpcs(ties, housekeeping, backgrounds)
         records = sum(count for _start, count in ramps)
         self.fast_forward_batches += 1
         self.fast_forward_segments += records
@@ -892,6 +927,59 @@ class Kernel:
         thread.dispatches += 1
         self.scheduler.make_ready(thread, front=True)
         self.scheduler.pick()
+
+    def _tie(self, at: int, number: int, first: int):
+        """The chain in which the Win95 idle background at ``at``, with
+        clock tick ``number`` right behind it at the same instant,
+        preempts a thread's segment and hands it back; ``first`` is the
+        seq of the chain's first schedule.  The instrumented jump and
+        the busy jump both cross it.
+
+        The background fires first (armed 55 ms earlier): it requests
+        the dispatch (schedule 0) and re-arms (1).  The tick's ISR
+        steals, pushing the segment's completion back (2), and the tick
+        schedules its ISR return (3) and re-arms (4).  The dispatch
+        preempts the segment and starts the background's DPC (5).  The
+        ISR returns during that DPC, with the thread ready and so using
+        no quantum tick, and queues the tick DPC and its dispatch (6),
+        which finds the DPC running.  The DPC's completion requests the
+        dispatch (7) that starts the tick DPC (8), whose completion
+        requests the next (9).  When the tick is due for housekeeping,
+        that dispatch starts the housekeeping DPC (10), whose completion
+        requests the next (11).  The last dispatch resumes the remainder.
+
+        Returns whether the tick is due for housekeeping, when the
+        resuming dispatch runs, the chain's events up to and including
+        it (9, or 11 with housekeeping), the offset among its schedules
+        of the remainder's start (10, or 12), and the re-armed tick's
+        and background's keys.
+        """
+        _isr_ns, dpc_ns, housekeeping_ns, bg_ns = self._chain_ns
+        due = not number % self.personality.housekeeping_period_ticks
+        resume = at + bg_ns + dpc_ns
+        if due:
+            resume += housekeeping_ns
+        return (
+            due,
+            resume,
+            11 if due else 9,
+            12 if due else 10,
+            (at + self.machine.clock.period_ns, first + 4),
+            (at + self._idle_bg.period_ns, first + 1),
+        )
+
+    def _credit_dpcs(self, ticks: int, housekeeping: int, backgrounds: int) -> None:
+        """Credit whole, and count as run, the tick, housekeeping and
+        idle-background DPCs a jump crossed."""
+        personality = self.personality
+        cpu = self.cpu
+        if ticks:
+            cpu.credit(personality.tick_dpc_work, ticks)
+        if housekeeping:
+            cpu.credit(personality.housekeeping_work, housekeeping)
+        if backgrounds:
+            cpu.credit(personality.idle_background_work, backgrounds)
+        self.dpcs_run += ticks + housekeeping + backgrounds
 
     def _decline_reason(self, thread: SimThread, space: int) -> str:
         """The first precondition of :meth:`_try_fast_forward` that
@@ -1090,12 +1178,7 @@ class Kernel:
         if bg.pending is not None:
             background = (keys[0][0] - bg.pending[0]) // bg.period_ns
         self._commit_jump(end - now, events, events, crossed)
-        cpu = self.cpu
-        if housekeeping:
-            cpu.credit(self.personality.housekeeping_work, housekeeping)
-        if background:
-            cpu.credit(self.personality.idle_background_work, background)
-        self.dpcs_run += housekeeping + background
+        self._credit_dpcs(0, housekeeping, background)
         self.ticks_crossed += number - ticks
 
     def _try_busy_jump(self, thread: SimThread, work: Work) -> None:
@@ -1126,7 +1209,8 @@ class Kernel:
           instant (every 110 ms): the tick's ISR steals before the
           preemption and returns during the background's DPC, when the
           thread uses no quantum tick, and the tick DPC runs second, 9
-          events and 11 schedules (11 and 13 with housekeeping).
+          events and 11 schedules (11 and 13 with housekeeping;
+          :meth:`_tie`).
 
         Each preemption splits the piece of the segment then running as
         :meth:`CPU.split` and :meth:`CPU.charge_split` round it, per
@@ -1214,14 +1298,12 @@ class Kernel:
             elif isr_ns < bg_ns:
                 # The idle background with a tick behind it: the tick
                 # fires before the dispatch, so the split leaves out its
-                # stolen ISR, and re-arms with the pair's fifth schedule.
+                # stolen ISR.
                 at = tick[0]
                 executed = max(0, at - start - isr_ns)
-                due = not (number + 1) % every
-                end = at + bg_ns + dpc_ns + (housekeeping_ns if due else 0)
-                n_events, last = (11, 12) if due else (9, 10)
-                next_tick = (at + period, base + seqs + 4)
-                next_bg = (at + bg.period_ns, base + seqs + 1)
+                due, end, n_events, last, next_tick, next_bg = self._tie(
+                    at, number + 1, base + seqs
+                )
                 ticked = ran = 1
                 used = 0
             else:
@@ -1263,14 +1345,7 @@ class Kernel:
         cpu.withdraw()
         self._commit_jump(start - now, events, seqs, rekeyed)
         cpu.restart(work, base + resumed)
-        personality = self.personality
-        if ticks:
-            cpu.credit(personality.tick_dpc_work, ticks)
-        if housekeeping:
-            cpu.credit(personality.housekeeping_work, housekeeping)
-        if backgrounds:
-            cpu.credit(personality.idle_background_work, backgrounds)
-        self.dpcs_run += ticks + housekeeping + backgrounds
+        self._credit_dpcs(ticks, housekeeping, backgrounds)
         self.ticks_crossed += ticks
         thread.quantum_ticks_used += quantum
 

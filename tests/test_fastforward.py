@@ -412,6 +412,61 @@ def _on_and_off(pauses, scenario):
     return kernel_on, result_on, result_off
 
 
+@pytest.fixture
+def slow_ties(monkeypatch):
+    """The instants at which each booted kernel ran the Win95 idle
+    background tied with a clock tick on the slow path, by kernel."""
+    seen = {}
+    handler = Kernel._idle_background_tick
+
+    def spy(self):
+        if self.machine.clock.pending[0] == self.sim.now:
+            seen.setdefault(self, []).append(self.sim.now)
+        handler(self)
+
+    monkeypatch.setattr(Kernel, "_idle_background_tick", spy)
+    return seen
+
+
+def _ties_crossed(slow_ties, kernel):
+    """The tie instants that the fast run's ``kernel`` crossed in closed
+    form: those the slow run ran and it did not."""
+    (slow,) = [times for other, times in slow_ties.items() if other is not kernel]
+    return sorted(set(slow) - set(slow_ties.get(kernel, ())))
+
+
+#: The Win95 idle background lands on a clock tick every 110 ms; the
+#: tick of every eleventh such tie (1.1 s) is due for housekeeping.
+TIE_NS = ns_from_ms(110)
+#: A pause this long after a crossed tie falls before the next tick, so
+#: it compares the tick and background entries the tie re-armed.
+AFTER_NS = ns_from_ms(5)
+
+
+def _tied_idle_run(horizons_ns, loop_ms=1.0, scenario=None, check=None):
+    """Win95 under the idle-loop instrument, run to each of
+    ``horizons_ns`` in turn (absolute simulated times), optionally
+    under a fault scenario; ``check(system)`` runs after the first
+    horizon.  Returns the trace records and the injected fault counts."""
+
+    def scenario_run():
+        from repro.faults import FaultInjector, get_scenario
+
+        system = boot("win95")
+        counts = None
+        if scenario is not None:
+            counts = FaultInjector(system, get_scenario(scenario)).install().counts
+        instrument = IdleLoopInstrument(system, loop_ms=loop_ms)
+        instrument.install()
+        for index, horizon in enumerate(horizons_ns):
+            system.run_for(horizon - system.now)
+            if index == 0 and check is not None:
+                check(system)
+        return instrument.buffer.records(), dict(counts or {})
+
+    return scenario_run
+
+
 def _idle_run(os_name, loop_ms, chunk_ms, sim_ms=10_000.0):
     def scenario():
         system = boot(os_name)
@@ -660,6 +715,70 @@ class TestTicklessOracle:
         kernel = _on_and_off(pauses, scenario)[0]
         assert kernel.ticks_crossed > 0
 
+    @pytest.mark.parametrize(
+        "offset_ns", [0, 3_000], ids=["on-the-tie", "before-the-isr-return"]
+    )
+    def test_win95_tie_cut_by_the_horizon(self, pauses, slow_ties, offset_ns):
+        """A horizon on a tie's instant, or 3 µs after it, between the
+        tick and its ISR return: the slow path runs the tie's first
+        events there, so the jump stops before the tie, and crosses
+        the ties after it."""
+        run = _tied_idle_run(
+            [2 * TIE_NS + offset_ns, 3 * TIE_NS + AFTER_NS, ns_from_ms(700)]
+        )
+        kernel = _on_and_off(pauses, run)[0]
+        crossed = _ties_crossed(slow_ties, kernel)
+        assert crossed == [count * TIE_NS for count in (1, 3, 4, 5, 6)]
+        assert kernel.jump_stops["horizon"] > 0
+
+    def test_win95_tie_due_for_housekeeping(self, pauses, slow_ties):
+        """The tie at 1.1 s, whose tick is due for housekeeping: the
+        housekeeping DPC runs after the tick DPC."""
+        run = _tied_idle_run([10 * TIE_NS + AFTER_NS, ns_from_ms(1200)])
+        kernel = _on_and_off(pauses, run)[0]
+        assert 10 * TIE_NS in _ties_crossed(slow_ties, kernel)
+
+    def test_win95_tie_under_sched_jitter(self, pauses, slow_ties):
+        """Each tie preempts the instrument once: its requeue draw is
+        replayed."""
+        run = _tied_idle_run(
+            [5 * TIE_NS + AFTER_NS, ns_from_ms(1500)], scenario="sched-jitter"
+        )
+        kernel, on, off = _on_and_off(pauses, run)
+        assert on == off
+        assert on[1]["requeue-demotion"] > 0
+        assert len(_ties_crossed(slow_ties, kernel)) == 13
+
+    def test_win95_tie_in_the_jump_first_segment(self, pauses, slow_ties):
+        """A run ends with the instrument's segment in flight right
+        before a tie, so the next run's first jump holds the tie in its
+        first segment."""
+
+        def in_flight_before_the_tie(system):
+            completes = system.machine.cpu._completion_ns
+            assert completes < 2 * TIE_NS < completes + ns_from_ms(1)
+
+        run = _tied_idle_run(
+            [ns_from_ms(219), 2 * TIE_NS + AFTER_NS, ns_from_ms(300)],
+            check=in_flight_before_the_tie,
+        )
+        kernel = _on_and_off(pauses, run)[0]
+        assert 2 * TIE_NS in _ties_crossed(slow_ties, kernel)
+
+    def test_win95_tie_on_a_segment_end(self, pauses, slow_ties):
+        """A 0.96 ms loop puts a record 0.96 ms before the first tie, so
+        the next segment's uncontended end is the tie's instant.  Both
+        were armed before the segment started, so it is preempted as
+        inside: the split leaves the stolen ISR out and the record lands
+        after the DPCs and the remainder.  (No record lands on a tie's
+        instant: the background runs first and its DPC holds the
+        instrument until it retires.)"""
+        run = _tied_idle_run([TIE_NS + AFTER_NS, ns_from_ms(400)], loop_ms=0.96)
+        kernel, (records, _counts), _off = _on_and_off(pauses, run)
+        assert TIE_NS - ns_from_ms(0.96) in records
+        assert TIE_NS not in records
+        assert TIE_NS in _ties_crossed(slow_ties, kernel)
+
     @pytest.mark.parametrize("os_name", PERSONALITIES)
     def test_run_until_quiescent(self, pauses, os_name):
         def scenario():
@@ -732,7 +851,7 @@ class TestExactWork:
     that stops engaging fails here on any host."""
 
     @pytest.mark.parametrize(
-        "os_name, outside", [("nt351", 2), ("nt40", 2), ("win95", 920)]
+        "os_name, outside", [("nt351", 2), ("nt40", 2), ("win95", 2)]
     )
     def test_ten_idle_seconds(self, os_name, outside):
         runs = {}
@@ -803,8 +922,9 @@ class TestExactWork:
 
 
 class TestJumpDiagnostics:
-    def test_idle_nt40_stops_only_at_the_horizon(self):
-        system = boot("nt40")
+    @pytest.mark.parametrize("os_name", PERSONALITIES)
+    def test_idle_stops_only_at_the_horizon(self, os_name):
+        system = boot(os_name)
         IdleLoopInstrument(system).install()
         system.run_for(ns_from_ms(10_000))
         kernel = system.kernel
