@@ -14,6 +14,7 @@ The envelope layer's contract (see ``docs/stage-envelopes.md``):
   merge order and shard shape.
 """
 
+import hashlib
 import json
 import re
 
@@ -22,6 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.notepad import NotepadApp
+import repro.obs.envelope as envelope_module
+from repro.experiments.registry import run_experiment
 from repro.obs import (
     STAGES,
     EnvelopeConfig,
@@ -151,17 +154,19 @@ def _autosaving_editor():
     _run_local_session(spec)
 
 
-@pytest.mark.parametrize(
-    "case",
-    [
-        {"os_name": "nt351"},
-        {"os_name": "nt40"},
-        {"os_name": "win95"},
-        {"run": _remote_session},
-        {"run": _autosaving_editor},
-    ],
-    ids=["nt351", "nt40", "win95", "remote", "editor"],
-)
+#: The recorder's five subjects: Notepad typing on each OS, a remote
+#: session over a lossy link, and a fleet editor whose autosave I/O
+#: overlaps handler stages.
+CASES = {
+    "nt351": {"os_name": "nt351"},
+    "nt40": {"os_name": "nt40"},
+    "win95": {"os_name": "win95"},
+    "remote": {"run": _remote_session},
+    "editor": {"run": _autosaving_editor},
+}
+
+
+@pytest.mark.parametrize("case", list(CASES.values()), ids=list(CASES))
 def test_recorder_sees_the_same_crossings_whoever_else_listens(case):
     """The recorder and a live tracer and registry each subscribe to the
     queue, sync-I/O and handler-close sites; neither changes what the
@@ -170,6 +175,111 @@ def test_recorder_sees_the_same_crossings_whoever_else_listens(case):
     assert _envelope_bytes(trace=True, metrics=True, **case) == alone
     if case.get("run") is _autosaving_editor:
         assert any(e["io_ns"] > 0 for e in json.loads(alone)[0])
+
+
+# ---------------------------------------------------------------------------
+# Pinned outputs: the recorder's completed envelopes, stage sketches and
+# snapshots, as sha256 prefixes of their canonical JSON.
+# ---------------------------------------------------------------------------
+def _digest(data) -> str:
+    if not isinstance(data, bytes):
+        data = json.dumps(data, sort_keys=True).encode()
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+PINNED_ENVELOPE_BYTES = {
+    "nt351": "29d052ab074346f2",
+    "nt40": "000846fc70a82c2a",
+    "win95": "531ed7f554932dcd",
+    "remote": "7a810265a697554d",
+    "editor": "fdad2b7fb879d545",
+}
+#: fig1 at seed 0 under a 0.1 ms handler budget: the per-group
+#: attribution with its wait sketches, the alerts and the counters.
+PINNED_FIG1_SNAPSHOT = "2c957c6a494a764d"
+#: Notepad on NT 4.0 at sample rate 0.3 (10 of 38 inputs kept):
+#: envelopes and sketches, then the snapshot with its sampled-out count.
+PINNED_SAMPLED = ("3b4b11ee78c344d1", "ebc082691cc14673")
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_envelope_bytes_match_pinned_digest(name):
+    assert _digest(_envelope_bytes(**CASES[name])) == PINNED_ENVELOPE_BYTES[name]
+
+
+def test_fig1_stage_snapshot_matches_pinned_digest():
+    with observed(
+        trace=False, metrics=False, envelopes={"budgets_ms": {"handler": 0.1}}
+    ) as session:
+        run_experiment("fig1", seed=0)
+    snapshot = session.stage_snapshot()
+    assert snapshot["alerts"] and snapshot["attribution"]["groups"]
+    assert _digest(snapshot) == PINNED_FIG1_SNAPSHOT
+
+
+def test_sampled_run_matches_pinned_digests():
+    run = {"text": "the quick brown fox", "envelopes": {"sample_rate": 0.3}}
+    session, _ = _typed_recorders(**run)
+    snapshot = session.stage_snapshot()
+    assert snapshot["started"] and snapshot["sampled_out"]
+    assert (_digest(_envelope_bytes(**run)), _digest(snapshot)) == PINNED_SAMPLED
+
+
+# ---------------------------------------------------------------------------
+# The recorder's three bounds, each with its cap made small
+# ---------------------------------------------------------------------------
+def test_undelivered_inputs_are_evicted_as_abandoned(monkeypatch):
+    """Keystrokes into a system with no foreground thread are never
+    delivered; past the pending cap the oldest is finalized."""
+    monkeypatch.setattr(envelope_module, "_PENDING_CAP", 3)
+    with observed(trace=False, metrics=False) as session:
+        system = boot("nt40", seed=0)
+        system.run_for(ns_from_ms(50))
+        for char in "abcd":
+            system.machine.keyboard.keystroke(char)
+            system.run_for(ns_from_ms(100))
+    (recorder,) = session.envelope_recorders
+    assert recorder.started == 8
+    assert recorder.finished == 8 - 3
+    completed = recorder.completed
+    assert [e.outcome for e in completed] == ["abandoned"] * 5
+    assert [e.seq for e in completed] == [0, 1, 2, 3, 4]
+    for envelope in completed:
+        # Dispatched by the ISR, then never picked up by a thread.
+        assert list(envelope.stage_ns) == ["input", "dispatch"]
+        assert sum(envelope.stage_ns.values()) == (
+            envelope.done_ns - envelope.inject_ns
+        )
+    assert session.stage_snapshot()["completed"] == 5
+
+
+def test_completed_keeps_the_first_envelopes(monkeypatch):
+    _, (full,) = _typed_recorders()
+    monkeypatch.setattr(envelope_module, "_COMPLETED_CAP", 3)
+    session, (capped,) = _typed_recorders()
+    assert full.finished == capped.finished > 3
+    assert [e.to_dict() for e in capped.completed] == [
+        e.to_dict() for e in full.completed[:3]
+    ]
+    # Sketches and counters still count every finalized envelope.
+    sketches = capped.attribution.stage_sketches()
+    assert sketches["input"].count == capped.finished
+    assert session.stage_snapshot()["completed"] == capped.finished
+    assert _digest(
+        {s: k.to_dict() for s, k in sketches.items()}
+    ) == _digest(
+        {s: k.to_dict() for s, k in full.attribution.stage_sketches().items()}
+    )
+
+
+def test_alerts_keep_the_first_and_count_the_rest(monkeypatch):
+    envelopes = {"budgets_ms": {"handler": 0.001}}
+    _, (full,) = _typed_recorders(envelopes=envelopes)
+    monkeypatch.setattr(envelope_module, "_ALERT_CAP", 2)
+    _, (capped,) = _typed_recorders(envelopes=envelopes)
+    assert len(full.alerts) > 2 and full.alerts_suppressed == 0
+    assert capped.alerts == full.alerts[:2]
+    assert capped.alerts_suppressed == len(full.alerts) - 2
 
 
 def test_envelopes_byte_identical_with_fast_forward_on_and_off():
