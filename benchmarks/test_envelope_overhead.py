@@ -20,6 +20,12 @@ tracks its median like any other benchmark) and records two ratios in
   uninstrumented, informational (the enabled path is allowed to cost
   more; it exists so the price of "always on" stays visible).
 
+``test_remote_envelope_on_overhead`` records one more informational
+ratio, ``remote_envelope_on_overhead``: a remote session over a lossy
+link in an envelope-only session / the same run with no session.  Every
+downstream frame is a NIC interrupt that opens an envelope, so this is
+the path where stamping costs most.
+
 Run via ``make bench-json`` / ``make envelope-smoke``; not part of the
 default unit-test collection.
 """
@@ -30,6 +36,7 @@ import time
 
 from repro.experiments.registry import run_experiment
 from repro.obs import observed
+from repro.remote import LinkConfig, TransportConfig, run_remote_session
 
 EXPERIMENT = "fig2"
 ROUNDS = 5
@@ -72,4 +79,29 @@ def test_envelope_off_overhead(benchmark):
     assert best_off <= budget, (
         f"envelope-off run {best_off:.4f}s exceeds budget {budget:.4f}s "
         f"(baseline {best_base:.4f}s, rounds={ROUNDS})"
+    )
+
+
+def _time_remote_once(observe: bool) -> float:
+    link = LinkConfig.symmetric("wan", rtt_ms=60.0, jitter_ms=3.0, loss=0.08)
+    transport = TransportConfig(prediction=False)
+    started = time.perf_counter()
+    if observe:
+        with observed(trace=False, metrics=False):
+            run_remote_session("nt40", 0, link, transport=transport)
+    else:
+        run_remote_session("nt40", 0, link, transport=transport)
+    return time.perf_counter() - started
+
+
+def test_remote_envelope_on_overhead(benchmark):
+    _time_remote_once(False)
+    baseline: list = []
+    enabled: list = []
+    for _ in range(ROUNDS):
+        baseline.append(_time_remote_once(False))
+        enabled.append(_time_remote_once(True))
+    benchmark.pedantic(lambda: _time_remote_once(True), rounds=1, iterations=1)
+    benchmark.extra_info["remote_envelope_on_overhead"] = (
+        min(enabled) / min(baseline)
     )

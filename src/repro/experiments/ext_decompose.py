@@ -51,11 +51,14 @@ def _keystroke_pairs(recorders):
     WM_CHAR and the echo) and key up — so the full Figure 1 span runs
     from the down injection to the up envelope's close.
     """
+    # ``completed`` is built from the recorder's columns when read.
+    completed = [
+        envelope for recorder in recorders for envelope in recorder.completed
+    ]
     down = sorted(
         (
             envelope
-            for recorder in recorders
-            for envelope in recorder.completed
+            for envelope in completed
             if envelope.message_kinds
             and "KEYDOWN" in envelope.message_kinds[0]
         ),
@@ -64,8 +67,7 @@ def _keystroke_pairs(recorders):
     up = sorted(
         (
             envelope
-            for recorder in recorders
-            for envelope in recorder.completed
+            for envelope in completed
             if envelope.message_kinds
             and envelope.message_kinds[0].endswith("KEYUP")
         ),

@@ -52,6 +52,7 @@ from ..core.serialize import (
 from ..obs import (
     LEVELS,
     STAGES,
+    EnvelopeConfig,
     MetricsRegistry,
     get_logger,
     merge_chrome_traces,
@@ -100,7 +101,7 @@ _BOUNDS = {
     "--timeout": ("positive", lambda value: value > 0),
     "--checkpoint-interval": (">= 1", lambda value: value >= 1),
     "--packets": (">= 1", lambda value: value >= 1),
-    "--stage-sample-rate": ("in [0, 1]", lambda value: 0 <= value <= 1),
+    "--stage-sample-rate": ("in [0, 1]", EnvelopeConfig.valid_sample_rate),
 }
 
 Spec = Tuple[str, int]
@@ -605,7 +606,7 @@ def _stage_budgets(specs: Optional[List[str]]) -> Dict[str, float]:
             budget_ms = float(millis)
         except ValueError:
             budget_ms = math.nan
-        if stage not in STAGES or not (math.isfinite(budget_ms) and budget_ms > 0):
+        if not EnvelopeConfig.valid_budget(stage, budget_ms):
             raise _UsageError(
                 f"invalid --stage-budget {spec!r}; expected STAGE=MS with "
                 f"STAGE one of: {', '.join(STAGES)} and MS a positive, "

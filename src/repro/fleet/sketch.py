@@ -40,6 +40,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from bisect import bisect_left
+from functools import lru_cache
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
@@ -58,6 +60,10 @@ DEFAULT_COMPRESSION = 128
 #: Smallest value (ms) the sketch resolves; anything at or below lands
 #: in the underflow bucket and reports as ``min_value_ms``.
 _MIN_VALUE_MS = 1e-3
+
+#: Largest value (ns) that :meth:`QuantileSketch.add_ns` buckets by
+#: table: 10,000 s, ten decades above the underflow bucket.
+_TABLE_TOP_NS = 10**13
 
 
 def relative_error_bound(compression: int) -> float:
@@ -130,6 +136,36 @@ class QuantileSketch:
     def extend(self, values_ms: Iterable[float]) -> None:
         for value in values_ms:
             self.add(value)
+
+    def add_ns(self, values_ns: Sequence[int]) -> "QuantileSketch":
+        """Fold integer-nanosecond observations in at once; the result
+        equals ``add(ns / 1e6)`` for each value.
+
+        Each value is bucketed by a binary search of the bucket-boundary
+        table instead of a logarithm.  Up to the table's top, ``ns / 1e6
+        * 1e6`` rounds back to ``ns`` exactly, so the sum is the plain
+        integer sum; a value above it takes the per-value path.
+        """
+        if not values_ns:
+            return self
+        low, high = min(values_ns), max(values_ns)
+        if low < 0 or high > _TABLE_TOP_NS:
+            for ns in values_ns:
+                self.add(ns / 1e6)
+            return self
+        counts = self._counts
+        bounds = bucket_bounds_ns(self.compression)
+        for ns in values_ns:
+            bucket = bisect_left(bounds, ns)
+            counts[bucket] = counts.get(bucket, 0) + 1
+        self.count += len(values_ns)
+        self.sum_ns += sum(values_ns)
+        low_ms, high_ms = low / 1e6, high / 1e6
+        if self.min_ms is None or low_ms < self.min_ms:
+            self.min_ms = low_ms
+        if self.max_ms is None or high_ms > self.max_ms:
+            self.max_ms = high_ms
+        return self
 
     # -- merging -------------------------------------------------------
     def merge(self, other: "QuantileSketch") -> "QuantileSketch":
@@ -252,6 +288,34 @@ class QuantileSketch:
             f"QuantileSketch(compression={self.compression}, "
             f"count={self.count}, buckets={self.bucket_count})"
         )
+
+
+@lru_cache(maxsize=None)
+def bucket_bounds_ns(compression: int) -> Tuple[int, ...]:
+    """The bucket-boundary table of :meth:`QuantileSketch.add_ns`.
+
+    Entry ``k`` is the largest integer ``ns`` that
+    ``QuantileSketch._bucket(ns / 1e6)`` puts in bucket ``k`` or below,
+    so ``bisect_left(table, ns)`` is that bucket for every ``ns`` up to
+    the last entry, which is at least ``_TABLE_TOP_NS``.  Each entry
+    starts from the closed form of the boundary (with ``_bucket``'s
+    nudge) and steps to where the sketch's own bucketing changes.
+    """
+    sketch = QuantileSketch(compression)
+
+    def bucket(ns: int) -> int:
+        return sketch._bucket(ns / 1e6)
+
+    top = bucket(_TABLE_TOP_NS)
+    bounds = []
+    for k in range(top + 1):
+        ns = int(1000 * 10.0 ** ((k + 1e-9) / compression))
+        while bucket(ns) > k:
+            ns -= 1
+        while bucket(ns + 1) <= k:
+            ns += 1
+        bounds.append(ns)
+    return tuple(bounds)
 
 
 #: Default fixed bucket upper bounds (ms) for per-stage histograms,

@@ -1,8 +1,7 @@
 """Bottleneck attribution over stage envelopes.
 
-A :class:`StageAttribution` folds finalized
-:class:`~repro.obs.envelope.StageEnvelope` records into per-
-``(app, OS personality, scenario)`` groups, one
+A :class:`StageAttribution` groups finalized envelopes by
+``(app, OS personality, scenario)``, with one
 :class:`~repro.fleet.sketch.QuantileSketch` per pipeline stage plus one
 for the end-to-end wait.  That gives every experiment, fleet sweep and
 remote scenario the same question-answering surface:
@@ -15,6 +14,13 @@ remote scenario the same question-answering surface:
   fleet shards can combine envelope sketches in any interleaving and
   land on byte-identical digests (the same contract as
   :class:`~repro.fleet.sketch.FleetAggregator`).
+
+An :class:`~repro.obs.envelope.EnvelopeRecorder`'s ``attribution`` is a
+view over its stamp columns: its groups are folded when first read, and
+:meth:`stage_sketches` folds each stage's durations straight into one
+sketch without building any group.  A sketch depends only on the
+multiset of values folded in, so both equal what folding envelope by
+envelope would give.
 
 :func:`merge_stage_snapshots` is the one roll-up of whole envelope
 snapshots (attribution plus alerts and counters): a session merges its
@@ -31,7 +37,7 @@ import hashlib
 import json
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .envelope import STAGES, StageEnvelope
+from .envelope import STAGES
 
 __all__ = ["StageAttribution", "dominant_stage_of", "merge_stage_snapshots"]
 
@@ -49,12 +55,37 @@ def _group_key_str(app: str, os_name: str, scenario: str) -> str:
 class StageAttribution:
     """Per-(app, os, scenario) stage-latency sketches."""
 
-    __slots__ = ("groups",)
+    __slots__ = ("_groups", "_recorder")
 
-    def __init__(self) -> None:
+    def __init__(self, recorder=None) -> None:
+        #: The envelope recorder this attribution views, or None for one
+        #: built by merging or from a payload.
+        self._recorder = recorder
         #: (app, os, scenario) -> {"wait": sketch, "stages": {stage:
-        #: sketch}, "events": int}
-        self.groups: Dict[Tuple[str, str, str], dict] = {}
+        #: sketch}, "events": int}; a recorder's view folds them when
+        #: first read.
+        self._groups: Optional[Dict[Tuple[str, str, str], dict]] = (
+            None if recorder is not None else {}
+        )
+
+    @property
+    def groups(self) -> Dict[Tuple[str, str, str], dict]:
+        if self._groups is None:
+            sketch_cls = _sketch_cls()
+            self._groups = {
+                key: {
+                    "wait": sketch_cls().add_ns(waits),
+                    "stages": {
+                        stage: sketch_cls().add_ns(ns)
+                        for stage, ns in stages.items()
+                    },
+                    "events": len(waits),
+                }
+                for key, (waits, stages) in (
+                    self._recorder.group_durations().items()
+                )
+            }
+        return self._groups
 
     def _group(self, app: str, os_name: str, scenario: str) -> dict:
         key = (app, os_name, scenario)
@@ -63,22 +94,6 @@ class StageAttribution:
             group = {"wait": _sketch_cls()(), "stages": {}, "events": 0}
             self.groups[key] = group
         return group
-
-    def observe(
-        self, envelope: StageEnvelope, os_name: str, scenario: str
-    ) -> None:
-        """Fold one finalized envelope in."""
-        app = envelope.app or envelope.kind
-        group = self._group(app, os_name, scenario or "baseline")
-        group["events"] += 1
-        group["wait"].add(envelope.total_ms)
-        stages = group["stages"]
-        for stage, ns in envelope.stage_ns.items():
-            sketch = stages.get(stage)
-            if sketch is None:
-                sketch = _sketch_cls()()
-                stages[stage] = sketch
-            sketch.add(ns / 1e6)
 
     # ------------------------------------------------------------------
     # Merging (commutative, shard-shape independent)
@@ -100,7 +115,15 @@ class StageAttribution:
     # Queries
     # ------------------------------------------------------------------
     def stage_sketches(self) -> Dict[str, object]:
-        """Per-stage sketches collapsed across every group."""
+        """Per-stage sketches collapsed across every group.  A
+        recorder's unread view folds each stage's durations straight
+        into one sketch, and builds no group or wait sketch."""
+        if self._groups is None:
+            sketch_cls = _sketch_cls()
+            return {
+                stage: sketch_cls().add_ns(ns)
+                for stage, ns in self._recorder.stage_durations().items()
+            }
         collapsed: Dict[str, object] = {}
         for group in self.groups.values():
             for stage, sketch in group["stages"].items():

@@ -397,7 +397,8 @@ class RemoteSession:
         self._recorder = getattr(
             getattr(system, "obs", None), "envelopes", None
         )
-        self._envs: Dict[int, object] = {}
+        #: seq -> the recorder's opaque handle for its envelope.
+        self._envs: Dict[int, int] = {}
         #: FIFO of keyboard-injection times; ``note_inject`` pairs each
         #: captured char with its true hardware inject time so waits
         #: include the local input path, as the paper's waits do.
@@ -428,26 +429,23 @@ class RemoteSession:
         if not self.transport.prediction:
             self._pending[seq] = now
         if self._recorder is not None:
-            # span=False: the inject time is in the past (the hardware
-            # keystroke), so trace spans start at the first live advance.
-            env = self._recorder.begin("remote", now, span=False)
-            if env is not None:
-                env.app = "remote"
-                # input stage = the local client pipeline up to the
-                # transport send; prediction resolves via the local
-                # echo (render), transport via the network round trip.
-                stage = "render" if self.transport.prediction else "network"
-                self._recorder.advance(env, stage, self.sim.now)
-                self._envs[seq] = env
+            # input stage = the local client pipeline up to the
+            # transport send; prediction resolves via the local echo
+            # (render), transport via the network round trip.
+            handle = self._recorder.remote_input(
+                now, network=not self.transport.prediction
+            )
+            if handle is not None:
+                self._envs[seq] = handle
 
     def note_echo(self, seq: int, end_ns: int) -> None:
         self._wait_ns[seq] = end_ns - self._inject_ns[seq]
         self.predictions += 1
         self._echo_pending[seq] = self._inject_ns[seq]
         self.log(("echo", seq, end_ns))
-        env = self._envs.pop(seq, None)
-        if env is not None:
-            self._recorder.finalize(env, end_ns)
+        handle = self._envs.pop(seq, None)
+        if handle is not None:
+            self._recorder.remote_close(handle, end_ns)
 
     def _input_acked(self, seq: int, transmissions: int) -> None:
         if not self.transport.prediction:
@@ -476,11 +474,9 @@ class RemoteSession:
             # here unless an ack-lost copy still shows up in a frame.
             self._pending.setdefault(seq, self._inject_ns[seq])
             self._wait_ns.setdefault(seq, self.sim.now - self._inject_ns[seq])
-            env = self._envs.pop(seq, None)
-            if env is not None:
-                if env.stage == "network":
-                    self._recorder.advance(env, "render")
-                self._recorder.finalize(env, outcome="abandoned")
+            handle = self._envs.pop(seq, None)
+            if handle is not None:
+                self._recorder.remote_close(handle, outcome="abandoned")
 
     def _correct(self, seq: int) -> None:
         self.corrections += 1
@@ -523,9 +519,9 @@ class RemoteSession:
             # here — a live moment — so stage spans stay list-order
             # monotone for the trace validator.
             covered = set(frame.covered)
-            for seq, env in self._envs.items():
-                if seq in covered and env.stage == "network":
-                    self._recorder.advance(env, "render")
+            for seq, handle in self._envs.items():
+                if seq in covered:
+                    self._recorder.remote_render(handle)
         self.system.machine.nic.deliver(payload=frame, size_bytes=64)
 
     def note_frame_displayed(self, frame: FramePacket, end_ns: int) -> None:
@@ -535,11 +531,9 @@ class RemoteSession:
             if seq in covered:
                 inject = self._pending.pop(seq)
                 self._wait_ns[seq] = end_ns - inject
-                env = self._envs.pop(seq, None)
-                if env is not None:
-                    if env.stage == "network":
-                        self._recorder.advance(env, "render", end_ns)
-                    self._recorder.finalize(env, end_ns)
+                handle = self._envs.pop(seq, None)
+                if handle is not None:
+                    self._recorder.remote_close(handle, end_ns)
 
     # ------------------------------------------------------------------
     def run(self, chars: int = 36, cadence_ms: float = 120.0) -> RemoteSessionResult:
@@ -565,10 +559,8 @@ class RemoteSession:
             if seq not in self._wait_ns:
                 self._wait_ns[seq] = system.now - inject
                 unresolved += 1
-        for seq, env in list(self._envs.items()):
-            if env.stage == "network":
-                self._recorder.advance(env, "render")
-            self._recorder.finalize(env, outcome="censored")
+        for handle in self._envs.values():
+            self._recorder.remote_close(handle, outcome="censored")
         self._envs.clear()
         wait_ms = [
             self._wait_ns[seq] / 1e6 for seq in sorted(self._wait_ns)

@@ -51,10 +51,11 @@ class Message:
     retrieved_ns: Optional[int] = None
     #: Marks messages injected by an input driver (vs. app-posted).
     from_input: bool = False
-    #: Stage envelope riding this message (set by the kernel's input
-    #: delivery when envelope recording is active; inert otherwise —
-    #: nothing in the simulator reads it).
-    envelope: object = None
+    #: The envelope recorder's opaque handle for the input event this
+    #: message carries (set by the kernel's input delivery when envelope
+    #: recording is active; inert otherwise — nothing in the simulator
+    #: reads it).
+    envelope: Optional[int] = None
 
     @property
     def queue_delay_ns(self) -> Optional[int]:

@@ -166,14 +166,16 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("case", list(CASES.values()), ids=list(CASES))
-def test_recorder_sees_the_same_crossings_whoever_else_listens(case):
+@pytest.mark.parametrize("name", list(CASES))
+def test_recorder_sees_the_same_crossings_whoever_else_listens(name):
     """The recorder and a live tracer and registry each subscribe to the
     queue, sync-I/O and handler-close sites; neither changes what the
-    recorder sees."""
+    recorder sees, and what it sees matches the pinned digest."""
+    case = CASES[name]
     alone = _envelope_bytes(**case)
+    assert _digest(alone) == PINNED_ENVELOPE_BYTES[name]
     assert _envelope_bytes(trace=True, metrics=True, **case) == alone
-    if case.get("run") is _autosaving_editor:
+    if name == "editor":
         assert any(e["io_ns"] > 0 for e in json.loads(alone)[0])
 
 
@@ -200,11 +202,6 @@ PINNED_FIG1_SNAPSHOT = "2c957c6a494a764d"
 #: Notepad on NT 4.0 at sample rate 0.3 (10 of 38 inputs kept):
 #: envelopes and sketches, then the snapshot with its sampled-out count.
 PINNED_SAMPLED = ("3b4b11ee78c344d1", "ebc082691cc14673")
-
-
-@pytest.mark.parametrize("name", list(CASES))
-def test_envelope_bytes_match_pinned_digest(name):
-    assert _digest(_envelope_bytes(**CASES[name])) == PINNED_ENVELOPE_BYTES[name]
 
 
 def test_fig1_stage_snapshot_matches_pinned_digest():
@@ -448,6 +445,31 @@ def test_envelope_config_coercion():
     assert EnvelopeConfig.coerce(config) is config
     disabled = EnvelopeConfig.coerce({"enabled": False})
     assert not disabled.enabled
+
+
+@pytest.mark.parametrize(
+    "envelopes",
+    [
+        {"budgets_ms": {"handlr": 0.001}},
+        {"budgets_ms": {"handler": 0}},
+        {"budgets_ms": {"handler": -1.0}},
+        {"budgets_ms": {"handler": float("inf")}},
+        {"budgets_ms": {"handler": float("nan")}},
+        {"sample_rate": 1.5},
+        {"sample_rate": -0.1},
+        {"sample_rate": float("nan")},
+    ],
+    ids=[
+        "unknown-stage", "zero-budget", "negative-budget", "inf-budget",
+        "nan-budget", "rate-above-1", "negative-rate", "nan-rate",
+    ],
+)
+def test_bad_envelope_config_is_rejected_where_it_is_made(envelopes):
+    with pytest.raises(ValueError):
+        EnvelopeConfig.coerce(envelopes)
+    with pytest.raises(ValueError):
+        with observed(trace=False, metrics=False, envelopes=envelopes):
+            pass
 
 
 def test_disabled_envelopes_attach_no_recorder():

@@ -9,6 +9,7 @@ relative value error of the exact nearest-rank quantile.
 import json
 import math
 import random
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings
@@ -16,10 +17,12 @@ from hypothesis import strategies as st
 
 from repro.fleet.session import SessionResult
 from repro.fleet.sketch import (
+    _TABLE_TOP_NS,
     DEFAULT_COMPRESSION,
     FleetAggregator,
     QuantileSketch,
     StageHistogram,
+    bucket_bounds_ns,
     relative_error_bound,
 )
 
@@ -198,6 +201,62 @@ class TestValidationAndSerialization:
     def test_from_dict_rejects_wrong_kind(self):
         with pytest.raises(ValueError, match="quantile-sketch"):
             QuantileSketch.from_dict({"kind": "nope"})
+
+
+BOUNDS_NS = bucket_bounds_ns(DEFAULT_COMPRESSION)
+
+#: Integer nanoseconds: zero, the underflow bucket (<= 1,000 ns), each
+#: table boundary +-1, log-uniform values up to 10**13 ns, and a few
+#: beyond the table's top.
+NANOSECONDS = st.one_of(
+    st.just(0),
+    st.integers(0, 1_000),
+    st.sampled_from(BOUNDS_NS).flatmap(
+        lambda bound: st.integers(bound - 1, bound + 1)
+    ),
+    st.floats(0.0, 13.0).map(lambda exponent: int(10**exponent)),
+    st.integers(_TABLE_TOP_NS - 1_000, _TABLE_TOP_NS + 1_000),
+    st.integers(_TABLE_TOP_NS, 10**15),
+)
+
+
+class TestBulkFold:
+    """``add_ns`` buckets by table what ``add(ns / 1e6)`` buckets by
+    logarithm, and must fold to the same sketch."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        before=st.lists(NANOSECONDS, max_size=5),
+        values=st.lists(NANOSECONDS, max_size=60),
+    )
+    def test_bulk_fold_equals_per_value_adds(self, before, values):
+        bulk, one_by_one = QuantileSketch(), QuantileSketch()
+        for ns in before:
+            bulk.add(ns / 1e6)
+            one_by_one.add(ns / 1e6)
+        bulk.add_ns(values)
+        for ns in values:
+            one_by_one.add(ns / 1e6)
+        assert bulk.to_dict() == one_by_one.to_dict()
+
+    def test_table_agrees_with_bucket_at_every_boundary(self):
+        sketch = QuantileSketch()
+        assert len(BOUNDS_NS) == 1_281
+        assert BOUNDS_NS[0] == 1_000 and BOUNDS_NS[-1] >= _TABLE_TOP_NS
+        for bound in BOUNDS_NS:
+            for ns in (bound - 1, bound, bound + 1):
+                if 0 <= ns <= BOUNDS_NS[-1]:
+                    assert bisect_left(BOUNDS_NS, ns) == sketch._bucket(ns / 1e6)
+
+    def test_sum_is_exact_up_to_the_table_top(self):
+        rng = random.Random(7)
+        values = [int(10 ** rng.uniform(0.0, 13.0)) for _ in range(20_000)]
+        values += list(BOUNDS_NS[:-1]) + [_TABLE_TOP_NS]
+        assert all(int(round(ns / 1e6 * 1e6)) == ns for ns in values)
+
+    def test_negative_value_rejected(self):
+        with pytest.raises(ValueError):
+            QuantileSketch().add_ns([5, -1])
 
 
 class TestStageHistogram:
