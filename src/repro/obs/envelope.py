@@ -68,8 +68,8 @@ _STAGE_CODE = {stage: code for code, stage in enumerate(STAGES)}
 #: How an envelope ends.  A close stamp's code is ``_CLOSE`` plus the
 #: outcome's index, so every code at or above ``_CLOSE`` is final.
 OUTCOMES: Tuple[str, ...] = ("completed", "abandoned", "censored")
-_COMPLETED, _ABANDONED, _CENSORED = range(len(OUTCOMES))
 _OUTCOME_CODE = {outcome: code for code, outcome in enumerate(OUTCOMES)}
+_COMPLETED, _ABANDONED = _OUTCOME_CODE["completed"], _OUTCOME_CODE["abandoned"]
 _CLOSE = len(STAGES)
 
 #: Hardware interrupt vectors that begin an envelope.  Clock and disk
@@ -677,8 +677,7 @@ class EnvelopeRecorder:
         """The first ``_COMPLETED_CAP`` finalized envelopes in finalize
         order, built from the columns (``finished`` counts them all)."""
         closed = self._closed[:_COMPLETED_CAP]
-        handles = {self._stamp_env[row] for row in closed}
-        kinds: Dict[int, List[str]] = {handle: [] for handle in handles}
+        kinds: Dict[int, List[str]] = {self._stamp_env[row]: [] for row in closed}
         for handle, kind in zip(self._handled_env, self._handled_kind):
             if handle in kinds:
                 kinds[handle].append(getattr(kind, "name", str(kind)))
