@@ -258,7 +258,8 @@ class EnvelopeRecorder:
         self.config = config
         self._sim = system.machine.sim
         self._sink = sink
-        # Stamp columns, one row per boundary crossed.
+        # Stamp columns, one row per boundary crossed.  Plain lists:
+        # appending to one costs a fraction of an ``array.append``.
         self._stamp_env: List[int] = []
         self._stamp_code: List[int] = []
         self._stamp_ns: List[int] = []
