@@ -145,6 +145,27 @@ class TestPayloadEquivalence:
         for entry in entries:
             assert entry["status"] == "matched", entry
 
+    @pytest.mark.parametrize("fast_forward", [True, False], ids=["fast", "slow"])
+    def test_jump_golden_digests(self, fast_forward):
+        """fig7 (Win95 idle traces under the instrumented jump) and
+        fig10 (OLE edits under the busy jump) match their golden records
+        on both paths."""
+        from repro.verify.golden import check_golden
+
+        with fast_forward_scope(fast_forward):
+            entries = check_golden(JUMP_GOLDEN)
+        for entry in entries:
+            assert entry["status"] == "matched", entry
+
+
+#: The two jumps' heaviest real users, pinned outside ``GOLDEN_SET``:
+#: its determinism and sampling tests re-run every member under full
+#: observation, where fig7 alone takes seconds and 168 MB.  ``make
+#: golden-update`` writes only ``GOLDEN_SET``; re-bless these with
+#: ``python -c "from repro.verify.golden import update_golden;
+#: update_golden([('fig7', 0), ('fig10', 0)])"``.
+JUMP_GOLDEN = (("fig7", 0), ("fig10", 0))
+
 
 def _budget(sim, step_ns):
     """Segments of ``step_ns`` a jump may complete from now before the
