@@ -19,7 +19,9 @@ from repro.apps import NotepadApp
 from repro.core import IdleLoopInstrument
 from repro.sim.engine import fast_forward_scope
 from repro.sim.timebase import ns_from_ms
+from repro.sim.work import HwEvent, Work
 from repro.winsys import boot
+from repro.winsys.syscalls import Compute
 from repro.workload.mstest import MsTestDriver
 from repro.workload.script import InputScript, Key
 
@@ -108,3 +110,72 @@ def test_busy_fastforward_overhead(benchmark):
     benchmark.extra_info["sim_ns"] = sim_ns
     benchmark.extra_info["events"] = events
     assert keystrokes >= 100
+
+
+# ---------------------------------------------------------------------------
+# Cost per crossed tick (informational: BENCH_simulator.json does not list
+# these, so the perf gate compares neither)
+# ---------------------------------------------------------------------------
+_TEN_SECONDS_NS = ns_from_ms(10_000)
+
+
+def _ten_seconds(system):
+    system.run_for(_TEN_SECONDS_NS)
+    return system
+
+
+def _record_tick_cost(benchmark, system):
+    ticks = system.machine.clock.ticks
+    benchmark.extra_info["sim_ns"] = _TEN_SECONDS_NS
+    benchmark.extra_info["ticks"] = ticks
+    benchmark.extra_info["ticks_crossed"] = system.kernel.ticks_crossed
+    benchmark.extra_info["ms_per_1000_ticks"] = (
+        benchmark.stats.stats.median * 1e6 / ticks
+    )
+
+
+def _idle_traced_system():
+    system = boot("nt40")
+    IdleLoopInstrument(system).install()
+    return (system,), {}
+
+
+def test_idle_tick_cost(benchmark):
+    """Ten idle NT 4.0 seconds under the instrument: the instrumented
+    jump crosses 999 ticks, 900 of them in runs of plain ticks."""
+    system = benchmark.pedantic(_ten_seconds, setup=_idle_traced_system, rounds=15)
+    assert system.kernel.ticks_crossed == 999
+    _record_tick_cost(benchmark, system)
+
+
+def _compute(work):
+    yield Compute(work)
+
+
+def _busy_system():
+    """A thread computing one 12.1 s segment with six event kinds, the
+    segment ``TestExactWork.test_ten_busy_seconds`` runs."""
+    cycles = 1_213_456_789
+    work = Work(
+        cycles,
+        events={
+            HwEvent.INSTRUCTIONS: cycles * 2 // 3 + 1,
+            HwEvent.DATA_REFS: cycles // 3 + 7,
+            HwEvent.ITLB_MISS: cycles // 1733,
+            HwEvent.DTLB_MISS: cycles // 611,
+            HwEvent.SEGMENT_LOADS: cycles // 911,
+            HwEvent.UNALIGNED_ACCESS: cycles // 4649,
+        },
+        label="busy",
+    )
+    system = boot("nt40")
+    system.spawn("busy", _compute(work))
+    return (system,), {}
+
+
+def test_busy_tick_cost(benchmark):
+    """Ten busy NT 4.0 seconds: the busy jump crosses 999 tick chains,
+    each splitting the segment and charging six event kinds."""
+    system = benchmark.pedantic(_ten_seconds, setup=_busy_system, rounds=15)
+    assert system.kernel.ticks_crossed == 999
+    _record_tick_cost(benchmark, system)

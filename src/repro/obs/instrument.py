@@ -44,7 +44,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Dict, Optional
 
-from .envelope import EnvelopeRecorder
+from .envelope import INPUT_VECTORS, EnvelopeRecorder
 from .metrics import NULL_REGISTRY
 from .runtime import ObsSession
 from .tracer import NULL_TRACER
@@ -461,7 +461,10 @@ def instrument_system(system, os_name: str, session: ObsSession):
     elif sink is not None:
         interrupts.obs = sink.interrupt
     elif recorder is not None:
+        # The recorder reads only genuine deliveries on input vectors:
+        # clock ticks and spurious interrupts make no call at all.
         interrupts.obs = recorder.input_injected
+        interrupts.obs_vectors = frozenset(INPUT_VECTORS)
     for reader in (recorder, sink):
         if reader is not None:
             kernel.iomgr.add_sync_observer(reader.sync_io)

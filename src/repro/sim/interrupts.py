@@ -12,7 +12,7 @@ profiles (Figure 3) and of the 10 ms alignment of animation steps
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
 from .cpu import CPU
 from .engine import Periodic, Simulator
@@ -50,6 +50,9 @@ class InterruptController:
         #: delivery, or None when nothing reads deliveries (the default).
         #: A spurious delivery carries no payload.
         self.obs: Optional[Callable[[str, object, int, bool], None]] = None
+        #: The vectors whose genuine deliveries ``obs`` reads, or None
+        #: when it reads every delivery, spurious ones included.
+        self.obs_vectors: Optional[FrozenSet[str]] = None
 
     def register(
         self,
@@ -89,8 +92,11 @@ class InterruptController:
         self.cpu.perf.charge(HwEvent.INTERRUPTS, 1)
         duration = self.cpu.steal(vector.isr_work)
         self.delivered[name] = self.delivered.get(name, 0) + 1
-        if self.obs is not None:
-            self.obs(name, payload, duration, False)
+        obs = self.obs
+        if obs is not None:
+            vectors = self.obs_vectors
+            if vectors is None or name in vectors:
+                obs(name, payload, duration, False)
         hid = self._handler_hids.get(name)
         if hid is not None:
             # The handler runs at ISR retirement; the kind entry carries
@@ -106,7 +112,7 @@ class InterruptController:
         this way; it computes the stolen time and the post-actions in
         closed form itself, and no observer sees the crossed deliveries
         (the jump crosses ticks only when no tracer or metrics registry
-        is live, and the envelope recorder ignores clock interrupts).
+        is live, and the envelope recorder reads only input vectors).
         """
         self.cpu.perf.charge(HwEvent.INTERRUPTS, count)
         self.cpu.credit(self._vectors[name].isr_work, count)
@@ -128,7 +134,7 @@ class InterruptController:
         self.cpu.perf.charge(HwEvent.INTERRUPTS, 1)
         duration = self.cpu.steal(vector.isr_work)
         self.spurious[name] = self.spurious.get(name, 0) + 1
-        if self.obs is not None:
+        if self.obs is not None and self.obs_vectors is None:
             self.obs(name, None, duration, True)
         return duration
 

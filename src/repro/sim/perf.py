@@ -19,7 +19,7 @@ from a healthy one by exactly the measurements the paper had access to.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .timebase import DEFAULT_CPU_HZ, ns_to_cycles
 from .work import HwEvent
@@ -112,6 +112,54 @@ class PerfCounters:
                         tally[event] += spill
                         left -= spill
                     residual[event] = left
+
+    def charge_splits(
+        self,
+        events: Dict[HwEvent, int],
+        fractions: Sequence[float],
+        chained: bool,
+    ) -> Dict[HwEvent, int]:
+        """Charge a sequence of preemption splits in one step, and return
+        the event counts they leave.
+
+        Bit-identical to, for each fraction in turn, ``CPU.split`` and
+        ``CPU.charge_split`` of a segment with these event counts: each
+        split's pro-rata share passes through the fractional residual
+        with exactly the float steps of :meth:`charge_events`, and the
+        residual depends on order, so ``fractions`` run in calendar
+        order.  With ``chained``, each split cuts the remainder of the
+        one before (a busy thread preempted again and again) and the
+        result is the last remainder's counts; otherwise each cuts a
+        fresh segment with ``events`` (the idle-loop instrument's) and
+        the result is the remainders' counts summed.  The kernel's jumps
+        charge the splits they cross here.
+        """
+        tally = self._tally
+        residual = self._residual
+        left_over: Dict[HwEvent, int] = {}
+        for event, count in events.items():
+            left = residual[event]
+            added = rounded = 0
+            for fraction in fractions:
+                scaled = count * fraction
+                whole = int(scaled)
+                frac = scaled - whole
+                added += whole
+                if frac:
+                    left += frac
+                    if left >= 1.0:
+                        spill = int(left)
+                        added += spill
+                        left -= spill
+                # CPU.split's rounding of the count the split leaves.
+                if chained:
+                    count -= round(scaled)
+                else:
+                    rounded += round(scaled)
+            tally[event] += added
+            residual[event] = left
+            left_over[event] = count if chained else count * len(fractions) - rounded
+        return left_over
 
     def charge_events_whole(self, events: Dict[HwEvent, int], times: int = 1) -> None:
         """Charge integer event annotations ``times`` times over, exactly.

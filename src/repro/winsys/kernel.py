@@ -32,7 +32,7 @@ from ..sim.devices.mouse import MouseEvent
 from ..sim.engine import Periodic, fast_forward_default
 from ..sim.machine import Machine
 from ..sim.timebase import NS_PER_SEC
-from ..sim.work import Work
+from ..sim.work import HwEvent, Work
 from .filesystem import BufferCache, FileSystem
 from .gdi import GdiBatch
 from .hooks import ApiCallRecord, HookManager
@@ -142,10 +142,13 @@ class Kernel:
         self.context_switches = 0
         self.dpcs_run = 0
         #: Instrumented jumps taken and the records they completed in
-        #: closed form, and the clock ticks either jump crossed.
+        #: closed form, the clock ticks any jump crossed, and those the
+        #: instrumented jump crossed in runs of plain ticks.  Diagnostics
+        #: only: no digest includes them.
         self.fast_forward_batches = 0
         self.fast_forward_segments = 0
         self.ticks_crossed = 0
+        self.ticks_in_runs = 0
         #: Why each jump stopped, or declined to cross a tick (see
         #: :meth:`_try_fast_forward`, :meth:`_try_quiescent_jump` and
         #: :meth:`_try_busy_jump`).  Diagnostics only: no digest
@@ -625,12 +628,14 @@ class Kernel:
         engine allows a jump (:meth:`Simulator.jump_window`).
 
         The jump walks the idle loop forward in arithmetic: runs of
-        uncontended segments complete in one step, and each clock tick,
-        housekeeping DPC or Win95 idle-background DPC that lands in a
-        segment is crossed with the elongation, preemption split
-        (:meth:`CPU.split`, as a real preemption rounds it) and charges
-        the slow path would produce — also when it lands on the
-        segment's end, in the order the calendar runs it.  The idle
+        uncontended segments complete in one step, and so do runs of
+        plain ticks, each of which only makes one record ``isr_ns``
+        late.  Each housekeeping DPC or Win95 idle-background DPC that
+        lands in a segment is crossed with the elongation, preemption
+        split (rounded as :meth:`CPU.split` rounds it) and charges the
+        slow path would produce — also when it lands on the segment's
+        end, in the order the calendar runs it — and the splits are
+        charged once, at the end (:meth:`_cross_turns`).  The idle
         background with a tick right behind it at the same instant
         (every 110 ms) is one chain, :meth:`_tie`'s.  It ends at a
         segment completion, where the slow path resumes the instrument:
@@ -642,9 +647,9 @@ class Kernel:
         or metrics registry is attached, the issuer reads state at each
         record (``tickless`` is False), an application timer is armed,
         or the run's ``until`` predicate holds it (:meth:`_until_hold`).
-        ``jump_stops`` counts why each jump stopped, and
-        ``jump_declines`` why a call declined before the window was
-        asked for.
+        ``jump_stops`` counts why each jump stopped, ``jump_declines``
+        why a call declined before the window was asked for, and
+        ``ticks_in_runs`` the ticks crossed in runs.
 
         The crossed events are accounted exactly: executed and sequence
         counters (a plain tick costs 3 events and 4 sequence numbers
@@ -702,14 +707,59 @@ class Kernel:
         isr_ns, _dpc_ns, housekeeping_ns, bg_ns = self._chain_ns
         ticks = clock.ticks
         every = self.personality.housekeeping_period_ticks
+        cycles = work.cycles
+        hz = cpu.hz
+        # Runs of plain ticks cross in one step when no tick's record
+        # can reach the next tick (the first block of the loop).
+        runs = hold is None and period > step + isr_ns
 
         now = t = sim.now
         base = sim.next_seq
-        events = seqs = crossed = ties = whole = 0
-        housekeeping = backgrounds = 0
+        events = seqs = crossed = ties = whole = in_runs = 0
+        housekeeping = backgrounds = turns = busy = 0
+        fractions: List[float] = []
         ramps: List[Tuple[int, int]] = []
         ramp_start = ramp_count = 0
         while True:
+            if runs and tick[0] > t and (background is None or tick < background):
+                # A run of plain ticks.  A tick at ``at`` lets k = (at -
+                # 1 - t) // step whole segments complete, and the segment
+                # it lands in completes isr_ns late: that record is the
+                # next t.  Each tick costs k + 3 events, k + 4 schedules
+                # and k + 1 records.  The run ends before the housekeeping
+                # tick, a record at or after the idle background or past
+                # the window, and a full buffer; the step below takes
+                # that tick from there.
+                at = tick[0]
+                stop_at = at + (-(ticks + crossed + 1) % every) * period
+                cap = limit
+                if background is not None and background[0] <= limit:
+                    cap = background[0] - 1
+                free = space
+                if not ramp_count:
+                    ramp_start = t + step
+                while at < stop_at:
+                    k = (at - 1 - t) // step
+                    record = t + (k + 1) * step + isr_ns
+                    if record > cap or k >= free:
+                        break
+                    if ramp_count or k:
+                        ramps.append((ramp_start, ramp_count + k))
+                    ramp_start = t = record
+                    ramp_count = 1
+                    free -= k + 1
+                    at += period
+                if at != tick[0]:
+                    n = (at - tick[0]) // period
+                    done = space - free
+                    space = free
+                    whole += done
+                    events += done + 2 * n
+                    seqs += done + 3 * n
+                    crossed += n
+                    in_runs += n
+                    # The last tick re-arms with its third schedule.
+                    tick = (at, base + seqs - 1)
             # The next periodic event in the calendar's (time, seq) order.
             is_tick = background is None or tick < background
             nxt = tick[0] if is_tick else background[0]
@@ -744,12 +794,12 @@ class Kernel:
             # lands in that span.  ``ticked``, ``due`` and ``ran`` say
             # whether a tick fires, its housekeeping DPC runs and the idle
             # background's DPC runs; ``preempts`` whether a DPC turn
-            # preempts the segment (None: no DPC runs).
+            # preempts the segment after ``executed`` (None: no DPC runs),
+            # in which case ``record`` still lacks the remainder.
             on_end = nxt == t + step
             tie = not is_tick and tick[0] == nxt
-            first = rest = None
+            first = None
             executed = 0
-            fraction = 0.0
             completes = 0  # the segment itself completes whole
             if tie:
                 # The idle background with a tick right behind it at the
@@ -762,15 +812,10 @@ class Kernel:
                 if isr_ns >= bg_ns:
                     reason = "periodic events share a span"
                     break
-                due, resume, n_events, last, next_tick, next_bg = self._tie(
+                due, record, n_events, last, next_tick, next_bg = self._tie(
                     nxt, ticks + crossed + 1, base + seqs + 1
                 )
                 executed = max(0, nxt - t - isr_ns)
-                fraction, rest = cpu.split(work, executed)
-                if rest is None:
-                    reason = "periodic event on a segment edge"
-                    break
-                record = resume + cpu.duration_ns(rest)
                 # The remainder's completion; the segment's start and the
                 # chain's schedules up to the remainder's start.
                 n_events += 1
@@ -819,13 +864,7 @@ class Kernel:
                     # dispatch request, the DPC's start and completion
                     # request, the remainder's start.
                     executed = nxt - t
-                    fraction, rest = cpu.split(work, executed)
-                    if rest is None:
-                        # Within half a cycle of the end: nothing remains.
-                        reason = "periodic event on a segment edge"
-                        break
                     record = nxt + (isr_ns if is_tick else 0) + dpc_ns
-                    record += cpu.duration_ns(rest)
                     n_events += 4
                     n_seqs += 3 + is_tick
                 elif is_tick:
@@ -838,8 +877,7 @@ class Kernel:
                         break
                     first = t + step + isr_ns
                     completes = 1
-                    fraction, rest = cpu.split(work, 0)
-                    record = first + dpc_ns + cpu.duration_ns(rest)
+                    record = first + dpc_ns
                     n_events += 5
                     n_seqs += 5
                 else:
@@ -852,6 +890,16 @@ class Kernel:
                     record = nxt + dpc_ns
                     n_events += 4
                     n_seqs += 2
+            if preempts:
+                # The remainder, rounded as CPU.split rounds it; within
+                # half a cycle of the end nothing remains.
+                fraction = executed / step
+                rest = cycles - round(cycles * fraction)
+                if rest <= 0:
+                    reason = "periodic event on a segment edge"
+                    break
+                rest_ns = rest * NS_PER_SEC // hz
+                record += rest_ns
             if next_tick[0] <= record or (
                 next_bg is not None and next_bg[0] <= record
             ):
@@ -867,10 +915,10 @@ class Kernel:
             backgrounds += ran
             whole += completes
             if preempts:
-                self._cross_dpc_turn(thread, work, fraction, executed)
-                cpu.credit(rest)
-            elif preempts is not None:
-                self._cross_dpc_turn(thread)
+                fractions.append(fraction)
+                busy += executed + rest_ns
+            if preempts is not None:
+                turns += 1
             events += n_events
             seqs += n_seqs
             if ramp_count:
@@ -889,6 +937,7 @@ class Kernel:
         # The tied ticks return while a DPC runs: no quantum tick.
         thread.quantum_ticks_used += crossed - ties
         self.ticks_crossed += crossed
+        self.ticks_in_runs += in_runs
         rekeyed = []
         if crossed:
             rekeyed.append((clock, tick))
@@ -897,36 +946,47 @@ class Kernel:
         self._commit_jump(t - now, events, seqs, rekeyed)
         cpu.credit(work, whole)
         self._credit_dpcs(ties, housekeeping, backgrounds)
-        records = sum(count for _start, count in ramps)
+        if turns:
+            # Each preempted segment's remainder completes whole.
+            rests = self._cross_turns(
+                thread, turns, work.events, fractions, busy, chained=False
+            )
+            cpu.perf.charge_events_whole(rests)
+        records = syscall.max_batch - space
         self.fast_forward_batches += 1
         self.fast_forward_segments += records
         if self.obs is not None:
             self.obs.fast_forward(records, t - now)
         return ramps
 
-    def _cross_dpc_turn(
+    def _cross_turns(
         self,
         thread: SimThread,
-        work: Optional[Work] = None,
-        fraction: float = 0.0,
-        executed_ns: int = 0,
-    ) -> None:
-        """Account, without the calendar, one turn in which DPCs take
-        the processor from ``thread`` and a dispatch hands it back.
+        turns: int,
+        events: Dict[HwEvent, int],
+        fractions: List[float],
+        busy_ns: int,
+        chained: bool,
+    ) -> Dict[HwEvent, int]:
+        """Account, once per jump, the ``turns`` a jump crossed in which
+        DPCs took the processor from ``thread`` and a dispatch handed it
+        back, and return the event counts the preemptions left.
 
-        When the DPCs preempted the thread (``work`` given), the executed
-        part of ``work`` is charged as :meth:`CPU.preempt` charges it,
-        through the fractional residual, and the preemption counts a
-        context switch.  The residual is order-dependent, so each turn is
-        charged in the calendar's order.  The thread is then requeued at
-        the front, replaying any requeue-jitter draw, and dispatched.
+        ``fractions`` are the executed fractions of the turns that
+        preempted a segment with ``events``, in calendar order (see
+        :meth:`PerfCounters.charge_splits`, which charges them through
+        the order-dependent residual, and ``chained``); each counts a
+        context switch.  ``busy_ns`` is the CPU time the preempted
+        segments ran.  Every turn requeues the thread at the front and
+        picks it again (:meth:`Scheduler.requeue_and_pick`, which
+        replays any requeue-jitter draw).
         """
-        if work is not None:
-            self.cpu.charge_split(work, fraction, executed_ns)
-            self.context_switches += 1
-        thread.dispatches += 1
-        self.scheduler.make_ready(thread, front=True)
-        self.scheduler.pick()
+        left = self.cpu.perf.charge_splits(events, fractions, chained)
+        self.cpu.busy_ns += busy_ns
+        self.context_switches += len(fractions)
+        thread.dispatches += turns
+        self.scheduler.requeue_and_pick(thread, turns)
+        return left
 
     def _tie(self, at: int, number: int, first: int):
         """The chain in which the Win95 idle background at ``at``, with
@@ -1212,10 +1272,11 @@ class Kernel:
           events and 11 schedules (11 and 13 with housekeeping;
           :meth:`_tie`).
 
-        Each preemption splits the piece of the segment then running as
-        :meth:`CPU.split` and :meth:`CPU.charge_split` round it, per
-        chain and in order, and replays the requeue and pick
-        (:meth:`_cross_dpc_turn`).  The jump ends right after the
+        Each preemption splits the piece of the segment then running:
+        the loop rounds its remaining cycles as :meth:`CPU.split` does,
+        keeps each executed fraction in order, and charges them all
+        once, at the end (:meth:`_cross_turns`), which builds the one
+        remainder ``Work``.  The jump ends right after the
         dispatch that resumes the remainder: before a chain that would
         pass the window (the next live entry or the horizon), before an
         occurrence at or after the remainder's completion, before a
@@ -1261,10 +1322,14 @@ class Kernel:
         every = self.personality.housekeeping_period_ticks
         period = clock.period_ns
         number = clock.ticks
+        hz = cpu.hz
+        cycles = work.cycles
+        duration = cpu.duration_ns(work)
         now = start = sim.now
-        completes = now + cpu.duration_ns(work)
-        events = seqs = resumed = 0
+        completes = now + duration
+        events = seqs = resumed = busy = 0
         housekeeping = backgrounds = quantum = 0
+        fractions: List[float] = []
         while True:
             # ``last`` is the offset, among the chain's schedules, of the
             # remainder's start; ``ticked``, ``used`` and ``ran`` say
@@ -1318,11 +1383,15 @@ class Kernel:
             if next_tick[0] <= end or (next_bg is not None and next_bg[0] <= end):
                 reason = "periodic events share a span"
                 break
-            fraction, rest = cpu.split(work, executed)
-            if rest is None:
+            # The remainder of the piece then running, rounded as
+            # CPU.split rounds it.
+            fraction = executed / duration
+            rest = cycles - round(cycles * fraction)
+            if rest <= 0:
                 reason = "nothing remains"
                 break
-            self._cross_dpc_turn(thread, work, fraction, executed)
+            fractions.append(fraction)
+            busy += executed
             number += ticked
             quantum += used
             housekeeping += due
@@ -1331,8 +1400,9 @@ class Kernel:
             resumed = seqs + last
             seqs = resumed + 1
             tick, background = next_tick, next_bg
-            work, start = rest, end
-            completes = end + cpu.duration_ns(rest)
+            cycles, start = rest, end
+            duration = rest * NS_PER_SEC // hz
+            completes = end + duration
         self.jump_stops[reason] += 1
         if not events:
             return
@@ -1342,9 +1412,12 @@ class Kernel:
             rekeyed.append((clock, tick))
         if backgrounds:
             rekeyed.append((bg, background))
+        left = self._cross_turns(
+            thread, len(fractions), work.events, fractions, busy, chained=True
+        )
         cpu.withdraw()
         self._commit_jump(start - now, events, seqs, rekeyed)
-        cpu.restart(work, base + resumed)
+        cpu.restart(Work(cycles, left, work.label), base + resumed)
         self._credit_dpcs(ticks, housekeeping, backgrounds)
         self.ticks_crossed += ticks
         thread.quantum_ticks_used += quantum

@@ -76,6 +76,20 @@ class Scheduler:
         if thread.priority > self.top:
             self.top = thread.priority
 
+    def requeue_and_pick(self, thread: SimThread, times: int) -> None:
+        """Replay ``times`` preemptions of ``thread``, each a
+        ``make_ready(thread, front=True)`` and a :meth:`pick`, when no
+        other thread is ready at or above its priority.
+
+        Each round picks ``thread`` again and leaves the same state, so
+        one round stands for all of them; a requeue-jitter source draws
+        once per round, so while one is installed every round runs.  The
+        kernel's jumps replay the preemptions they cross here.
+        """
+        for _round in range(times if self._requeue_jitter is not None else 1):
+            self.make_ready(thread, front=True)
+            self.pick()
+
     def _scan_top(self) -> int:
         for priority in self._priorities:
             if self._ready[priority]:

@@ -1,6 +1,8 @@
 """Unit tests for the CPU execution model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.cpu import CPU
 from repro.sim.engine import SimulationError, Simulator
@@ -132,3 +134,73 @@ class TestStealing:
         _context, remaining = cpu.preempt()
         # Progress = 0.5 ms elapsed - 0.1 ms stolen = 0.4 ms -> 40k cycles done.
         assert remaining.cycles == 60_000
+
+
+def _split_cpu(residuals):
+    sim = Simulator()
+    cpu = CPU(sim, PerfCounters(sim))
+    cpu.perf._residual.update(residuals)
+    return cpu
+
+
+@given(
+    cycles=st.integers(min_value=1, max_value=10**10),
+    events=st.dictionaries(
+        st.sampled_from(list(HwEvent)), st.integers(min_value=0, max_value=10**9)
+    ),
+    residuals=st.dictionaries(
+        st.sampled_from(list(HwEvent)),
+        st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    ),
+    offsets=st.lists(
+        st.one_of(
+            st.just(0.0), st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+        ),
+        max_size=12,
+    ),
+    chained=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_charge_splits_matches_split_and_charge(
+    cycles, events, residuals, offsets, chained
+):
+    """``PerfCounters.charge_splits`` over the fractions of a sequence of
+    preemptions leaves the tallies, residuals and busy time of
+    ``CPU.split`` and ``CPU.charge_split`` run once per preemption, and
+    the same remainder: chained, as the busy jump cuts one segment again
+    and again, or each on a fresh segment whose remainder completes whole
+    (``CPU.credit``), as the instrumented jump preempts the idle loop.
+    Each preemption lands ``offset`` of the way through the piece then
+    running, 0 included; one that leaves nothing ends the sequence, as
+    it stops both jumps."""
+    work = Work(cycles, events, label="piece")
+    reference = _split_cpu(residuals)
+    piece = work
+    fractions, busy = [], 0
+    left_cycles = cycles
+    for offset in offsets:
+        executed = int(offset * reference.duration_ns(piece))
+        fraction, rest = reference.split(piece, executed)
+        if rest is None:
+            break
+        reference.charge_split(piece, fraction, executed)
+        fractions.append(fraction)
+        busy += executed
+        if chained:
+            piece = rest
+            left_cycles -= round(left_cycles * fraction)
+        else:
+            reference.credit(rest)
+            busy += reference.duration_ns(rest)
+
+    charged = _split_cpu(residuals)
+    left = charged.perf.charge_splits(work.events, fractions, chained)
+    charged.busy_ns += busy
+    if chained:
+        assert Work(left_cycles, left, work.label) == piece
+    else:
+        charged.perf.charge_events_whole(left)
+    assert list(left) == list(work.events)
+    assert charged.perf._tally == reference.perf._tally
+    assert charged.perf._residual == reference.perf._residual
+    assert charged.busy_ns == reference.busy_ns

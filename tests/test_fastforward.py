@@ -7,6 +7,8 @@ an optimisation of the simulator, not of the simulated system; if any
 of these fail, it changed the physics.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.core import IdleLoopInstrument
@@ -500,6 +502,24 @@ def _idle_run(os_name, loop_ms, chunk_ms, sim_ms=10_000.0):
     return scenario
 
 
+def _paused_idle_run(os_name, horizons_ms, loop_ms=1.0, capacity=2_000_000):
+    """An idle-traced system run to each of ``horizons_ms`` in turn
+    (absolute simulated times) with a buffer of ``capacity`` records;
+    returns the records."""
+
+    def scenario():
+        system = boot(os_name)
+        instrument = IdleLoopInstrument(
+            system, loop_ms=loop_ms, buffer_capacity=capacity
+        )
+        instrument.install()
+        for horizon in horizons_ms:
+            system.run_for(ns_from_ms(horizon) - system.now)
+        return instrument.buffer.records()
+
+    return scenario
+
+
 def _idle_viewer(os_name):
     """A remote viewer after its 150 ms warm-up, with no instrument and
     its server started and idle."""
@@ -617,9 +637,69 @@ class TestTicklessOracle:
             kernel = _on_and_off(pauses, _idle_run(os_name, loop_ms, chunk_ms))[0]
             if loop_ms < 10.0:
                 assert kernel.ticks_crossed > 850
+                assert kernel.ticks_in_runs > 750
             else:
                 # Every 25 ms segment spans several ticks: nothing to cross.
                 assert kernel.ticks_crossed == 0
+                assert kernel.ticks_in_runs == 0
+
+    @pytest.mark.parametrize("os_name", PERSONALITIES)
+    def test_run_whose_records_per_tick_change(self, pauses, os_name):
+        """A 3 ms loop shifts the tick's offset in its segment by about
+        1 ms a tick, so a run of plain ticks alternates between tick
+        periods that complete two whole segments before the tick and
+        periods that complete three."""
+        for chunk_ms in (None, 37.0):
+            kernel = _on_and_off(pauses, _idle_run(os_name, 3.0, chunk_ms))[0]
+            assert kernel.ticks_in_runs > 750
+        (instrument,) = pauses["instruments"].values()
+        period = kernel.machine.clock.period_ns
+        per_tick = Counter(record // period for record in instrument.buffer.records())
+        assert {3, 4} <= set(per_tick.values())
+
+    @pytest.mark.parametrize(
+        "os_name, outside", [("nt351", 14), ("nt40", 14), ("win95", 26)]
+    )
+    def test_housekeeping_tick_ends_a_run(self, pauses, os_name, outside):
+        """The run of ticks 1 to 9 ends before the housekeeping tick at
+        100 ms, which the step after it crosses; pause points fall right
+        after that tick's chain and the one at 1 s.  Outside the runs,
+        the jumps cross the 14 housekeeping ticks before the horizon at
+        1.5 s, and on Win95 the 12 plain ticks tied with the idle
+        background."""
+        run = _paused_idle_run(os_name, [102.0, 1_003.0, 1_500.0])
+        kernel = _on_and_off(pauses, run)[0]
+        assert kernel.ticks_in_runs > 100
+        assert kernel.ticks_crossed - kernel.ticks_in_runs == outside
+
+    def test_background_ends_a_run(self, pauses):
+        """The Win95 idle background at 55 ms (and every 110 ms after it)
+        ends the run of plain ticks before it, whose records all land
+        before it; pause points fall right after the background's
+        record and between it and the next tick."""
+        run = _paused_idle_run("win95", [55.5, 57.0, 166.0, 600.0])
+        kernel = _on_and_off(pauses, run)[0]
+        assert kernel.ticks_in_runs > 30
+
+    @pytest.mark.parametrize("os_name", PERSONALITIES)
+    def test_run_cut_by_a_pause_point(self, pauses, os_name):
+        """Horizons inside runs of plain ticks, between a tick and its
+        record and between two records."""
+        run = _paused_idle_run(os_name, [45.5, 50.003, 73.25, 300.0])
+        kernel = _on_and_off(pauses, run)[0]
+        assert kernel.jump_stops["horizon"] == 4
+        assert kernel.ticks_in_runs > 20
+
+    @pytest.mark.parametrize("os_name", PERSONALITIES)
+    def test_run_cut_by_a_full_buffer(self, pauses, os_name):
+        """An instrument buffer of 47 records fills in the run of plain
+        ticks after 40 ms: the run stops before the tick whose segments
+        would not fit, and the step after it fills the buffer."""
+        run = _paused_idle_run(os_name, [200.0, 400.0], capacity=47)
+        kernel, records, _off = _on_and_off(pauses, run)
+        assert len(records) == 47
+        assert kernel.jump_stops["buffer full"] == 1
+        assert kernel.ticks_in_runs > 0
 
     @pytest.mark.parametrize("scenario", [None, "smoke", "sched-jitter"])
     @pytest.mark.parametrize("os_name", PERSONALITIES)
@@ -872,9 +952,13 @@ class TestExactWork:
     that stops engaging fails here on any host."""
 
     @pytest.mark.parametrize(
-        "os_name, outside", [("nt351", 2), ("nt40", 2), ("win95", 2)]
+        "os_name, outside, in_runs",
+        [("nt351", 2, 900), ("nt40", 2, 900), ("win95", 2, 819)],
     )
-    def test_ten_idle_seconds(self, os_name, outside):
+    def test_ten_idle_seconds(self, os_name, outside, in_runs):
+        """Of the 999 ticks crossed, every plain one is crossed in a run:
+        all but the 99 housekeeping ticks, and on Win95 the 81 plain
+        ticks tied with the idle background."""
         runs = {}
         for fast_forward in (True, False):
             with fast_forward_scope(fast_forward):
@@ -888,6 +972,8 @@ class TestExactWork:
         sim = system.sim
         assert sim.events_executed - sim.events_fast_forwarded == outside
         assert system.machine.clock.ticks - ticks == 1000
+        assert system.kernel.ticks_crossed == 999
+        assert system.kernel.ticks_in_runs == in_runs
         assert records == runs[False][1]
         assert sim.events_executed == runs[False][0].sim.events_executed
 

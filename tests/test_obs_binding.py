@@ -15,6 +15,7 @@ import pytest
 from repro.fleet.population import SessionSpec
 from repro.fleet.session import _run_local_session, run_session
 from repro.obs import instrument, observed
+from repro.obs.envelope import INPUT_VECTORS, EnvelopeRecorder
 from repro.obs.metrics import NullMetric
 from repro.obs.tracer import NullTracer
 from repro.remote import LinkConfig, RemoteSession, TransportConfig
@@ -68,6 +69,7 @@ def test_unread_sites_stay_none():
         system = boot("nt40")
     kernel = system.kernel
     assert system.machine.interrupts.obs is None
+    assert system.machine.interrupts.obs_vectors is None
     assert kernel.obs is None
     assert kernel.envelopes is None
     assert kernel.hooks.active == 0
@@ -82,7 +84,51 @@ def test_envelope_only_sites_bind_the_recorder_alone():
     assert kernel.envelopes is recorder
     assert kernel.obs is None
     assert system.machine.interrupts.obs == recorder.input_injected
+    assert system.machine.interrupts.obs_vectors == frozenset(INPUT_VECTORS)
     assert kernel.hooks.active == 0
+
+
+@pytest.mark.parametrize(
+    "profile, seen_by_vector",
+    [("editor", {"keyboard": 20}), ("remote", {"keyboard": 20, "nic": 77})],
+)
+def test_the_recorder_alone_sees_only_genuine_input_deliveries(
+    monkeypatch, booted, profile, seen_by_vector
+):
+    """Under an interrupt storm, a recorder-only session calls the
+    recorder once per genuine keyboard, mouse or NIC delivery, and never
+    for a clock tick or a spurious interrupt."""
+    seen = Counter()
+    injected = EnvelopeRecorder.input_injected
+
+    def spy(self, vector, payload, duration_ns, spurious):
+        seen[vector] += 1
+        return injected(self, vector, payload, duration_ns, spurious)
+
+    monkeypatch.setattr(EnvelopeRecorder, "input_injected", spy)
+    spec = SessionSpec(
+        index=0,
+        seed=5,
+        os_name="nt40",
+        profile=profile,
+        scenario="irq-storm",
+        wpm=40.0,
+        jitter=0.2,
+        think_mean_s=1.0,
+        chars=10,
+    )
+    result = run_session(spec)
+    (system,) = booted
+    interrupts = system.machine.interrupts
+    assert seen == seen_by_vector
+    assert seen == {
+        vector: interrupts.delivered[vector]
+        for vector in INPUT_VECTORS
+        if interrupts.delivered[vector]
+    }
+    assert interrupts.delivered["clock"] > 400
+    assert sum(interrupts.spurious.values()) > 1000
+    assert result.faults_injected > 0
 
 
 # ---------------------------------------------------------------------------
