@@ -60,8 +60,9 @@ experiments:
 # and fig10, whose OLE edits keep a thread busy across thousands of
 # clock ticks, archive the same payload digests with fast-forward on and
 # off (--no-fast-forward, the slow path; each with --no-cache, since the
-# cache key omits the flag).  fig7 has no golden record, so this is its
-# only fast/slow check.
+# cache key omits the flag).  fig7 and fig10 also have golden records
+# outside the golden set, which tests/test_fastforward.py checks on both
+# paths.
 experiments-smoke:
 	rm -rf $(SMOKE_OUT) $(SMOKE_CACHE)
 	$(PYTHON) -m repro.experiments fig1 fig4 --jobs 2 --timeout 300 \

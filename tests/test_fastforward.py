@@ -675,9 +675,9 @@ class TestTicklessOracle:
     def test_background_ends_a_run(self, pauses):
         """The Win95 idle background at 55 ms (and every 110 ms after it)
         ends the run of plain ticks before it, whose records all land
-        before it; pause points fall right after the background's
-        record and between it and the next tick."""
-        run = _paused_idle_run("win95", [55.5, 57.0, 166.0, 600.0])
+        before it; pause points fall right after the record it delays
+        and between that record and the next tick."""
+        run = _paused_idle_run("win95", [55.5, 57.0, 166.5, 600.0])
         kernel = _on_and_off(pauses, run)[0]
         assert kernel.ticks_in_runs > 30
 
@@ -690,14 +690,17 @@ class TestTicklessOracle:
         assert kernel.jump_stops["horizon"] == 4
         assert kernel.ticks_in_runs > 20
 
+    @pytest.mark.parametrize("capacity", [47, 49])
     @pytest.mark.parametrize("os_name", PERSONALITIES)
-    def test_run_cut_by_a_full_buffer(self, pauses, os_name):
-        """An instrument buffer of 47 records fills in the run of plain
-        ticks after 40 ms: the run stops before the tick whose segments
-        would not fit, and the step after it fills the buffer."""
-        run = _paused_idle_run(os_name, [200.0, 400.0], capacity=47)
+    def test_run_cut_by_a_full_buffer(self, pauses, os_name, capacity):
+        """An instrument buffer fills in the run of plain ticks after
+        40 ms: the run stops before the tick whose segments would not
+        fit, and the step after it fills the buffer.  47 records fill
+        before the tick at 50 ms; 49 fill exactly with the segments
+        that complete before it."""
+        run = _paused_idle_run(os_name, [200.0, 400.0], capacity=capacity)
         kernel, records, _off = _on_and_off(pauses, run)
-        assert len(records) == 47
+        assert len(records) == capacity
         assert kernel.jump_stops["buffer full"] == 1
         assert kernel.ticks_in_runs > 0
 
