@@ -86,7 +86,8 @@ class Scheduler:
         once per round, so while one is installed every round runs.  The
         kernel's jumps replay the preemptions they cross here.
         """
-        for _round in range(times if self._requeue_jitter is not None else 1):
+        rounds = times if self._requeue_jitter is not None else min(times, 1)
+        for _round in range(rounds):
             self.make_ready(thread, front=True)
             self.pick()
 

@@ -31,6 +31,27 @@ class TestScheduler:
         assert scheduler.pick() is a
         assert scheduler.pick() is b
 
+    @pytest.mark.parametrize("times", [0, 1, 3])
+    def test_requeue_and_pick_draws_once_per_preemption(self, times):
+        """Without a jitter source one round stands for all of them; with
+        one, each replayed preemption draws, and none is replayed for
+        zero."""
+        draws = []
+        scheduler = Scheduler()
+        idle, thread = make_thread("idle", 0), make_thread("busy", 8)
+        scheduler.make_ready(idle)
+        scheduler.make_ready(thread)
+        assert scheduler.pick() is thread
+        scheduler.requeue_and_pick(thread, times)
+        assert thread.state == ThreadState.RUNNING
+        assert scheduler.top == 0
+        scheduler.set_requeue_jitter(lambda t: draws.append(t) or len(draws) % 2)
+        scheduler.requeue_and_pick(thread, times)
+        assert draws == [thread] * times
+        assert thread.state == ThreadState.RUNNING
+        assert scheduler.top == 0
+        assert scheduler.pick() is idle
+
     def test_front_requeue(self):
         scheduler = Scheduler()
         a, b = make_thread("a", 8), make_thread("b", 8)
